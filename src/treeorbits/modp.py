@@ -1,8 +1,19 @@
 """Exact linear algebra over a prime field, vectorized with int64 numpy.
 
 Entries stay in [0, p); p must be below 2^31 so products of two residues
-fit in int64 without overflow.  Pivoting is deterministic: the first
-nonzero entry in the column, scanning down.
+fit in int64 without overflow.
+
+``rref_mod`` is Gauss-Jordan, clearing above each pivot too, because
+``nullspace_mod`` and ``solve_mod`` read their answers off the reduced form;
+its pivot is the first nonzero entry in the column, scanning down.
+``rank_mod`` is the certificate's rank-only kernel: forward elimination with
+the shorter side in the columns, in panels of ``_PANEL`` columns whose
+trailing update is one ``matmul_mod`` (the blocked, delayed reduction of
+FFLAS-FFPACK; Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Its int64 bounds:
+an update ``(a + g * row) % p`` of residues stays below p^2 < 2^62, so one
+reduction suffices; ``matmul_mod`` splits its right factor into 16-bit
+halves, so inner dimension b sums b terms below 2^47 and fits while
+b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
 """
 
 from __future__ import annotations
@@ -13,21 +24,24 @@ from .errors import BadRange, NotPrime
 
 MAX_PRIME = 2**31 - 1
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial divisors, and the Miller-Rabin bases that make the test exact below 3.3e24
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_PANEL = 64
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for everything below 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -88,7 +102,40 @@ def rref_mod(a, p: int) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rank_mod(a, p: int) -> int:
-    return rref_mod(a, p)[1]
+    """Rank of a mod p by blocked forward elimination (no reduced form is built)."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("expected a matrix")
+    a = np.ascontiguousarray(a.T if a.shape[0] < a.shape[1] else a) % p
+    cols = a.shape[1]
+    r = 0
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        r0 = r
+        pivots: list[int] = []
+        for c in range(c0, c1):
+            nz = np.flatnonzero(a[r:, c])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            # multipliers -a[i,c]/a[r,c], kept in the eliminated column
+            g = (p - a[r + 1 :, c]) * pow(int(a[r, c]), -1, p) % p
+            a[r + 1 :, c] = g
+            a[r + 1 :, c + 1 : c1] = (a[r + 1 :, c + 1 : c1] + g[:, None] * a[r, c + 1 : c1]) % p
+            pivots.append(c)
+            r += 1
+        if not pivots or c1 == cols:
+            continue
+        # replay the panel's row operations right of it: the pivot rows by
+        # substitution, the rows below by one product
+        top = a[r0:r, c1:]
+        mult = a[r0:r, pivots]
+        for j in range(len(pivots) - 1):
+            top[j + 1 :] = (top[j + 1 :] + mult[j + 1 :, j : j + 1] * top[j]) % p
+        a[r:, c1:] = (a[r:, c1:] + matmul_mod(a[r:, pivots], top, p)) % p
+    return r
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:

@@ -200,10 +200,6 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     )
 
 
-def _column_span_dim(mat: np.ndarray, p: int) -> int:
-    return rank_mod(mat, p)
-
-
 def cross_ratio(zs, lower, upper, p: int) -> int:
     """Cross-ratio of four d-dimensional subspaces pinched between a flag pair.
 
@@ -234,16 +230,16 @@ def cross_ratio(zs, lower, upper, p: int) -> int:
         )
     if any(z.shape != (n, d) for z in zs):
         raise NotAPencil("the four subspaces must share the shape n x d")
-    if _column_span_dim(lower, p) != d - 1:
+    if rank_mod(lower, p) != d - 1:
         raise NotAPencil("lower flag is not (d-1)-dimensional")
-    if _column_span_dim(upper, p) != d + 1:
+    if rank_mod(upper, p) != d + 1:
         raise NotAPencil("upper flag is not (d+1)-dimensional")
     for i, z in enumerate(zs):
-        if _column_span_dim(z, p) != d:
+        if rank_mod(z, p) != d:
             raise NotAPencil(f"subspace {i + 1} is not {d}-dimensional")
-        if _column_span_dim(np.hstack([lower, z]), p) != d:
+        if rank_mod(np.hstack([lower, z]), p) != d:
             raise NotAPencil(f"subspace {i + 1} does not contain the lower flag")
-        if _column_span_dim(np.hstack([z, upper]), p) != d + 1:
+        if rank_mod(np.hstack([z, upper]), p) != d + 1:
             raise NotAPencil(f"subspace {i + 1} is not inside the upper flag")
     # coordinates in the upper flag, then a 2-dim quotient by the lower flag
     lower_coords = solve_mod(upper, lower, p)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeorbits import BadRange, NotPrime
@@ -85,6 +85,46 @@ class TestElimination:
         a = [[1, 1], [1, 6]]  # determinant 5
         assert rank_mod(a, 5) == 1
         assert rank_mod(a, 7) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 101, 65537, MAX_PRIME)),
+        st.one_of(st.sampled_from((1, 63, 64, 65, 128, 129)), st.integers(1, 150)),
+        st.one_of(st.sampled_from((1, 63, 64, 65, 128, 129)), st.integers(1, 150)),
+        st.integers(0, 150),
+        st.integers(0, 10**6),
+    )
+    def test_rank_matches_rref(self, p, rows, cols, rank, seed):
+        # low-rank products, tall and wide around the panel width, with forced zero lines
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+        a = matmul_mod(rng.integers(0, p, (rows, rank)), rng.integers(0, p, (rank, cols)), p)
+        a[:, rng.integers(0, cols, size=rng.integers(0, 4))] = 0
+        a[rng.integers(0, rows, size=rng.integers(0, 4))] = 0
+        assert rank_mod(a, p) == rref_mod(a, p)[1]
+
+    def test_rank_at_int64_edge(self):
+        # residues p - 1 at the largest prime maximize every intermediate product
+        p = MAX_PRIME
+        assert rank_mod(np.full((150, 130), p - 1, dtype=np.int64), p) == 1
+        a = np.full((150, 150), p - 1, dtype=np.int64)
+        np.fill_diagonal(a, p - 2)  # -(J + I), determinant (-1)^150 * 151
+        assert rank_mod(a, p) == 150
+
+    def test_rank_leaves_argument_unchanged(self):
+        p = 101
+        rng = np.random.default_rng(5)
+        for shape in ((90, 70), (70, 90)):
+            a = rng.integers(0, p, size=shape)
+            before = a.copy()
+            rank_mod(a, p)
+            assert np.array_equal(a, before)
+
+    def test_rank_of_empty_matrix(self):
+        assert rank_mod(np.zeros((0, 16), dtype=np.int64), 7) == 0
+        assert rank_mod(np.zeros((16, 0), dtype=np.int64), 7) == 0
+        with pytest.raises(ValueError):
+            rank_mod([1, 2, 3], 7)
 
     @given(st.integers(0, 10**6))
     def test_nullspace_annihilates(self, seed):

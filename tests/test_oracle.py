@@ -186,6 +186,15 @@ class TestCertifyDensity:
         with pytest.raises(BadRange):
             certify_density(parse_tree_dsl("1>2"), trials=0)
 
+    # F(k1,k2;n)^3 is dense exactly when k1 + k2 != n; ranks at the default arguments
+    def test_dense_side_of_theorem_pinned(self):
+        report = certify_density(FlagProduct(((4, 7),) * 3, 12))
+        assert (report.status, report.ranks, report.variety_dim) == ("DenseCertified", (141,) * 3, 141)
+
+    def test_sparse_side_of_theorem_pinned(self):
+        report = certify_density(FlagProduct(((5, 7),) * 3, 12))
+        assert (report.status, report.ranks, report.variety_dim) == ("Inconclusive", (133,) * 3, 135)
+
 
 def line_points(params, p):
     """Columns a*u + b*v in the plane with u = (1,0), v = (0,1)."""
