@@ -1,24 +1,46 @@
 """Exhaustive orbit enumeration over tiny finite fields.
 
-Configurations over F_q (q in {2, 3, 4, 5}) are enumerated as tuples of
-canonical subspaces (reduced row echelon bases), one per non-root vertex,
-respecting the containments.  The group acts through three generating
-matrices of GL(n, q) (a cycle, a transvection, and a primitive scalar in
-one slot), each inducing a permutation of the canonical subspaces per
-dimension; a breadth-first closure then counts orbits.
+Configurations over F_q (q in {2, 3, 4, 5}) are tuples of subspaces, one
+per non-root vertex, nested along the edges.  They are enumerated and
+sorted into orbits on numpy arrays, in four steps.
+
+* Field layer.  The addition, negation, multiplication and inverse tables
+  of ``GF`` (so F_4 needs no special case) act elementwise on uint8
+  arrays: a whole stack of bases is multiplied by a matrix, or brought to
+  reduced row echelon form, in one pass over its rows.  The d-subspaces
+  of F_q^n are listed by pivot set and then by their free entries read as
+  a base-q number, so the index of an echelon basis is its pivot set's
+  offset plus that number: no dict of subspaces is built.
+* Points.  Point i is a mixed-radix number with one digit per non-root
+  vertex: the subspace index where the parent is the root, otherwise the
+  child's position among the subspaces of its parent.  This numbers the
+  points 0..N-1, N being the projected count, as a grid with one axis per
+  vertex.
+* Moves.  Three matrices generate GL(n, q): a cycle, a transvection and a
+  primitive scalar in one slot.  Each acts on the points as one int64
+  array of length N.  Where a child lands inside the image of its parent
+  is looked up once per (parent, child) pair, in the parent's sorted
+  children; the move is then a sum of gathers from these tables over the
+  grid.  Every lookup must hit and every move must permute the points.
+* Orbits.  They are the connected components of the Schreier graph of the
+  moves, found by min-label propagation along every move and its inverse,
+  with pointer jumping, until no label changes.
 
 The projected point count (a product of Gaussian binomials, one per
-edge) is checked against the cap before anything is enumerated.
+edge) and the size of every subspace table are checked against the cap
+before anything is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import prod
+
+import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
 from .products import FlagProduct, product_to_tree
-from .trees import LabeledTree
 
 DEFAULT_CAP = 200_000
 
@@ -63,39 +85,6 @@ class GF:
         return self.inv_table[a]
 
 
-def _rref(rows: list[list[int]], gf: GF) -> tuple[tuple[int, ...], ...]:
-    """Canonical reduced row echelon form over gf; zero rows dropped."""
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = gf.inv(rows[r][c])
-        rows[r] = [gf.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [gf.add(x, gf.neg(gf.mul(f, y))) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def _matmul(a, b, gf: GF) -> list[list[int]]:
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [gf.add(v, gf.mul(x, w)) for v, w in zip(acc, brow)]
-        out.append(acc)
-    return out
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
@@ -107,23 +96,91 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _subspaces(n: int, d: int, gf: GF) -> list[tuple[tuple[int, ...], ...]]:
-    """All d-dimensional subspaces of F_q^n as canonical echelon bases."""
-    out = []
-    for pivots in combinations(range(n), d):
-        free = [
-            [c for c in range(p + 1, n) if c not in pivots]
-            for p in pivots
-        ]
-        slots = [(i, c) for i, cs in enumerate(free) for c in cs]
-        for values in product(range(gf.q), repeat=len(slots)):
-            mat = [[0] * n for _ in range(d)]
-            for i, p in enumerate(pivots):
-                mat[i][p] = 1
-            for (i, c), val in zip(slots, values):
-                mat[i][c] = val
-            out.append(tuple(tuple(row) for row in mat))
-    return out
+class _Field:
+    """Elementwise arithmetic of F_q on uint8 arrays, by lookup in the tables of ``GF``."""
+
+    def __init__(self, gf: GF):
+        e = range(gf.q)
+        self.q = gf.q
+        self.add = np.array([[gf.add(a, b) for b in e] for a in e], np.uint8)
+        self.neg = np.array([gf.neg(a) for a in e], np.uint8)
+        self.mul = np.array([[gf.mul(a, b) for b in e] for a in e], np.uint8)
+        self.inv = np.array([0] + [gf.inv(a) for a in e[1:]], np.uint8)  # inv[0] unused
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b over F_q, broadcasting over the leading axes."""
+        out = self.mul[a[..., :, :1], b[..., :1, :]]
+        for k in range(1, a.shape[-1]):
+            out = self.add[out, self.mul[a[..., :, k:k + 1], b[..., k:k + 1, :]]]
+        return out
+
+    def rref(self, m: np.ndarray) -> np.ndarray:
+        """Reduced row echelon forms of a stack of shape (count, d, n) of rank-d matrices."""
+        count, d, _ = m.shape
+        each = np.arange(count)
+        m = m.copy()
+        for r in range(d):
+            # the pivot column of row r is the first one with a nonzero entry
+            # in rows r.., and the pivot row the first of those rows with it
+            rest = m[:, r:] != 0
+            col = rest.any(axis=1).argmax(axis=1)
+            piv = r + rest[each, :, col].argmax(axis=1)
+            row = m[each, piv]
+            m[each, piv] = m[:, r]
+            row = self.mul[self.inv[row[each, col]][:, None], row]
+            factor = m[each, :, col]
+            factor[:, r] = 0
+            m = self.add[m, self.neg[self.mul[factor[:, :, None], row[:, None, :]]]]
+            m[:, r] = row
+        return m
+
+
+class _Subspaces:
+    """The d-dimensional subspaces of F_q^n as reduced echelon bases, in a fixed order.
+
+    ``bases[i]`` is subspace i.  The order is by pivot set, as
+    ``combinations`` lists them, then by the free entries (row by row, left
+    to right) read as a base-q number; ``index`` inverts it.
+    """
+
+    def __init__(self, n: int, d: int, field: _Field):
+        self.field = field
+        q = field.q
+        blocks, keys, offsets, weights = [], [], [], []
+        start = 0
+        for pivots in combinations(range(n), d):
+            free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+            size = q ** len(free)
+            place = q ** np.arange(len(free) - 1, -1, -1)
+            block = np.zeros((size, d, n), np.uint8)
+            block[:, range(d), pivots] = 1
+            weight = np.zeros((d, n), np.int64)
+            if free:
+                rows, cols = zip(*free)
+                block[:, rows, cols] = np.arange(size)[:, None] // place % q
+                weight[rows, cols] = place
+            blocks.append(block)
+            keys.append(sum(1 << p for p in pivots))
+            offsets.append(start)
+            weights.append(weight)
+            start += size
+        self.bases = np.concatenate(blocks)
+        # pivot sets as bitmasks, sorted for searchsorted, with the offset of
+        # each set's block and the place value of each of its free entries
+        by_key = np.argsort(keys)
+        self.keys = np.array(keys, np.int64)[by_key]
+        self.offsets = np.array(offsets, np.int64)[by_key]
+        self.weights = np.array(weights)[by_key]
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def index(self, mats: np.ndarray) -> np.ndarray:
+        """Indices in ``bases`` of the row spans of a stack of rank-d matrices."""
+        m = self.field.rref(mats)
+        piv = (m != 0).argmax(axis=2)
+        at = np.searchsorted(self.keys, (1 << piv).sum(axis=1))
+        return self.offsets[at] + (m * self.weights[at]).sum(axis=(1, 2))
 
 
 def _generators(n: int, gf: GF) -> list[list[list[int]]]:
@@ -191,77 +248,99 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     for d in dims:
         if gaussian_binomial(n, d, q) > cap:
             raise CapExceeded(gaussian_binomial(n, d, q), cap)
-    tables = {d: _subspaces(n, d, gf) for d in dims}
-    index = {d: {sub: i for i, sub in enumerate(tables[d])} for d in dims}
+    field = _Field(gf)
+    spaces = {d: _Subspaces(n, d, field) for d in dims}
 
     order = sorted(
         (v for v in tree.labels if v != tree.root),
         key=lambda v: (tree.distance(v), v),
     )
     pos = {v: i for i, v in enumerate(order)}
-
-    # children_of[(dt, ds)][parent index] = indices of ds-subspaces inside it
-    pairs = {
-        (tree.labels[t], tree.labels[s])
-        for s, t in tree.edges
-        if t != tree.root
-    }
-    children_of = {}
-    for dt, ds in pairs:
-        locals_ = _subspaces(dt, ds, gf)
-        lists = []
-        for parent in tables[dt]:
-            lists.append(
-                [index[ds][_rref(_matmul(loc, parent, gf), gf)] for loc in locals_]
-            )
-        children_of[(dt, ds)] = lists
-
-    points: list[tuple[int, ...]] = []
-    assign = [0] * len(order)
-
-    def expand(i: int) -> None:
-        if i == len(order):
-            points.append(tuple(assign))
-            return
-        v = order[i]
-        up = tree.parent[v]
-        if up == tree.root:
-            choices = range(len(tables[tree.labels[v]]))
-        else:
-            choices = children_of[(tree.labels[up], tree.labels[v])][assign[pos[up]]]
-        for c in choices:
-            assign[i] = c
-            expand(i + 1)
-
-    expand(0)
-    assert len(points) == projected, "point census must match the binomial product"
-
-    perms = []
-    for g in _generators(n, gf):
-        perm = {
-            d: [index[d][_rref(_matmul(list(sub), g, gf), gf)] for sub in tables[d]]
-            for d in dims
-        }
-        perms.append(perm)
+    # up[k] is the position of the parent of order[k], None where that is the root
+    up = [pos.get(tree.parent[v]) for v in order]
     vdim = [tree.labels[v] for v in order]
 
-    ids = {pt: i for i, pt in enumerate(points)}
-    seen = [False] * len(points)
-    orbit_count = 0
-    for start in range(len(points)):
-        if seen[start]:
-            continue
-        orbit_count += 1
-        seen[start] = True
-        frontier = [points[start]]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for perm in perms:
-                    img = tuple(perm[vdim[i]][c] for i, c in enumerate(pt))
-                    j = ids[img]
-                    if not seen[j]:
-                        seen[j] = True
-                        nxt.append(img)
-            frontier = nxt
-    return OrbitReport(q=q, cap=cap, point_count=len(points), orbit_count=orbit_count)
+    # children[dt, ds][p] = indices of the ds-subspaces inside dt-subspace p,
+    # in the order of _Subspaces(dt, ds)
+    children = {}
+    for dt, ds in {(vdim[j], vdim[k]) for k, j in enumerate(up) if j is not None}:
+        inside = field.matmul(_Subspaces(dt, ds, field).bases[None], spaces[dt].bases[:, None])
+        children[dt, ds] = spaces[ds].index(inside.reshape(-1, ds, n)).reshape(inside.shape[:2])
+    radix = [len(spaces[vdim[k]]) if j is None else children[vdim[j], vdim[k]].shape[1]
+             for k, j in enumerate(up)]
+    gens = [np.array(g, np.uint8) for g in _generators(n, gf)]
+    moves = _moves(field, gens, spaces, children, up, vdim, radix)
+    count = prod(radix)
+    return OrbitReport(q=q, cap=cap, point_count=count, orbit_count=_components(moves, count))
+
+
+def _moves(field, gens, spaces, children, up, vdim, radix) -> list[np.ndarray]:
+    """The generators' permutations of the points and their inverses, as index arrays."""
+    # The points form a grid with one axis per vertex, raveled in C order.
+    # digit[k] and sub[k] (the subspace of vertex k) vary along the axes of
+    # k and its ancestors only, so they stay as small as the chain above k.
+    axes = len(radix)
+    digit = [np.arange(r).reshape([r if a == k else 1 for a in range(axes)])
+             for k, r in enumerate(radix)]
+    sub = []
+    for k, j in enumerate(up):
+        sub.append(digit[k] if j is None else children[vdim[j], vdim[k]][sub[j], digit[k]])
+    stride = [prod(radix[k + 1:]) for k in range(axes)]
+    # each parent's children sorted, keyed parent * |T_ds| + child; every
+    # vertex's table is at most N long, so the keys stay below N^2
+    lookup = {}
+    for (dt, ds), table in children.items():
+        at = np.argsort(table, axis=1)
+        keys = np.take_along_axis(table, at, axis=1)
+        keys += np.arange(len(table))[:, None] * len(spaces[ds])
+        lookup[dt, ds] = keys.ravel(), at.ravel()
+
+    moves = []
+    for g in gens:
+        image = {d: s.index(field.matmul(s.bases, g)) for d, s in spaces.items()}
+        # shift[dt, ds][p, i] = position of the image of child i of p among
+        # the children of the image of p
+        shift = {}
+        for (dt, ds), table in children.items():
+            keys, at = lookup[dt, ds]
+            key = image[dt][:, None] * len(spaces[ds]) + image[ds][table]
+            found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            if not np.array_equal(keys[found], key):
+                raise RuntimeError("an image child is missing from its image parent")
+            shift[dt, ds] = at[found]
+        move = np.zeros(radix, np.int64)
+        for k, j in enumerate(up):
+            if j is None:
+                move += image[vdim[k]][sub[k]] * stride[k]
+            else:
+                move += shift[vdim[j], vdim[k]][sub[j], digit[k]] * stride[k]
+        move = move.ravel()
+        inverse = np.full(move.size, -1, np.int64)
+        inverse[move] = np.arange(move.size)
+        if (inverse < 0).any():
+            raise RuntimeError("a generator does not permute the points")
+        moves += [move, inverse]
+    return moves
+
+
+def _components(moves: list[np.ndarray], count: int) -> int:
+    """Connected components of the graph on range(count) with the edges i -> move[i].
+
+    Each point keeps the least label among itself and its neighbours, and
+    then every label jumps to its own label's label until that is fixed.
+    A label is always a point of the same component, so at the fixed point
+    each component holds one label, the one point labelled by itself.
+    """
+    point = np.arange(count)
+    label = point.copy()
+    while True:
+        before = label.copy()
+        for move in moves:
+            np.minimum(label, label[move], out=label)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            return int(np.count_nonzero(label == point))

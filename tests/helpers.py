@@ -49,8 +49,8 @@ def random_product(
     return FlagProduct(tuple(factors), n)
 
 
-def burnside_four_point_orbits(q: int) -> int:
-    """Count GL(2,q)-orbits on (P^1)^4 by averaging fixed points.
+def burnside_line_orbits(m: int, q: int) -> int:
+    """Count GL(2,q)-orbits on (P^1)^m by averaging fixed points.
 
     Independent of the package's orbit machinery: enumerates the full
     group and applies Burnside's lemma directly.  q must be prime.
@@ -61,7 +61,6 @@ def burnside_four_point_orbits(q: int) -> int:
         if b % q != 0:
             inv = pow(b, q - 2, q)
             return ((a * inv) % q, 1)
-        inv = pow(a, q - 2, q)
         return (1, 0)
 
     points = sorted(
@@ -78,6 +77,38 @@ def burnside_four_point_orbits(q: int) -> int:
             for z in points
             if norm(((a * z[0] + b * z[1]) % q, (c * z[0] + d * z[1]) % q)) == z
         )
-        total += fixed**4
+        total += fixed**m
     assert total % order == 0
     return total // order
+
+
+def contingency_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """Number of nonnegative integer matrices with the given row and column sums.
+
+    For the compositions of two flag types this is the number of double
+    cosets W_rows \\ S_n / W_cols, the GL(n)-orbits on the pair of flag
+    varieties (Bruhat decomposition).
+    """
+    if not rows:
+        return int(not any(cols))
+    return sum(
+        contingency_count(rows[1:], tuple(c - x for c, x in zip(cols, row)))
+        for row in _spread(rows[0], cols)
+    )
+
+
+def _spread(total: int, room: tuple[int, ...]):
+    """Every way to write total as a sum of len(room) entries, entry i at most room[i]."""
+    if not room:
+        if total == 0:
+            yield ()
+        return
+    for x in range(min(total, room[0]) + 1):
+        for rest in _spread(total - x, room[1:]):
+            yield (x, *rest)
+
+
+def composition(flag: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Block sizes of a flag type: (a1, a2 - a1, ..., n - ak)."""
+    steps = (0, *flag, n)
+    return tuple(b - a for a, b in zip(steps, steps[1:]))

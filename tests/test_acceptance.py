@@ -37,7 +37,7 @@ from treeorbits import (
 )
 from treeorbits.modp import matmul_mod, rank_mod
 
-from .helpers import burnside_four_point_orbits, random_product, random_tree
+from .helpers import burnside_line_orbits, random_product, random_tree
 
 SPARSE_CLASS = {SPARSE, TRIVIALLY_SPARSE}
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
@@ -140,7 +140,7 @@ def test_criterion_3_finiteness_classifier_against_enumeration():
     # infinite type: the count grows with the field, matching Burnside
     growing = [enumerate_orbits(four_points, q=q).orbit_count for q in (2, 3)]
     assert growing == [14, 15]
-    assert growing == [burnside_four_point_orbits(q) for q in (2, 3)]
+    assert growing == [burnside_line_orbits(4, q) for q in (2, 3)]
     _report(3, time.monotonic() - start, 60.0, "8 fixtures classified, counts verified")
 
 

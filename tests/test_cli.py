@@ -143,6 +143,29 @@ class TestOrbits:
         assert code == 0
         assert out == "2 orbits on 25 points over F_4\n"
 
+    # byte for byte the output of the earlier, dict-based enumerator
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (("--tree", "1>2>4", "--q", "3"),
+             '{"cap":200000,"input":"1>2>4","limits_hit":false,'
+             '"orbit_count":1,"point_count":520,"q":3}\n'),
+            (("--tree", "a:2>r:4 | b:2>r", "--q", "3"),
+             '{"cap":200000,"input":"a:2>r:4 | b:2>r:4","limits_hit":false,'
+             '"orbit_count":3,"point_count":16900,"q":3}\n'),
+            (("--product", "G(1;2)^4", "--q", "5"),
+             '{"cap":200000,"input":"F(1;2)^4","limits_hit":false,'
+             '"orbit_count":17,"point_count":1296,"q":5}\n'),
+            (("--product", "F(1,2;4)*F(2;4)", "--q", "3"),
+             '{"cap":200000,"input":"F(1,2;4)*F(2;4)","limits_hit":false,'
+             '"orbit_count":4,"point_count":67600,"q":3}\n'),
+        ],
+    )
+    def test_golden_json(self, capsys, argv, out):
+        code, got, _ = run(capsys, "orbits", *argv, "--json")
+        assert code == 0
+        assert got == out
+
     def test_cap_exceeded_exits_3(self, capsys):
         code, _, err = run(capsys, "orbits", "--tree", "1>2>4", "--cap", "100")
         assert code == 3
