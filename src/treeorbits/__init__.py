@@ -7,6 +7,9 @@ many orbits, decides dense-orbit existence through a catalog of proved
 rules and density-preserving rewrites, and verifies verdicts numerically:
 exact stabilizer ranks over large prime fields and exhaustive orbit
 counts over tiny ones.
+
+The certificate (``oracle``) and the enumerator (``orbits``) need numpy; their
+names are loaded on first use, so the rule engine alone never imports it.
 """
 
 from .classify import OrbitClass, SparsenessCheck, orbit_class, trivially_sparse
@@ -27,24 +30,6 @@ from .errors import (
     RootForbidden,
     UnknownVertex,
     UnsupportedField,
-)
-from .oracle import (
-    DEFAULT_PRIME,
-    SECONDARY_PRIMES,
-    CertifyReport,
-    Configuration,
-    StabReport,
-    certify_density,
-    cross_ratio,
-    random_config,
-    stabilizer_dim,
-)
-from .orbits import (
-    DEFAULT_CAP,
-    OrbitReport,
-    enumerate_orbits,
-    gaussian_binomial,
-    projected_point_count,
 )
 from .parsing import (
     parse_instance,
@@ -80,6 +65,29 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(
+    ("DEFAULT_PRIME", "SECONDARY_PRIMES", "CertifyReport", "Configuration", "StabReport",
+     "certify_density", "cross_ratio", "random_config", "stabilizer_dim"), "oracle"
+) | dict.fromkeys(
+    ("DEFAULT_CAP", "OrbitReport", "enumerate_orbits", "gaussian_binomial",
+     "projected_point_count"), "orbits"
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "Branch",

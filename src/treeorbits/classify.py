@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import Branch, LabeledTree, branches, dimension, min_width, subtree_at
+from .trees import Branch, LabeledTree, branches, min_width
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
 
@@ -113,10 +113,19 @@ def orbit_class(tree: LabeledTree) -> OrbitClass:
 
 
 def trivially_sparse(tree: LabeledTree) -> SparsenessCheck:
-    """Report the first vertex where the subtree dimension beats phi(v)^2 - 1."""
-    for v in sorted(tree.labels):
-        lhs = dimension(subtree_at(tree, v))
-        rhs = tree.labels[v] ** 2 - 1
-        if lhs > rhs:
-            return SparsenessCheck(True, v, lhs, rhs)
+    """Report the first vertex where the subtree dimension beats phi(v)^2 - 1.
+
+    Subtree dimensions come bottom-up in one pass, children before parents
+    (labels grow toward the root): sub(v) = sum over children c of
+    sub(c) + phi(c)(phi(v) - phi(c)).
+    """
+    lab, children = tree.labels, tree.children
+    sub: dict[str, int] = {}
+    for v in sorted(lab, key=lab.__getitem__):
+        k = lab[v]
+        sub[v] = sum(sub[c] + lab[c] * (k - lab[c]) for c in children[v])
+    bad = [v for v in lab if sub[v] > lab[v] ** 2 - 1]
+    if bad:
+        v = min(bad)
+        return SparsenessCheck(True, v, sub[v], lab[v] ** 2 - 1)
     return SparsenessCheck(False)

@@ -7,6 +7,9 @@ detected) or one of ``--tree``, ``--tree-file``, ``--product``.
 Exit codes: 0 for any computed answer (including Unknown verdicts and
 Inconclusive certificates), 2 for parse or validation problems, 3 when a
 point cap stops an enumeration, 4 for internal errors.
+
+numpy, the certificate and the enumerator are imported only by the verbs
+that use them, so ``dim``, ``classify`` and ``decide`` start without numpy.
 """
 
 from __future__ import annotations
@@ -15,13 +18,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import engine
 from .classify import orbit_class, trivially_sparse
 from .errors import CapExceeded, Error, IterationLimit, ParseError
-from .oracle import DEFAULT_PRIME, certify_density, cross_ratio
-from .orbits import DEFAULT_CAP, enumerate_orbits
 from .parsing import parse_instance, parse_product, parse_tree_spec
 from .products import FlagProduct, product_to_tree
 from .trees import LabeledTree, dimension, to_dsl
@@ -31,7 +30,7 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _add_instance_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", nargs="?", help="tree (chains or JSON) or product text")
     sub.add_argument("--tree", help="tree text, chain notation or JSON")
     sub.add_argument("--tree-file", help="file containing tree text")
@@ -146,8 +145,11 @@ def _cmd_decide(args):
 
 
 def _cmd_certify(args):
+    from .oracle import DEFAULT_PRIME, certify_density
+
     inst = _instance(args)
-    report = certify_density(inst, p=args.prime, trials=args.trials, seed=args.seed)
+    prime = DEFAULT_PRIME if args.prime is None else args.prime
+    report = certify_density(inst, p=prime, trials=args.trials, seed=args.seed)
     record = {"input": _display(inst), **report.to_json_dict()}
     if report.certified_dense:
         human = (
@@ -163,8 +165,11 @@ def _cmd_certify(args):
 
 
 def _cmd_orbits(args):
+    from .orbits import DEFAULT_CAP, enumerate_orbits
+
     inst = _instance(args)
-    report = enumerate_orbits(inst, q=args.q, cap=args.cap)
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    report = enumerate_orbits(inst, q=args.q, cap=cap)
     record = {"input": _display(inst), **report.to_json_dict()}
     plural = "" if report.orbit_count == 1 else "s"
     human = (
@@ -175,6 +180,10 @@ def _cmd_orbits(args):
 
 
 def _cmd_crossratio(args):
+    import numpy as np
+
+    from .oracle import cross_ratio
+
     try:
         with open(args.pencil_file) as fh:
             data = json.load(fh)
@@ -217,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", help="randomized density certificate over F_p")
     _add_instance_args(p_certify)
-    p_certify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p_certify.add_argument("--prime", type=int)
     p_certify.add_argument("--trials", type=int, default=3)
     p_certify.add_argument("--seed", type=int, default=0)
 
     p_orbits = sub.add_parser("orbits", help="exhaustive orbit count over a tiny field")
     _add_instance_args(p_orbits)
     p_orbits.add_argument("--q", type=int, default=2, help="field order in {2,3,4,5}")
-    p_orbits.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_orbits.add_argument("--cap", type=int)
 
     p_cr = sub.add_parser("crossratio", help="cross-ratio of four subspaces in a pencil")
     p_cr.add_argument("--pencil-file", required=True,

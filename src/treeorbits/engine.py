@@ -18,7 +18,7 @@ Every verdict carries a trace of the rules and rewrites that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import orbit_class, trivially_sparse
 from .errors import IterationLimit
@@ -138,8 +138,9 @@ def tree_form(inst: Instance) -> LabeledTree:
 
 def _step(rule_id: str, before: Instance, after: Instance, note: str = "",
           subtrace: tuple[Step, ...] = ()) -> Step:
-    return Step(rule_id, _RULES_BY_ID[rule_id].citation,
-                display(before), display(after), note, subtrace)
+    shown = display(before)
+    return Step(rule_id, _RULES_BY_ID[rule_id].citation, shown,
+                shown if after is before else display(after), note, subtrace)
 
 
 def _easy_dense(tree: LabeledTree) -> bool:
@@ -178,8 +179,8 @@ def _match_r4(p: FlagProduct):
     return DENSE, f"{len(ks)} Grassmannian factors, sum {sum(ks)} != 2n"
 
 
-def _match_r5(inst: Instance):
-    if _easy_dense(tree_form(inst)):
+def _match_r5(tree: LabeledTree):
+    if _easy_dense(tree):
         return DENSE, "source labels sum to at most the label at every vertex"
     return None
 
@@ -221,8 +222,8 @@ def _match_r8(p: FlagProduct):
     return None
 
 
-def _match_r0(inst: Instance):
-    oc = orbit_class(tree_form(inst))
+def _match_r0(tree: LabeledTree):
+    oc = orbit_class(tree)
     if oc.finite:
         return DENSE, f"orbit class {oc.kind}" + (f" (case {oc.case_label})" if oc.case_label else "")
     return None
@@ -237,7 +238,22 @@ _ONE_SIDED = {"R1", "R5", "R6", "R7", "R8"}
 
 _PRODUCT_ONLY = {"R2", "R3", "R4", "R6", "R7", "R8"}
 
+# rules matched against the tree form rather than the product
+_ON_TREE = {"R1", "R5", "R0"}
+
+
+def _match_r1(tree: LabeledTree, entry_level: bool = False):
+    ts = trivially_sparse(tree)
+    if ts.violated:
+        status = TRIVIALLY_SPARSE if entry_level else SPARSE
+        return status, (
+            f"subtree at {ts.vertex} has dimension {ts.lhs} > {ts.rhs} = phi^2 - 1"
+        )
+    return None
+
+
 _MATCHERS = {
+    "R1": _match_r1,
     "R2": _match_r2,
     "R3": _match_r3,
     "R4": _match_r4,
@@ -249,38 +265,20 @@ _MATCHERS = {
 }
 
 
-def _match_r1(inst: Instance, entry_level: bool):
-    ts = trivially_sparse(tree_form(inst))
-    if ts.violated:
-        status = TRIVIALLY_SPARSE if entry_level else SPARSE
-        return status, (
-            f"subtree at {ts.vertex} has dimension {ts.lhs} > {ts.rhs} = phi^2 - 1"
-        )
-    return None
-
-
-def _terminal(inst: Instance, trace: list[Step], entry_level: bool) -> Verdict | None:
-    dual = dualize(inst) if isinstance(inst, FlagProduct) else None
+def _terminal(inst: Instance, tree: LabeledTree, trace: list[Step]) -> Verdict | None:
+    """Scan the catalog on ``inst``, whose tree form is ``tree``; one-sided rules
+    also on its dual."""
+    sides = [(inst, tree, False)]
+    if isinstance(inst, FlagProduct):
+        dual = dualize(inst)
+        sides.append((dual, product_to_tree(dual), True))
     for rid in _TERMINAL_ORDER:
-        if rid == "R1":
-            candidates = [(inst, False)]
-            if dual is not None:
-                candidates.append((dual, True))
-            for cand, used_dual in candidates:
-                hit = _match_r1(cand, entry_level and not used_dual)
-                if hit:
-                    return _conclude(rid, cand, inst, used_dual, hit, trace)
-            continue
         if rid in _PRODUCT_ONLY and not isinstance(inst, FlagProduct):
             continue
-        matcher = _MATCHERS[rid]
-        hit = matcher(inst)
-        if hit:
-            return _conclude(rid, inst, inst, False, hit, trace)
-        if rid in _ONE_SIDED and dual is not None:
-            hit = matcher(dual)
+        for cand, cand_tree, used_dual in sides if rid in _ONE_SIDED else sides[:1]:
+            hit = _MATCHERS[rid](cand_tree if rid in _ON_TREE else cand)
             if hit:
-                return _conclude(rid, dual, inst, True, hit, trace)
+                return _conclude(rid, cand, inst, used_dual, hit, trace)
     return None
 
 
@@ -321,19 +319,18 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
     deletion is decided recursively with depth - 1, and depth 0 disables
     R9 entirely.
     """
-    started = display(x)
-    v = _decide(x, depth)
-    return Verdict(v.status, v.trace, started, v.final)
+    return _decide(x, depth, {})
 
 
-def _decide(x: Instance, depth: int) -> Verdict:
-    trace: list[Step] = []
-    inst: Instance = x
-    hit = _match_r1(inst, entry_level=True)
+def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
+    tree = tree_form(x)
+    hit = _match_r1(tree, entry_level=True)
     if hit:
         status, note = hit
-        trace.append(_step("R1", inst, inst, note=note))
-        return Verdict(status, tuple(trace), display(x), display(inst))
+        step = _step("R1", x, x, note=note)
+        return Verdict(status, (step,), step.before, step.before)
+    trace: list[Step] = []
+    inst: Instance = x
     if isinstance(inst, LabeledTree):
         p = as_flag_product(inst)
         if p is not None:
@@ -341,8 +338,10 @@ def _decide(x: Instance, depth: int) -> Verdict:
             inst = p
     if isinstance(inst, FlagProduct):
         inst = _dual_norm(inst, trace)
-    for _ in range(inst_ambient(inst) + 16):
-        verdict = _terminal(inst, trace, entry_level=False)
+    for _ in range(inst.ambient + 16):
+        if inst is not x:
+            tree = tree_form(inst)
+        verdict = _terminal(inst, tree, trace)
         if verdict is not None:
             return Verdict(verdict.status, verdict.trace, display(x), display(inst))
         nxt = _rewrite_once(inst)
@@ -356,25 +355,29 @@ def _decide(x: Instance, depth: int) -> Verdict:
     else:
         raise IterationLimit(f"rewriting did not reach a fixpoint from {display(x)}")
     if depth >= 1:
-        verdict = _r9(inst, depth, trace)
+        verdict = _r9(inst, tree, depth, trace, memo)
         if verdict is not None:
             return Verdict(verdict.status, verdict.trace, display(x), display(inst))
     return Verdict(UNKNOWN, tuple(trace), display(x), display(inst))
 
 
-def inst_ambient(inst: Instance) -> int:
-    return inst.ambient
+def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step],
+        memo: dict) -> Verdict | None:
+    """Rule R9 on ``inst``, whose tree form is ``tree``.
 
-
-def _r9(inst: Instance, depth: int, trace: list[Step]) -> Verdict | None:
-    tree = tree_form(inst)
+    ``memo`` maps (image, depth) to the image's verdict for the length of one
+    top-level ``decide`` call, so an image reached twice is decided once.
+    """
     for v in sorted(tree.labels):
         if v == tree.root:
             continue
         image, surjective = forget_vertex(tree, v)
         if not surjective:
             continue
-        sub = _decide(image, depth - 1)
+        key = (image, depth - 1)
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _decide(image, depth - 1, memo)
         if sub.status in (SPARSE, TRIVIALLY_SPARSE):
             trace.append(
                 _step(

@@ -5,7 +5,15 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeorbits import branches, orbit_class, parse_tree_dsl, trivially_sparse
+from treeorbits import (
+    SparsenessCheck,
+    branches,
+    dimension,
+    orbit_class,
+    parse_tree_dsl,
+    subtree_at,
+    trivially_sparse,
+)
 
 from .helpers import random_tree
 
@@ -136,3 +144,16 @@ class TestTriviallySparse:
         v = rng.choice(t.vertices)
         if trivially_sparse(subtree_at(t, v)).violated:
             assert trivially_sparse(t).violated
+
+    @given(st.integers(0, 10**6), st.sampled_from((3, 5, 8, 30)))
+    def test_matches_subtree_dimensions(self, seed, max_label):
+        # reference: the first vertex in sorted order whose induced subtree
+        # has dimension above phi(v)^2 - 1
+        t = random_tree(random.Random(seed), max_vertices=14, max_label=max_label)
+        expected = SparsenessCheck(False)
+        for v in sorted(t.labels):
+            lhs, rhs = dimension(subtree_at(t, v)), t.labels[v] ** 2 - 1
+            if lhs > rhs:
+                expected = SparsenessCheck(True, v, lhs, rhs)
+                break
+        assert trivially_sparse(t) == expected

@@ -1,5 +1,6 @@
 """Decision engine: frozen verdicts, trace shape, and the theorem invariants."""
 
+import json
 import random
 from itertools import combinations, permutations
 
@@ -15,6 +16,7 @@ from treeorbits import (
     FlagProduct,
     decide,
     dualize,
+    engine,
     orbit_class,
     parse_tree_dsl,
     trivially_sparse,
@@ -231,3 +233,38 @@ class TestRuleCatalog:
         for x in fixtures:
             seen.update(rule_ids(decide(x)))
         assert TERMINAL_IDS <= seen
+
+
+class TestR9Memo:
+    # R9 reaches the same image along many deletion orders; without a memo
+    # this tree made 5,719 sub-decides at depth 5 (Unknown at every depth)
+    TREE = ("v10:1>v8:3>v5:4>v1:5>v0:10 | v4:8>v0:10 | v6:1>v3:2>v2:4>v1:5>v0:10"
+            " | v7:3>v2:4>v1:5>v0:10 | v9:1>v5:4>v1:5>v0:10")
+
+    def counted_decide(self, monkeypatch, x, depth):
+        calls = 0
+        inner = engine._decide
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(engine, "_decide", counting)
+        return decide(x, depth=depth), calls
+
+    def test_deep_tree_output_and_call_count(self, monkeypatch):
+        v, calls = self.counted_decide(monkeypatch, parse_tree_dsl(self.TREE), 5)
+        # byte for byte the record of the engine without the memo
+        assert json.dumps(v.to_json_dict(), sort_keys=True, separators=(",", ":")) == (
+            '{"final":"' + self.TREE + '","input":"' + self.TREE + '",'
+            '"status":"Unknown","trace":[]}'
+        )
+        assert calls <= 313
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        x = parse_tree_dsl(self.TREE)
+        _, first = self.counted_decide(monkeypatch, x, 3)
+        monkeypatch.undo()
+        _, second = self.counted_decide(monkeypatch, x, 3)
+        assert first == second > 1
