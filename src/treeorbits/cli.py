@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits = sub.add_parser("orbits", help="exhaustive orbit count over a tiny field")
     _add_instance_args(p_orbits)
     p_orbits.add_argument("--q", type=int, default=2, help="field order in {2,3,4,5}")
-    p_orbits.add_argument("--cap", type=int)
+    p_orbits.add_argument("--cap", type=int,
+                          help="largest full F_q point count of the variety to enumerate "
+                               "(default 200,000); a larger variety is refused with exit code 3")
 
     p_cr = sub.add_parser("crossratio", help="cross-ratio of four subspaces in a pencil")
     p_cr.add_argument("--pencil-file", required=True,

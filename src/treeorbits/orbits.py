@@ -1,34 +1,50 @@
 """Exhaustive orbit enumeration over tiny finite fields.
 
 Configurations over F_q (q in {2, 3, 4, 5}) are tuples of subspaces, one
-per non-root vertex, nested along the edges.  They are enumerated and
-sorted into orbits on numpy arrays, in four steps.
+per non-root vertex, nested along the edges.  Orbits are counted on the
+fibre over one fixed flag, on numpy arrays, in five steps.
 
+* Reduction.  The vertices on a chain from a root child down to a leaf
+  carry a flag, and GL(n, q) acts transitively on that chain's flag
+  variety X1.  So the GL-orbits on the variety X match the orbits of the
+  stabilizer P of one flag x1 on the fibre over x1: every GL-orbit meets
+  that fibre, and g maps a point of it into it exactly when g fixes x1.
+  The chain fixed is the one whose X1 has the most points (for a product,
+  its largest factor), and x1 is the standard flag span(e_0..e_{d-1}), d
+  running over the chain's labels.
+  Subspaces are row spans acted on by right multiplication, so P is block
+  lower triangular.  It is generated, modulo the scalars, which act
+  trivially, by generators of GL in each diagonal block (a cycle, a
+  transvection and a primitive scalar in one slot) and one elementary
+  matrix linking each pair of adjacent blocks; the scalar of one 1 x 1
+  block is redundant and left out.  The fibre has |X| / |X1| points.
 * Field layer.  The addition, negation, multiplication and inverse tables
   of ``GF`` (so F_4 needs no special case) act elementwise on uint8
   arrays: a whole stack of bases is multiplied by a matrix, or brought to
   reduced row echelon form, in one pass over its rows.  The d-subspaces
   of F_q^n are listed by pivot set and then by their free entries read as
   a base-q number, so the index of an echelon basis is its pivot set's
-  offset plus that number: no dict of subspaces is built.
+  offset plus that number: no dict of subspaces is built.  Tables are
+  built only for the labels of vertices off the chain.
 * Points.  Point i is a mixed-radix number with one digit per non-root
   vertex: the subspace index where the parent is the root, otherwise the
-  child's position among the subspaces of its parent.  This numbers the
-  points 0..N-1, N being the projected count, as a grid with one axis per
-  vertex.
-* Moves.  Three matrices generate GL(n, q): a cycle, a transvection and a
-  primitive scalar in one slot.  Each acts on the points as one int64
-  array of length N.  Where a child lands inside the image of its parent
-  is looked up once per (parent, child) pair, in the parent's sorted
-  children; the move is then a sum of gathers from these tables over the
-  grid.  Every lookup must hit and every move must permute the points.
+  child's position among the subspaces of its parent.  A chain vertex's
+  digit has radix 1.  This numbers the points of the fibre 0..N-1 as a
+  grid with one axis per vertex.
+* Moves.  Each generator of P acts on the points as one int64 array of
+  length N.  Where a child lands inside the image of its parent is looked
+  up once per (parent, child) pair, in the parent's sorted children; the
+  move is then a sum of gathers from these tables over the grid.  Every
+  generator must fix the flag, every lookup must hit and every move must
+  permute the points.
 * Orbits.  They are the connected components of the Schreier graph of the
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
 
-The projected point count (a product of Gaussian binomials, one per
-edge) and the size of every subspace table are checked against the cap
-before anything is enumerated.
+The projected point count of X (a product of Gaussian binomials, one per
+edge) is checked against the cap before anything is enumerated, and the
+fibre's size times |X1| must equal it.  Every subspace table is an image
+of X, so it fits under the cap too.
 """
 
 from __future__ import annotations
@@ -200,6 +216,54 @@ def _generators(n: int, gf: GF) -> list[list[list[int]]]:
     return gens
 
 
+def _parabolic_generators(n: int, flag: list[int], gf: GF) -> list[np.ndarray]:
+    """Matrices generating, modulo scalars, the stabilizer P of the standard flag.
+
+    The flag is span(e_0..e_{d-1}) for each d in ``flag``; P is block lower
+    triangular.  It is generated by ``_generators`` in each diagonal block and
+    one elementary matrix linking each pair of adjacent blocks.  The scalar
+    of the first 1 x 1 block is left out: it is a scalar matrix times the
+    other blocks' scalars.
+    """
+    cuts = [0, *sorted(flag), n]
+    gens = []
+    dropped = False
+    for a, b in zip(cuts, cuts[1:]):
+        for block in _generators(b - a, gf):
+            if b - a == 1 and not dropped:
+                dropped = True
+                continue
+            g = np.eye(n, dtype=np.uint8)
+            g[a:b, a:b] = block
+            gens.append(g)
+    for d in cuts[1:-1]:
+        g = np.eye(n, dtype=np.uint8)
+        g[d, d - 1] = 1
+        gens.append(g)
+    return gens
+
+
+def _fixed_chain(tree, q: int) -> tuple[list[str], int]:
+    """The chain from a root child down to a leaf whose flag variety has the most F_q points.
+
+    Returns the chain, top first, and that point count; a root-only tree
+    has the empty chain, of one point.
+    """
+    # most[v] = the most points of a chain from v down to a leaf, the edge
+    # above v included; children are filled in before their parents
+    most = {}
+    for v in sorted(tree.labels, key=tree.distance, reverse=True):
+        if v != tree.root:
+            below = max((most[c] for c in tree.children[v]), default=1)
+            most[v] = gaussian_binomial(tree.labels[tree.parent[v]], tree.labels[v], q) * below
+    chain = []
+    below = tree.children[tree.root]
+    while below:
+        chain.append(max(below, key=most.__getitem__))
+        below = tree.children[chain[-1]]
+    return chain, most[chain[0]] if chain else 1
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """Full orbit census of the configuration variety over F_q."""
@@ -233,8 +297,10 @@ def projected_point_count(x, q: int) -> int:
 def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     """Count GL(n, q) orbits on the F_q points of the configuration variety.
 
-    Raises CapExceeded (with the exact projected point count) when the
-    enumeration would exceed ``cap`` points, before any work is done.
+    Only the fibre over one fixed flag is enumerated (see the module
+    docstring); ``point_count`` is the variety's full count.  Raises
+    CapExceeded (with the exact projected point count) when that count
+    exceeds ``cap``, before any work is done.
     """
     if not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
@@ -244,12 +310,11 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     projected = projected_point_count(tree, q)
     if projected > cap:
         raise CapExceeded(projected, cap)
-    dims = sorted({tree.labels[v] for v in tree.labels if v != tree.root})
-    for d in dims:
-        if gaussian_binomial(n, d, q) > cap:
-            raise CapExceeded(gaussian_binomial(n, d, q), cap)
-    field = _Field(gf)
-    spaces = {d: _Subspaces(n, d, field) for d in dims}
+    chain, flag_points = _fixed_chain(tree, q)
+    flag = [tree.labels[v] for v in chain]
+    gens = _parabolic_generators(n, flag, gf)
+    if any(g[:d, d:].any() for g in gens for d in flag):
+        raise RuntimeError("a generator moves the fixed flag")
 
     order = sorted(
         (v for v in tree.labels if v != tree.root),
@@ -259,61 +324,77 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     # up[k] is the position of the parent of order[k], None where that is the root
     up = [pos.get(tree.parent[v]) for v in order]
     vdim = [tree.labels[v] for v in order]
+    free = [v not in chain for v in order]
+    field = _Field(gf)
+    spaces = {d: _Subspaces(n, d, field) for d in sorted({d for d, f in zip(vdim, free) if f})}
 
-    # children[dt, ds][p] = indices of the ds-subspaces inside dt-subspace p,
-    # in the order of _Subspaces(dt, ds)
+    # children[dt, ds, f][p] = indices in spaces[ds] of the ds-subspaces inside
+    # subspace p of a free parent (f true), or inside the parent's fixed span
+    # (f false, p = 0), in the order of _Subspaces(dt, ds)
+    pair = [(vdim[j], vdim[k], free[j]) if f and j is not None else None
+            for k, (j, f) in enumerate(zip(up, free))]
     children = {}
-    for dt, ds in {(vdim[j], vdim[k]) for k, j in enumerate(up) if j is not None}:
-        inside = field.matmul(_Subspaces(dt, ds, field).bases[None], spaces[dt].bases[:, None])
-        children[dt, ds] = spaces[ds].index(inside.reshape(-1, ds, n)).reshape(inside.shape[:2])
-    radix = [len(spaces[vdim[k]]) if j is None else children[vdim[j], vdim[k]].shape[1]
-             for k, j in enumerate(up)]
-    gens = [np.array(g, np.uint8) for g in _generators(n, gf)]
-    moves = _moves(field, gens, spaces, children, up, vdim, radix)
+    for dt, ds, f in set(pair) - {None}:
+        parents = spaces[dt].bases if f else np.eye(dt, n, dtype=np.uint8)[None]
+        inside = field.matmul(_Subspaces(dt, ds, field).bases[None], parents[:, None])
+        children[dt, ds, f] = spaces[ds].index(inside.reshape(-1, ds, n)).reshape(inside.shape[:2])
+    radix = [1 if not f else len(spaces[d]) if t is None else children[t].shape[1]
+             for d, f, t in zip(vdim, free, pair)]
     count = prod(radix)
-    return OrbitReport(q=q, cap=cap, point_count=count, orbit_count=_components(moves, count))
+    if count * flag_points != projected:
+        raise RuntimeError("the fibre over the fixed flag has the wrong number of points")
+    moves = _moves(field, gens, spaces, children, up, vdim, free, pair, radix)
+    return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=_components(moves, count))
 
 
-def _moves(field, gens, spaces, children, up, vdim, radix) -> list[np.ndarray]:
+def _moves(field, gens, spaces, children, up, vdim, free, pair, radix) -> list[np.ndarray]:
     """The generators' permutations of the points and their inverses, as index arrays."""
-    # The points form a grid with one axis per vertex, raveled in C order.
-    # digit[k] and sub[k] (the subspace of vertex k) vary along the axes of
-    # k and its ancestors only, so they stay as small as the chain above k.
+    # The points form a grid with one axis per vertex, raveled in C order;
+    # the axis of a chain vertex has length 1.  digit[k] and sub[k] (the
+    # subspace of vertex k, 0 on the chain) vary along the axes of k and its
+    # ancestors only, so they stay as small as the chain above k.
     axes = len(radix)
     digit = [np.arange(r).reshape([r if a == k else 1 for a in range(axes)])
              for k, r in enumerate(radix)]
     sub = []
     for k, j in enumerate(up):
-        sub.append(digit[k] if j is None else children[vdim[j], vdim[k]][sub[j], digit[k]])
+        if not free[k]:
+            sub.append(0)
+        else:
+            sub.append(digit[k] if j is None else children[pair[k]][sub[j], digit[k]])
     stride = [prod(radix[k + 1:]) for k in range(axes)]
     # each parent's children sorted, keyed parent * |T_ds| + child; every
-    # vertex's table is at most N long, so the keys stay below N^2
+    # subspace table is at most the projected count long, so the keys stay
+    # below its square
     lookup = {}
-    for (dt, ds), table in children.items():
+    for (dt, ds, f), table in children.items():
         at = np.argsort(table, axis=1)
         keys = np.take_along_axis(table, at, axis=1)
         keys += np.arange(len(table))[:, None] * len(spaces[ds])
-        lookup[dt, ds] = keys.ravel(), at.ravel()
+        lookup[dt, ds, f] = keys.ravel(), at.ravel()
 
     moves = []
     for g in gens:
         image = {d: s.index(field.matmul(s.bases, g)) for d, s in spaces.items()}
-        # shift[dt, ds][p, i] = position of the image of child i of p among
-        # the children of the image of p
+        # shift[t][p, i] = position of the image of child i of p among the
+        # children of the image of p; g fixes the spans on the chain
         shift = {}
-        for (dt, ds), table in children.items():
-            keys, at = lookup[dt, ds]
-            key = image[dt][:, None] * len(spaces[ds]) + image[ds][table]
+        for (dt, ds, f), table in children.items():
+            keys, at = lookup[dt, ds, f]
+            parent = image[dt] if f else np.zeros(1, np.int64)
+            key = parent[:, None] * len(spaces[ds]) + image[ds][table]
             found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
             if not np.array_equal(keys[found], key):
                 raise RuntimeError("an image child is missing from its image parent")
-            shift[dt, ds] = at[found]
+            shift[dt, ds, f] = at[found]
         move = np.zeros(radix, np.int64)
         for k, j in enumerate(up):
+            if not free[k]:
+                continue
             if j is None:
                 move += image[vdim[k]][sub[k]] * stride[k]
             else:
-                move += shift[vdim[j], vdim[k]][sub[j], digit[k]] * stride[k]
+                move += shift[pair[k]][sub[j], digit[k]] * stride[k]
         move = move.ravel()
         inverse = np.full(move.size, -1, np.int64)
         inverse[move] = np.arange(move.size)

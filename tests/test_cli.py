@@ -243,6 +243,15 @@ class TestOrbits:
         assert code == 2
         assert "error:" in err
 
+    def test_cap_help(self, capsys):
+        from treeorbits import DEFAULT_CAP
+
+        with pytest.raises(SystemExit):
+            main(["orbits", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {DEFAULT_CAP:,})" in text
+        assert "exit code 3" in text
+
 
 class TestCrossRatio:
     def pencil(self, tmp_path, **overrides):

@@ -4,6 +4,7 @@ import gc
 import random
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from treeorbits import (
     parse_tree_dsl,
     projected_point_count,
 )
-from treeorbits.orbits import GF
+from treeorbits.orbits import GF, _fixed_chain, _parabolic_generators
 
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
 
@@ -89,6 +90,47 @@ class TestFieldTables:
         for q in (1, 6, 7, 9):
             with pytest.raises(UnsupportedField):
                 GF(q)
+
+
+def _gl_order(n: int, q: int) -> int:
+    return prod(q**n - q**i for i in range(n))
+
+
+class TestParabolicGenerators:
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
+    def test_generate_the_flag_stabilizer(self, n, q):
+        # with the scalar matrices they generate exactly the block lower
+        # triangular group, of order prod |GL(b_i)| * q^(sum_{i<j} b_i b_j)
+        gf = GF(q)
+
+        def times(a, b):
+            out = []
+            for row in a:
+                acc = [0] * n
+                for x, brow in zip(row, b):
+                    acc = [gf.add(s, gf.mul(x, y)) for s, y in zip(acc, brow)]
+                out.append(tuple(acc))
+            return tuple(out)
+
+        scalars = [tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+                   for c in range(1, q)]
+        for r in range(1, n):
+            for flag in combinations(range(1, n), r):
+                gens = [tuple(map(tuple, g.tolist())) for g in _parabolic_generators(n, list(flag), gf)]
+                for g in gens:
+                    assert all(not any(g[i][d:]) for d in flag for i in range(d))
+                seen = set(scalars)
+                todo = list(scalars)
+                while todo:
+                    a = todo.pop()
+                    for g in gens:
+                        b = times(a, g)
+                        if b not in seen:
+                            seen.add(b)
+                            todo.append(b)
+                blocks = [b - a for a, b in zip((0, *flag), (*flag, n))]
+                unipotent = sum(x * y for x, y in combinations(blocks, 2))
+                assert len(seen) == prod(_gl_order(b, q) for b in blocks) * q**unipotent, flag
 
 
 class TestHomogeneousCounts:
@@ -213,6 +255,66 @@ class TestResources:
         report = enumerate_orbits(cube, q=2, cap=1_200_000)
         assert (report.point_count, report.orbit_count) == (1_157_625, 156)
 
+    @pytest.mark.parametrize(
+        "spec,cap,points,orbits",
+        [
+            ("F(1,3;4)^3", 1_200_000, 1_157_625, 156),
+            ("G(2;5)^3", 4_000_000, 3_723_875, 21),
+        ],
+    )
+    def test_raised_cap_triple_products(self, spec, cap, points, orbits):
+        # refused at the default cap; the counts were read off the earlier
+        # enumerator, which walked every point, at the same raised caps
+        x = parse_instance(spec)
+        assert projected_point_count(x, 2) > DEFAULT_CAP
+        report = enumerate_orbits(x, q=2, cap=cap)
+        assert (report.point_count, report.orbit_count) == (points, orbits)
+
+    def test_only_the_fibre_is_enumerated(self):
+        # walking all 3,723,875 points took a 256 MB tracemalloc peak; the
+        # fibre over one fixed plane has 24,025 points and the measured peak
+        # is 2.8 MB (Python 3.11, numpy 2.4)
+        cube = parse_instance("G(2;5)^3")
+        tracemalloc.start()
+        try:
+            enumerate_orbits(cube, q=2, cap=4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
+class TestSideBranches:
+    # side branches hang off the fixed chain (the census has none of these);
+    # the counts were read off the earlier enumerator, which walked every point
+    @pytest.mark.parametrize(
+        "spec,q,points,orbits",
+        [
+            ("a:1>b:2>r:4 | c:1>b", 2, 315, 2),
+            ("a:1>b:2>r:4 | c:1>b", 3, 2_080, 2),
+            ("a:1>b:2>r:4 | c:1>b | d:2>r", 2, 11_025, 9),
+            ("a:1>b:3>r:4 | c:2>b | d:1>r", 2, 11_025, 8),
+            ("a:1>b:2>c:3>r:4 | d:1>c | e:2>c", 2, 15_435, 12),
+            ("a:2>b:3>r:5 | c:1>b", 2, 7_595, 2),
+            ("r:3", 2, 1, 1),
+        ],
+    )
+    def test_golden_counts(self, spec, q, points, orbits):
+        report = enumerate_orbits(parse_tree_dsl(spec), q=q)
+        assert (report.point_count, report.orbit_count) == (points, orbits)
+
+    @pytest.mark.parametrize(
+        "spec,chain,points",
+        [
+            ("x:1>r:4 | a:1>b:3>r", ["b", "a"], 105),
+            ("a:1>b:2>r:4 | c:1>b | d:2>r", ["b", "a"], 105),
+            ("a:2>b:3>r:5 | c:1>b | d:4>r", ["b", "a"], 1_085),
+            ("r:3", [], 1),
+        ],
+    )
+    def test_fixed_chain_has_the_most_points(self, spec, chain, points):
+        assert _fixed_chain(parse_tree_dsl(spec), 2) == (chain, points)
+
 
 class TestCaps:
     def test_cap_checked_before_work(self):
@@ -261,6 +363,16 @@ class TestCountInvariants:
             return
         assert report.point_count == projected_point_count(tree, q)
         assert 1 <= report.orbit_count <= report.point_count
+
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_grassmannians_fit_under_the_projection(self, seed, q):
+        # each vertex's Grassmannian is an image of the point set, so a
+        # variety within the cap has every subspace table within it too
+        tree = random_tree(random.Random(seed), max_vertices=8, max_label=10)
+        projected = projected_point_count(tree, q)
+        for v, d in tree.labels.items():
+            assert gaussian_binomial(tree.ambient, d, q) <= projected, v
 
     def test_product_and_tree_forms_agree(self):
         product = FlagProduct(((1,), (2,)), 3)
