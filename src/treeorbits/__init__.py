@@ -8,71 +8,24 @@ rules and density-preserving rewrites, and verifies verdicts numerically:
 exact stabilizer ranks over large prime fields and exhaustive orbit
 counts over tiny ones.
 
-The certificate (``oracle``) and the enumerator (``orbits``) need numpy; their
-names are loaded on first use, so the rule engine alone never imports it.
+The names here are the public API; everything else (the other rewrites and
+tree operations, the error classes, the reports, the defaults) lives in its
+submodule: ``trees``, ``products``, ``parsing``, ``classify``, ``engine``,
+``oracle``, ``orbits``, ``modp``, ``errors``.  The certificate (``oracle``)
+and the enumerator (``orbits``) need numpy; their names are loaded on first
+use, so the rule engine alone never imports it.
 """
 
-from .classify import OrbitClass, SparsenessCheck, orbit_class, trivially_sparse
-from .engine import DENSE, RULES, SPARSE, TRIVIALLY_SPARSE, UNKNOWN, Step, Verdict, decide
-from .errors import (
-    BadRange,
-    BoundsError,
-    CapExceeded,
-    Degenerate,
-    EmptyInput,
-    Error,
-    IterationLimit,
-    LabelViolation,
-    NotAPencil,
-    NotATree,
-    NotPrime,
-    ParseError,
-    RootForbidden,
-    UnknownVertex,
-    UnsupportedField,
-)
-from .parsing import (
-    parse_instance,
-    parse_product,
-    parse_tree_dsl,
-    parse_tree_json,
-    parse_tree_spec,
-)
-from .products import (
-    FlagProduct,
-    as_flag_product,
-    derived_sequence,
-    dualize,
-    product_to_tree,
-    reduce_half,
-    reduce_span,
-    tree_to_product,
-)
-from .trees import (
-    Branch,
-    LabeledTree,
-    TruncationResult,
-    branches,
-    dimension,
-    forget_vertex,
-    min_width,
-    subtree_at,
-    to_canonical_json,
-    to_dsl,
-    to_json_dict,
-    truncate,
-    validate_tree,
-)
+from .classify import orbit_class
+from .engine import DENSE, SPARSE, TRIVIALLY_SPARSE, UNKNOWN, decide
+from .errors import CapExceeded, Error
+from .parsing import parse_instance
+from .products import FlagProduct, dualize, reduce_half, reduce_span, tree_to_product
+from .trees import LabeledTree
 
 __version__ = "0.1.0"
 
-_LAZY = dict.fromkeys(
-    ("DEFAULT_PRIME", "SECONDARY_PRIMES", "CertifyReport", "Configuration", "StabReport",
-     "certify_density", "cross_ratio", "random_config", "stabilizer_dim"), "oracle"
-) | dict.fromkeys(
-    ("DEFAULT_CAP", "OrbitReport", "enumerate_orbits", "gaussian_binomial",
-     "projected_point_count"), "orbits"
-)
+_LAZY = dict.fromkeys(("certify_density", "cross_ratio"), "oracle") | {"enumerate_orbits": "orbits"}
 
 
 def __getattr__(name: str):
@@ -90,71 +43,22 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Branch",
-    "BadRange",
-    "BoundsError",
     "CapExceeded",
-    "CertifyReport",
-    "Configuration",
-    "DEFAULT_CAP",
-    "DEFAULT_PRIME",
     "DENSE",
-    "Degenerate",
-    "EmptyInput",
     "Error",
     "FlagProduct",
-    "IterationLimit",
-    "LabelViolation",
     "LabeledTree",
-    "NotAPencil",
-    "NotATree",
-    "NotPrime",
-    "OrbitClass",
-    "OrbitReport",
-    "ParseError",
-    "RootForbidden",
-    "RULES",
-    "SECONDARY_PRIMES",
     "SPARSE",
-    "SparsenessCheck",
-    "StabReport",
-    "Step",
     "TRIVIALLY_SPARSE",
-    "TruncationResult",
     "UNKNOWN",
-    "UnknownVertex",
-    "UnsupportedField",
-    "Verdict",
-    "as_flag_product",
-    "branches",
     "certify_density",
     "cross_ratio",
     "decide",
-    "derived_sequence",
-    "dimension",
     "dualize",
     "enumerate_orbits",
-    "forget_vertex",
-    "gaussian_binomial",
-    "min_width",
     "orbit_class",
     "parse_instance",
-    "parse_product",
-    "parse_tree_dsl",
-    "parse_tree_json",
-    "parse_tree_spec",
-    "product_to_tree",
-    "projected_point_count",
-    "random_config",
     "reduce_half",
     "reduce_span",
-    "stabilizer_dim",
-    "subtree_at",
-    "to_canonical_json",
-    "to_dsl",
-    "to_json_dict",
     "tree_to_product",
-    "trivially_sparse",
-    "truncate",
-    "validate_tree",
 ]

@@ -22,8 +22,8 @@ from . import engine
 from .classify import orbit_class, trivially_sparse
 from .errors import CapExceeded, Error, IterationLimit, ParseError
 from .parsing import parse_instance, parse_product, parse_tree_spec
-from .products import FlagProduct, product_to_tree
-from .trees import LabeledTree, dimension, to_dsl
+from .products import FlagProduct, as_tree
+from .trees import LabeledTree, dimension
 
 
 def _dump(record: dict) -> str:
@@ -61,19 +61,11 @@ def _instance(args) -> LabeledTree | FlagProduct:
     return parse_instance(text)
 
 
-def _as_tree(inst) -> LabeledTree:
-    return product_to_tree(inst) if isinstance(inst, FlagProduct) else inst
-
-
-def _display(inst) -> str:
-    return engine.display(inst)
-
-
 def _cmd_dim(args):
     inst = _instance(args)
-    tree = _as_tree(inst)
+    tree = as_tree(inst)
     record = {
-        "input": _display(inst),
+        "input": engine.display(inst),
         "ambient": tree.ambient,
         "dimension": dimension(tree),
     }
@@ -83,11 +75,11 @@ def _cmd_dim(args):
 
 def _cmd_classify(args):
     inst = _instance(args)
-    tree = _as_tree(inst)
+    tree = as_tree(inst)
     oc = orbit_class(tree)
     ts = trivially_sparse(tree)
     record = {
-        "input": _display(inst),
+        "input": engine.display(inst),
         "orbit_class": {
             "kind": oc.kind,
             "case_label": oc.case_label,
@@ -150,7 +142,7 @@ def _cmd_certify(args):
     inst = _instance(args)
     prime = DEFAULT_PRIME if args.prime is None else args.prime
     report = certify_density(inst, p=prime, trials=args.trials, seed=args.seed)
-    record = {"input": _display(inst), **report.to_json_dict()}
+    record = {"input": engine.display(inst), **report.to_json_dict()}
     if report.certified_dense:
         human = (
             f"DenseCertified: a configuration over F_{report.p} has orbit rank "
@@ -170,7 +162,7 @@ def _cmd_orbits(args):
     inst = _instance(args)
     cap = DEFAULT_CAP if args.cap is None else args.cap
     report = enumerate_orbits(inst, q=args.q, cap=cap)
-    record = {"input": _display(inst), **report.to_json_dict()}
+    record = {"input": engine.display(inst), **report.to_json_dict()}
     plural = "" if report.orbit_count == 1 else "s"
     human = (
         f"{report.orbit_count} orbit{plural} on {report.point_count} points "

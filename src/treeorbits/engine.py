@@ -25,6 +25,7 @@ from .errors import IterationLimit
 from .products import (
     FlagProduct,
     as_flag_product,
+    as_tree,
     dualize,
     product_to_tree,
     reduce_half,
@@ -130,10 +131,6 @@ class Verdict:
 
 def display(inst: Instance) -> str:
     return to_dsl(inst) if isinstance(inst, LabeledTree) else inst.spec_string()
-
-
-def tree_form(inst: Instance) -> LabeledTree:
-    return inst if isinstance(inst, LabeledTree) else product_to_tree(inst)
 
 
 def _step(rule_id: str, before: Instance, after: Instance, note: str = "",
@@ -242,13 +239,10 @@ _PRODUCT_ONLY = {"R2", "R3", "R4", "R6", "R7", "R8"}
 _ON_TREE = {"R1", "R5", "R0"}
 
 
-def _match_r1(tree: LabeledTree, entry_level: bool = False):
+def _match_r1(tree: LabeledTree):
     ts = trivially_sparse(tree)
     if ts.violated:
-        status = TRIVIALLY_SPARSE if entry_level else SPARSE
-        return status, (
-            f"subtree at {ts.vertex} has dimension {ts.lhs} > {ts.rhs} = phi^2 - 1"
-        )
+        return SPARSE, f"subtree at {ts.vertex} has dimension {ts.lhs} > {ts.rhs} = phi^2 - 1"
     return None
 
 
@@ -265,9 +259,10 @@ _MATCHERS = {
 }
 
 
-def _terminal(inst: Instance, tree: LabeledTree, trace: list[Step]) -> Verdict | None:
+def _terminal(inst: Instance, tree: LabeledTree, trace: list[Step]) -> str | None:
     """Scan the catalog on ``inst``, whose tree form is ``tree``; one-sided rules
-    also on its dual."""
+    also on its dual.  Returns the status of the first rule that fires, its
+    steps appended to ``trace``, or None."""
     sides = [(inst, tree, False)]
     if isinstance(inst, FlagProduct):
         dual = dualize(inst)
@@ -278,17 +273,13 @@ def _terminal(inst: Instance, tree: LabeledTree, trace: list[Step]) -> Verdict |
         for cand, cand_tree, used_dual in sides if rid in _ONE_SIDED else sides[:1]:
             hit = _MATCHERS[rid](cand_tree if rid in _ON_TREE else cand)
             if hit:
-                return _conclude(rid, cand, inst, used_dual, hit, trace)
+                status, note = hit
+                if used_dual:
+                    trace.append(_step("dualize-normalize", inst, cand,
+                                       note="rule hypothesis holds on the dual"))
+                trace.append(_step(rid, cand, cand, note=note))
+                return status
     return None
-
-
-def _conclude(rid, matched, original, used_dual, hit, trace) -> "Verdict":
-    status, note = hit
-    if used_dual:
-        trace.append(_step("dualize-normalize", original, matched,
-                           note="rule hypothesis holds on the dual"))
-    trace.append(_step(rid, matched, matched, note=note))
-    return Verdict(status, tuple(trace), "", "")  # input/final filled by caller
 
 
 def _dual_norm(p: FlagProduct, trace: list[Step]) -> FlagProduct:
@@ -323,12 +314,11 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
 
 
 def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
-    tree = tree_form(x)
-    hit = _match_r1(tree, entry_level=True)
+    tree = as_tree(x)
+    hit = _match_r1(tree)
     if hit:
-        status, note = hit
-        step = _step("R1", x, x, note=note)
-        return Verdict(status, (step,), step.before, step.before)
+        step = _step("R1", x, x, note=hit[1])
+        return Verdict(TRIVIALLY_SPARSE, (step,), step.before, step.before)
     trace: list[Step] = []
     inst: Instance = x
     if isinstance(inst, LabeledTree):
@@ -340,12 +330,13 @@ def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
         inst = _dual_norm(inst, trace)
     for _ in range(inst.ambient + 16):
         if inst is not x:
-            tree = tree_form(inst)
-        verdict = _terminal(inst, tree, trace)
-        if verdict is not None:
-            return Verdict(verdict.status, verdict.trace, display(x), display(inst))
+            tree = as_tree(inst)
+        status = _terminal(inst, tree, trace)
+        if status is not None:
+            break
         nxt = _rewrite_once(inst)
         if nxt is None:
+            status = SPARSE if depth >= 1 and _r9(inst, tree, depth, trace, memo) else UNKNOWN
             break
         rule_id, new_inst = nxt
         trace.append(_step(rule_id, inst, new_inst))
@@ -354,16 +345,12 @@ def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
             inst = _dual_norm(inst, trace)
     else:
         raise IterationLimit(f"rewriting did not reach a fixpoint from {display(x)}")
-    if depth >= 1:
-        verdict = _r9(inst, tree, depth, trace, memo)
-        if verdict is not None:
-            return Verdict(verdict.status, verdict.trace, display(x), display(inst))
-    return Verdict(UNKNOWN, tuple(trace), display(x), display(inst))
+    return Verdict(status, tuple(trace), display(x), display(inst))
 
 
-def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step],
-        memo: dict) -> Verdict | None:
-    """Rule R9 on ``inst``, whose tree form is ``tree``.
+def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step], memo: dict) -> bool:
+    """Rule R9 on ``inst``, whose tree form is ``tree``: whether some surjective
+    deletion has a sparse image, its step appended to ``trace``.
 
     ``memo`` maps (image, depth) to the image's verdict for the length of one
     top-level ``decide`` call, so an image reached twice is decided once.
@@ -388,5 +375,5 @@ def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step],
                     subtrace=sub.trace,
                 )
             )
-            return Verdict(SPARSE, tuple(trace), "", "")
-    return None
+            return True
+    return False

@@ -62,10 +62,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def as_residues(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
-
-
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """a @ b mod p without int64 overflow (split b into 16-bit halves)."""
     a = np.asarray(a, dtype=np.int64) % p

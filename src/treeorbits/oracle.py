@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import BadRange, Degenerate, NotAPencil
 from .modp import check_prime, left_annihilator, matmul_mod, rank_mod, rref_mod, solve_mod
-from .products import FlagProduct, product_to_tree
+from .products import as_tree
 from .trees import LabeledTree, dimension
 
 DEFAULT_PRIME = 2**31 - 1
-SECONDARY_PRIMES = (10007, 65537)
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ def _keyed_rng(seed: int, trial: int, vertex_index: int) -> np.random.Generator:
     )
 
 
-def _as_tree(x) -> LabeledTree:
-    return product_to_tree(x) if isinstance(x, FlagProduct) else x
-
-
 def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> Configuration:
     """Draw a uniform-ish random point of the variety over F_p.
 
@@ -62,7 +57,7 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     containments exact.  Draws retry until full rank, continuing the
     keyed stream, so every configuration is a genuine variety point.
     """
-    tree = _as_tree(x)
+    tree = as_tree(x)
     if not isinstance(seed, int) or seed < 0:
         raise BadRange(f"seed must be a non-negative integer, got {seed!r}")
     if not isinstance(trial, int) or trial < 0:
@@ -180,7 +175,7 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadRange(f"trials must be a positive integer, got {trials!r}")
-    tree = _as_tree(x)
+    tree = as_tree(x)
     ranks = []
     certified = False
     for t in range(trials):

@@ -18,14 +18,15 @@ fibre over one fixed flag, on numpy arrays, in five steps.
   transvection and a primitive scalar in one slot) and one elementary
   matrix linking each pair of adjacent blocks; the scalar of one 1 x 1
   block is redundant and left out.  The fibre has |X| / |X1| points.
-* Field layer.  The addition, negation, multiplication and inverse tables
-  of ``GF`` (so F_4 needs no special case) act elementwise on uint8
-  arrays: a whole stack of bases is multiplied by a matrix, or brought to
-  reduced row echelon form, in one pass over its rows.  The d-subspaces
-  of F_q^n are listed by pivot set and then by their free entries read as
-  a base-q number, so the index of an echelon basis is its pivot set's
-  offset plus that number: no dict of subspaces is built.  Tables are
-  built only for the labels of vertices off the chain.
+* Field layer.  ``_Field`` holds the addition, negation, multiplication
+  and inverse tables of F_q as uint8 arrays (so F_4, whose addition is
+  xor, needs no special case past its tables), and they act elementwise
+  on uint8 arrays: a whole stack of bases is multiplied by a matrix, or
+  brought to reduced row echelon form, in one pass over its rows.  The
+  d-subspaces of F_q^n are listed by pivot set and then by their free
+  entries read as a base-q number, so the index of an echelon basis is
+  its pivot set's offset plus that number: no dict of subspaces is built.
+  Tables are built only for the labels of vertices off the chain.
 * Points.  Point i is a mixed-radix number with one digit per non-root
   vertex: the subspace index where the parent is the root, otherwise the
   child's position among the subspaces of its parent.  A chain vertex's
@@ -56,49 +57,14 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import FlagProduct, product_to_tree
+from .products import as_tree
 
 DEFAULT_CAP = 200_000
 
-_GF4_MUL = (
-    (0, 0, 0, 0),
-    (0, 1, 2, 3),
-    (0, 2, 3, 1),
-    (0, 3, 1, 2),
-)
 
-
-class GF:
-    """Field of order q in {2, 3, 4, 5} with elements 0..q-1."""
-
-    def __init__(self, q: int):
-        if q not in (2, 3, 4, 5):
-            raise UnsupportedField(f"field order must be one of 2, 3, 4, 5, got {q!r}")
-        self.q = q
-        if q == 4:
-            # F_2[x]/(x^2 + x + 1); addition is xor
-            self.add = lambda a, b: a ^ b
-            self.neg = lambda a: a
-            self.mul = lambda a, b: _GF4_MUL[a][b]
-        else:
-            self.add = lambda a, b: (a + b) % q
-            self.neg = lambda a: (-a) % q
-            self.mul = lambda a, b: (a * b) % q
-        self.inv_table = {a: next(b for b in range(1, q) if self.mul(a, b) == 1)
-                          for a in range(1, q)}
-        self.primitive = next(
-            a for a in range(2, q)
-            if len({self._pow(a, i) for i in range(1, q)}) == q - 1
-        ) if q > 2 else 1
-
-    def _pow(self, a: int, e: int) -> int:
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
-    def inv(self, a: int) -> int:
-        return self.inv_table[a]
+def _check_field(q: int) -> None:
+    if q not in (2, 3, 4, 5):
+        raise UnsupportedField(f"field order must be one of 2, 3, 4, 5, got {q!r}")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -113,15 +79,34 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 class _Field:
-    """Elementwise arithmetic of F_q on uint8 arrays, by lookup in the tables of ``GF``."""
+    """F_q for q in {2, 3, 4, 5} on the elements 0..q-1, as uint8 lookup tables.
 
-    def __init__(self, gf: GF):
-        e = range(gf.q)
-        self.q = gf.q
-        self.add = np.array([[gf.add(a, b) for b in e] for a in e], np.uint8)
-        self.neg = np.array([gf.neg(a) for a in e], np.uint8)
-        self.mul = np.array([[gf.mul(a, b) for b in e] for a in e], np.uint8)
-        self.inv = np.array([0] + [gf.inv(a) for a in e[1:]], np.uint8)  # inv[0] unused
+    ``add`` and ``mul`` are q x q tables, ``neg`` and ``inv`` (``inv[0]``
+    unused) vectors, and ``primitive`` a generator of F_q^*; indexing a
+    table with uint8 arrays computes elementwise.  For prime q the tables
+    are the residues mod q; F_4 is F_2[x]/(x^2 + x + 1) with x = 2, whose
+    addition is xor.
+    """
+
+    def __init__(self, q: int):
+        _check_field(q)
+        self.q = q
+        e = np.arange(q)
+        if q == 4:
+            self.add = np.bitwise_xor.outer(e, e).astype(np.uint8)
+            self.mul = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]], np.uint8)
+        else:
+            self.add = (np.add.outer(e, e) % q).astype(np.uint8)
+            self.mul = (np.multiply.outer(e, e) % q).astype(np.uint8)
+        self.neg = (self.add == 0).argmax(axis=1).astype(np.uint8)
+        self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
+        # order[a] = least i >= 1 with a^i = 1 (0 for a = 0); a primitive
+        # element has order q - 1
+        order, power = np.zeros(q, np.int64), e
+        for i in range(1, q):
+            order[(power == 1) & (order == 0)] = i
+            power = self.mul[power, e]
+        self.primitive = int(np.flatnonzero(order == q - 1)[0])
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b over F_q, broadcasting over the leading axes."""
@@ -199,24 +184,22 @@ class _Subspaces:
         return self.offsets[at] + (m * self.weights[at]).sum(axis=(1, 2))
 
 
-def _generators(n: int, gf: GF) -> list[list[list[int]]]:
+def _generators(n: int, field: _Field) -> list[np.ndarray]:
     """Matrices generating GL(n, q) (acting by right multiplication on row spans)."""
+    eye = np.eye(n, dtype=np.uint8)
     gens = []
     if n >= 2:
-        cycle = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cycle[i][(i + 1) % n] = 1
-        transvection = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        transvection[0][1] = 1
-        gens += [cycle, transvection]
-    if gf.q > 2:
-        scalar = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        scalar[0][0] = gf.primitive
+        transvection = eye.copy()
+        transvection[0, 1] = 1
+        gens += [np.roll(eye, 1, axis=1), transvection]  # the cycle e_i -> e_{i+1}
+    if field.q > 2:
+        scalar = eye.copy()
+        scalar[0, 0] = field.primitive
         gens.append(scalar)
     return gens
 
 
-def _parabolic_generators(n: int, flag: list[int], gf: GF) -> list[np.ndarray]:
+def _parabolic_generators(n: int, flag: list[int], field: _Field) -> list[np.ndarray]:
     """Matrices generating, modulo scalars, the stabilizer P of the standard flag.
 
     The flag is span(e_0..e_{d-1}) for each d in ``flag``; P is block lower
@@ -229,7 +212,7 @@ def _parabolic_generators(n: int, flag: list[int], gf: GF) -> list[np.ndarray]:
     gens = []
     dropped = False
     for a, b in zip(cuts, cuts[1:]):
-        for block in _generators(b - a, gf):
+        for block in _generators(b - a, field):
             if b - a == 1 and not dropped:
                 dropped = True
                 continue
@@ -272,7 +255,6 @@ class OrbitReport:
     cap: int
     point_count: int
     orbit_count: int
-    limits_hit: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,14 +262,13 @@ class OrbitReport:
             "cap": self.cap,
             "point_count": self.point_count,
             "orbit_count": self.orbit_count,
-            "limits_hit": self.limits_hit,
         }
 
 
 def projected_point_count(x, q: int) -> int:
     """Exact number of F_q points: product of one Gaussian binomial per edge."""
-    tree = product_to_tree(x) if isinstance(x, FlagProduct) else x
-    GF(q)  # validates q
+    tree = as_tree(x)
+    _check_field(q)
     total = 1
     for s, t in tree.edges:
         total *= gaussian_binomial(tree.labels[t], tree.labels[s], q)
@@ -304,15 +285,15 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     """
     if not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
-    tree = product_to_tree(x) if isinstance(x, FlagProduct) else x
-    gf = GF(q)
+    tree = as_tree(x)
     n = tree.ambient
     projected = projected_point_count(tree, q)
     if projected > cap:
         raise CapExceeded(projected, cap)
+    field = _Field(q)
     chain, flag_points = _fixed_chain(tree, q)
     flag = [tree.labels[v] for v in chain]
-    gens = _parabolic_generators(n, flag, gf)
+    gens = _parabolic_generators(n, flag, field)
     if any(g[:d, d:].any() for g in gens for d in flag):
         raise RuntimeError("a generator moves the fixed flag")
 
@@ -325,7 +306,6 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     up = [pos.get(tree.parent[v]) for v in order]
     vdim = [tree.labels[v] for v in order]
     free = [v not in chain for v in order]
-    field = _Field(gf)
     spaces = {d: _Subspaces(n, d, field) for d in sorted({d for d, f in zip(vdim, free) if f})}
 
     # children[dt, ds, f][p] = indices in spaces[ds] of the ds-subspaces inside

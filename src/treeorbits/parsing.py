@@ -18,7 +18,7 @@ import re
 
 from .errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError
 from .products import FlagProduct
-from .trees import LabeledTree, validate_tree
+from .trees import LabeledTree
 
 _TOKEN_RE = re.compile(r"^([A-Za-z0-9_.\-]+?)(?::(\d+))?$")
 
@@ -69,7 +69,7 @@ def parse_tree_dsl(text: str) -> LabeledTree:
                     f"({labels[prev]} >= {labels[name]}, at position {pos})"
                 )
             edges.append((prev, name))
-    return validate_tree(labels, edges)
+    return LabeledTree(labels, edges)
 
 
 def parse_tree_json(text: str) -> LabeledTree:
@@ -87,7 +87,7 @@ def parse_tree_json(text: str) -> LabeledTree:
         not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges
     ):
         raise ParseError('"edges" must be a list of [source, target] pairs')
-    tree = validate_tree(data["labels"], [tuple(e) for e in edges])
+    tree = LabeledTree(data["labels"], [tuple(e) for e in edges])
     declared = data.get("root")
     if declared is not None and str(declared) != tree.root:
         raise NotATree(f"declared root {declared!r} but the edges lead to {tree.root!r}")

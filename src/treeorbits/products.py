@@ -14,7 +14,8 @@ orbit, in both directions:
                        at its deepest junction.
 
 The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
-between product instances and the trees that index the same varieties.
+between product instances and the trees that index the same varieties;
+``as_tree`` is the one place an instance of either kind is read as its tree.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "reduce_half",
     "tree_to_product",
     "as_flag_product",
+    "as_tree",
     "product_to_tree",
 ]
 
@@ -184,6 +186,11 @@ def product_to_tree(p: FlagProduct) -> LabeledTree:
             edges.append((name, prev))
             prev = name
     return LabeledTree(labels, edges)
+
+
+def as_tree(x: LabeledTree | FlagProduct) -> LabeledTree:
+    """The tree indexing the variety of a tree or product instance."""
+    return product_to_tree(x) if isinstance(x, FlagProduct) else x
 
 
 def _meet(tree: LabeledTree, a: str, b: str) -> str:

@@ -30,11 +30,13 @@ MAX_LABEL = 10**6
 class LabeledTree:
     """Immutable rooted tree with labels strictly increasing toward the root.
 
-    Construct through :func:`validate_tree` (or directly; the constructor
-    validates).  ``labels`` maps vertex names to positive integers and
-    ``edges`` is a set of ``(source, target)`` pairs pointing toward the
-    root.  The root is inferred as the unique vertex with no outgoing edge
-    and its label is the ambient dimension.
+    The constructor validates: it raises EmptyInput, LabelViolation
+    (labels not positive, above the cap, or not strictly increasing along
+    an edge), or NotATree (unknown endpoint, a vertex with two outgoing
+    edges, or no unique root).  ``labels`` maps vertex names to positive
+    integers and ``edges`` is a set of ``(source, target)`` pairs pointing
+    toward the root.  The root is inferred as the unique vertex with no
+    outgoing edge and its label is the ambient dimension.
     """
 
     __slots__ = ("labels", "edges", "root", "ambient", "parent", "children", "_dist")
@@ -125,16 +127,6 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree({to_dsl(self)!r})"
-
-
-def validate_tree(labels: dict[str, int], edges) -> LabeledTree:
-    """Check the tree axioms and return the validated tree.
-
-    Raises EmptyInput, LabelViolation (labels not positive, above the cap,
-    or not strictly increasing along an edge), or NotATree (unknown
-    endpoint, a vertex with two outgoing edges, or no unique root).
-    """
-    return LabeledTree(labels, edges)
 
 
 def dimension(tree: LabeledTree) -> int:

@@ -15,27 +15,24 @@ from treeorbits import (
     TRIVIALLY_SPARSE,
     UNKNOWN,
     CapExceeded,
-    Configuration,
     FlagProduct,
     LabeledTree,
     certify_density,
     cross_ratio,
     decide,
-    dimension,
     dualize,
     enumerate_orbits,
     orbit_class,
-    parse_tree_dsl,
-    product_to_tree,
-    projected_point_count,
-    random_config,
     reduce_half,
     reduce_span,
-    stabilizer_dim,
     tree_to_product,
-    truncate,
 )
 from treeorbits.modp import matmul_mod, rank_mod
+from treeorbits.oracle import Configuration, random_config, stabilizer_dim
+from treeorbits.orbits import projected_point_count
+from treeorbits.parsing import parse_tree_dsl
+from treeorbits.products import product_to_tree
+from treeorbits.trees import dimension, truncate
 
 from .helpers import burnside_line_orbits, random_product, random_tree
 

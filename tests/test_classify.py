@@ -5,15 +5,10 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeorbits import (
-    SparsenessCheck,
-    branches,
-    dimension,
-    orbit_class,
-    parse_tree_dsl,
-    subtree_at,
-    trivially_sparse,
-)
+from treeorbits import orbit_class
+from treeorbits.classify import SparsenessCheck, trivially_sparse
+from treeorbits.parsing import parse_tree_dsl
+from treeorbits.trees import LabeledTree, branches, dimension, subtree_at
 
 from .helpers import random_tree
 
@@ -93,9 +88,8 @@ class TestOrbitClass:
         t = random_tree(random.Random(seed))
         renamed_labels = {f"x{v}": k for v, k in t.labels.items()}
         renamed_edges = [(f"x{s}", f"x{t_}") for s, t_ in t.edges]
-        from treeorbits import validate_tree
 
-        t2 = validate_tree(renamed_labels, renamed_edges)
+        t2 = LabeledTree(renamed_labels, renamed_edges)
         assert orbit_class(t2).kind == orbit_class(t).kind
         assert orbit_class(t2).case_label == orbit_class(t).case_label
         assert trivially_sparse(t2).violated == trivially_sparse(t).violated
@@ -139,7 +133,6 @@ class TestTriviallySparse:
     def test_subtree_violation_propagates(self, seed):
         rng = random.Random(seed)
         t = random_tree(rng)
-        from treeorbits import subtree_at
 
         v = rng.choice(t.vertices)
         if trivially_sparse(subtree_at(t, v)).violated:

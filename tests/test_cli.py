@@ -10,8 +10,8 @@ import pytest
 
 import treeorbits
 
-from treeorbits import DEFAULT_PRIME
 from treeorbits.cli import main
+from treeorbits.oracle import DEFAULT_PRIME
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 # ROADMAP item 1: R9 reaches an unsound R8 match from here, so the Sparse below
@@ -215,16 +215,16 @@ class TestOrbits:
         "argv,out",
         [
             (("--tree", "1>2>4", "--q", "3"),
-             '{"cap":200000,"input":"1>2>4","limits_hit":false,'
+             '{"cap":200000,"input":"1>2>4",'
              '"orbit_count":1,"point_count":520,"q":3}\n'),
             (("--tree", "a:2>r:4 | b:2>r", "--q", "3"),
-             '{"cap":200000,"input":"a:2>r:4 | b:2>r:4","limits_hit":false,'
+             '{"cap":200000,"input":"a:2>r:4 | b:2>r:4",'
              '"orbit_count":3,"point_count":16900,"q":3}\n'),
             (("--product", "G(1;2)^4", "--q", "5"),
-             '{"cap":200000,"input":"F(1;2)^4","limits_hit":false,'
+             '{"cap":200000,"input":"F(1;2)^4",'
              '"orbit_count":17,"point_count":1296,"q":5}\n'),
             (("--product", "F(1,2;4)*F(2;4)", "--q", "3"),
-             '{"cap":200000,"input":"F(1,2;4)*F(2;4)","limits_hit":false,'
+             '{"cap":200000,"input":"F(1,2;4)*F(2;4)",'
              '"orbit_count":4,"point_count":67600,"q":3}\n'),
         ],
     )
@@ -244,7 +244,7 @@ class TestOrbits:
         assert "error:" in err
 
     def test_cap_help(self, capsys):
-        from treeorbits import DEFAULT_CAP
+        from treeorbits.orbits import DEFAULT_CAP
 
         with pytest.raises(SystemExit):
             main(["orbits", "--help"])
@@ -353,7 +353,7 @@ def test_rule_engine_verbs_load_no_numpy():
         for verb in ("dim", "classify", "decide"):
             assert cli.main([verb, "F(1,2;4)^3"]) == 0
         assert "numpy" not in sys.modules, "numpy was loaded"
-        assert treeorbits.DEFAULT_CAP == 200_000
+        assert treeorbits.enumerate_orbits.__module__ == "treeorbits.orbits"
         assert "numpy" in sys.modules
         """
     )

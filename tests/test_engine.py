@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from treeorbits import (
     DENSE,
-    RULES,
     SPARSE,
     TRIVIALLY_SPARSE,
     UNKNOWN,
     FlagProduct,
+    LabeledTree,
     decide,
     dualize,
     engine,
     orbit_class,
-    parse_tree_dsl,
-    trivially_sparse,
 )
+from treeorbits.classify import trivially_sparse
+from treeorbits.engine import RULES
+from treeorbits.parsing import parse_tree_dsl
 
 from .helpers import random_product, random_tree
 
@@ -200,10 +201,8 @@ class TestEngineInvariants:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_vertex_renaming_invariance(self, seed):
-        from treeorbits import validate_tree
-
         t = random_tree(random.Random(seed), max_label=14)
-        t2 = validate_tree(
+        t2 = LabeledTree(
             {f"w{v}": k for v, k in t.labels.items()},
             [(f"w{s}", f"w{d}") for s, d in t.edges],
         )

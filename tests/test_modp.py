@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import BadRange, NotPrime
+from treeorbits.errors import BadRange, NotPrime
 from treeorbits.modp import (
     MAX_PRIME,
-    as_residues,
     check_prime,
     is_prime,
     left_annihilator,
@@ -63,9 +62,6 @@ class TestMatmulMod:
         a = [[1, 2], [3, 4]]
         b = [[5, 6], [7, 8]]
         assert np.array_equal(matmul_mod(a, b, 11), np.array([[8, 0], [10, 6]]))
-
-    def test_as_residues_wraps_negatives(self):
-        assert np.array_equal(as_residues([-1, 12], 7), np.array([6, 5]))
 
 
 class TestElimination:

@@ -4,22 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import (
-    BoundsError,
-    EmptyInput,
-    Error,
-    FlagProduct,
-    LabeledTree,
-    LabelViolation,
-    NotATree,
-    ParseError,
-    parse_instance,
-    parse_product,
-    parse_tree_dsl,
-    parse_tree_json,
-    to_canonical_json,
-    to_dsl,
-)
+from treeorbits import Error, FlagProduct, LabeledTree, parse_instance
+from treeorbits.errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError
+from treeorbits.parsing import parse_product, parse_tree_dsl, parse_tree_json
+from treeorbits.trees import to_canonical_json, to_dsl
 
 from .helpers import random_tree
 

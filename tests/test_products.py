@@ -6,20 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeorbits import (
-    BadRange,
-    BoundsError,
-    FlagProduct,
-    as_flag_product,
-    derived_sequence,
-    dimension,
-    dualize,
-    parse_tree_dsl,
-    product_to_tree,
-    reduce_half,
-    reduce_span,
-    tree_to_product,
-)
+from treeorbits import FlagProduct, dualize, reduce_half, reduce_span, tree_to_product
+from treeorbits.errors import BadRange, BoundsError
+from treeorbits.parsing import parse_tree_dsl
+from treeorbits.products import as_flag_product, as_tree, derived_sequence, product_to_tree
+from treeorbits.trees import dimension
 
 from .helpers import random_product, random_tree
 
@@ -184,6 +175,14 @@ class TestProductTreeBridge:
 
     def test_single_vertex_is_trivial(self):
         assert as_flag_product(parse_tree_dsl("4:4")) == FlagProduct((), 4)
+
+    @given(st.integers(0, 10**6))
+    def test_as_tree_reads_either_kind(self, seed):
+        rng = random.Random(seed)
+        t = random_tree(rng)
+        assert as_tree(t) is t
+        p = random_product(rng)
+        assert as_tree(p) == product_to_tree(p)
 
     @given(st.integers(0, 10**6))
     def test_round_trip(self, seed):

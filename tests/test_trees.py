@@ -6,33 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import (
+from treeorbits import LabeledTree
+from treeorbits.errors import (
+    BadRange,
     EmptyInput,
-    LabeledTree,
     LabelViolation,
     NotATree,
     RootForbidden,
-    BadRange,
     UnknownVertex,
+)
+from treeorbits.parsing import parse_tree_dsl
+from treeorbits.trees import (
+    MAX_LABEL,
     branches,
     dimension,
     forget_vertex,
     min_width,
-    parse_tree_dsl,
     subtree_at,
     to_canonical_json,
     to_dsl,
     truncate,
-    validate_tree,
 )
-from treeorbits.trees import MAX_LABEL
 
 from .helpers import random_tree
 
 
 def two_branch_tree() -> LabeledTree:
     # main chain d1 < d2 < d3 < d4 < root with a side leaf d5 into d4
-    return validate_tree(
+    return LabeledTree(
         {"d1": 1, "d2": 2, "d3": 3, "d4": 4, "d5": 2, "n": 6},
         [("d1", "d2"), ("d2", "d3"), ("d3", "d4"), ("d5", "d4"), ("d4", "n")],
     )
@@ -40,45 +41,45 @@ def two_branch_tree() -> LabeledTree:
 
 class TestValidation:
     def test_minimal_tree(self):
-        t = validate_tree({"a": 1, "b": 2}, [("a", "b")])
+        t = LabeledTree({"a": 1, "b": 2}, [("a", "b")])
         assert t.root == "b"
         assert t.ambient == 2
         assert t.vertices == ["a", "b"]
 
     def test_single_vertex(self):
-        t = validate_tree({"r": 5}, [])
+        t = LabeledTree({"r": 5}, [])
         assert t.root == "r"
         assert t.leaves == ["r"]
         assert dimension(t) == 0
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            validate_tree({}, [])
+            LabeledTree({}, [])
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "x", MAX_LABEL + 1])
     def test_bad_label(self, bad):
         with pytest.raises(LabelViolation):
-            validate_tree({"a": bad}, [])
+            LabeledTree({"a": bad}, [])
 
     def test_equal_labels_on_edge(self):
         with pytest.raises(LabelViolation):
-            validate_tree({"a": 2, "b": 2}, [("a", "b")])
+            LabeledTree({"a": 2, "b": 2}, [("a", "b")])
 
     def test_decreasing_labels_on_edge(self):
         with pytest.raises(LabelViolation):
-            validate_tree({"a": 3, "b": 2}, [("a", "b")])
+            LabeledTree({"a": 3, "b": 2}, [("a", "b")])
 
     def test_unknown_endpoint(self):
         with pytest.raises(NotATree):
-            validate_tree({"a": 1, "b": 2}, [("a", "c")])
+            LabeledTree({"a": 1, "b": 2}, [("a", "c")])
 
     def test_two_outgoing_edges(self):
         with pytest.raises(NotATree):
-            validate_tree({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("a", "c")])
+            LabeledTree({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("a", "c")])
 
     def test_disconnected(self):
         with pytest.raises(NotATree):
-            validate_tree({"a": 1, "b": 2, "c": 3}, [("a", "b")])
+            LabeledTree({"a": 1, "b": 2, "c": 3}, [("a", "b")])
 
     def test_root_inferred(self):
         t = two_branch_tree()
@@ -101,7 +102,7 @@ class TestValidation:
 
 class TestDimension:
     def test_grassmannian_chain(self):
-        assert dimension(validate_tree({"a": 2, "b": 5}, [("a", "b")])) == 6
+        assert dimension(LabeledTree({"a": 2, "b": 5}, [("a", "b")])) == 6
 
     def test_flag_chain(self):
         assert dimension(parse_tree_dsl("1>2>4")) == 5
@@ -135,7 +136,7 @@ class TestBranches:
         assert [min_width(t, b) for b in brs] == [1, 1, 1]
 
     def test_single_vertex_has_no_branch(self):
-        assert branches(validate_tree({"r": 4}, [])) == []
+        assert branches(LabeledTree({"r": 4}, [])) == []
 
     @given(st.integers(0, 10**6))
     def test_one_branch_per_leaf_and_disjoint(self, seed):
@@ -285,7 +286,7 @@ class TestSerialization:
         assert " " not in text
 
     def test_equality_ignores_construction_order(self):
-        a = validate_tree({"a": 1, "b": 2}, [("a", "b")])
-        b = validate_tree({"b": 2, "a": 1}, (("a", "b"),))
+        a = LabeledTree({"a": 1, "b": 2}, [("a", "b")])
+        b = LabeledTree({"b": 2, "a": 1}, (("a", "b"),))
         assert a == b
         assert hash(a) == hash(b)
