@@ -7,11 +7,13 @@
 2. failing that, applies one density-preserving rewrite (``reduce_span``,
    ``reduce_half``, ``tree_to_product``) and loops.
 
-One-sided terminal rules are also tried on the dual instance.  At the
-fixpoint, rule R9 tries every single-vertex surjective deletion and
-propagates sparseness back from the image (a surjective equivariant map
-sends a dense orbit onto a dense orbit).  If nothing fires the verdict is
-Unknown: the procedure never guesses.
+At entry and after every rewrite a product is put in one canonical form,
+the smaller of its sorted factors and its dual's (k -> n - k), so no
+verdict depends on factor order or dualizing; one-sided rules also try the
+sorted dual.  At the fixpoint, rule R9 tries every single-vertex surjective
+deletion and propagates sparseness back from the image (a surjective
+equivariant map sends a dense orbit onto a dense orbit).  If nothing fires
+the verdict is Unknown: the procedure never guesses.
 
 Every verdict carries a trace of the rules and rewrites that produced it.
 """
@@ -73,8 +75,9 @@ RULES: tuple[Rule, ...] = (
          "a surjective forgetful map sends a dense orbit onto a dense orbit"),
     Rule("as-product", "rewrite", "read chain union as a product",
          "chains joined only at the root index a product of flag varieties"),
-    Rule("dualize-normalize", "rewrite", "pass to the dual configurations",
-         "sending each k to n - k identifies the orbit structures of dual configurations"),
+    Rule("dualize-normalize", "rewrite", "sort the factors and keep the smaller of the product and its dual",
+         "factor order does not change the variety, and sending each k to n - k "
+         "identifies the orbit structures of dual configurations"),
     Rule("reduce_span", "rewrite", "cut one factor to the span of the rest",
          "a generic configuration spans a subspace of dimension n' = sum of the other top dimensions; cutting to it preserves density both ways"),
     Rule("reduce_half", "rewrite", "halve a triple self-product with n = 2 k_r",
@@ -140,13 +143,6 @@ def _step(rule_id: str, before: Instance, after: Instance, note: str = "",
                 shown if after is before else display(after), note, subtrace)
 
 
-def _easy_dense(tree: LabeledTree) -> bool:
-    lab = tree.labels
-    return all(
-        sum(lab[c] for c in tree.children[v]) <= lab[v] for v in tree.labels
-    )
-
-
 def _match_r2(p: FlagProduct):
     if p.num_factors != 3 or len(set(p.factors)) != 1:
         return None
@@ -177,7 +173,8 @@ def _match_r4(p: FlagProduct):
 
 
 def _match_r5(tree: LabeledTree):
-    if _easy_dense(tree):
+    lab = tree.labels
+    if all(sum(lab[c] for c in tree.children[v]) <= lab[v] for v in lab):
         return DENSE, "source labels sum to at most the label at every vertex"
     return None
 
@@ -194,7 +191,7 @@ def _match_r6(p: FlagProduct):
 def _match_r7(p: FlagProduct):
     if not p.factors or not all(len(f) == 1 for f in p.factors):
         return None
-    ks = sorted(f[0] for f in p.factors)
+    ks = [f[0] for f in p.factors]
     if len(ks) == 1:
         return DENSE, "a single Grassmannian is homogeneous"
     rest, kmax = ks[:-1], ks[-1]
@@ -210,7 +207,7 @@ def _match_r8(p: FlagProduct):
     ks = [f[0] for f in p.factors]
     for idx in range(5):
         d5 = n - ks[idx]
-        rest = sorted(ks[:idx] + ks[idx + 1 :])
+        rest = ks[:idx] + ks[idx + 1 :]
         if d5 >= rest[-1] and sum(rest) <= n:
             tag = f"(d1..d4) = {tuple(rest)}, d5 = {d5}"
             if sum(rest) == 2 * d5:
@@ -226,19 +223,6 @@ def _match_r0(tree: LabeledTree):
     return None
 
 
-# scan order: cheap structural rules first, catalog verdicts all being theorems
-# the order only shapes the trace, never the verdict
-_TERMINAL_ORDER = ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R4", "R0")
-
-# rules whose hypothesis is not invariant under dualizing, so the dual is tried too
-_ONE_SIDED = {"R1", "R5", "R6", "R7", "R8"}
-
-_PRODUCT_ONLY = {"R2", "R3", "R4", "R6", "R7", "R8"}
-
-# rules matched against the tree form rather than the product
-_ON_TREE = {"R1", "R5", "R0"}
-
-
 def _match_r1(tree: LabeledTree):
     ts = trivially_sparse(tree)
     if ts.violated:
@@ -246,48 +230,62 @@ def _match_r1(tree: LabeledTree):
     return None
 
 
-_MATCHERS = {
-    "R1": _match_r1,
-    "R2": _match_r2,
-    "R3": _match_r3,
-    "R4": _match_r4,
-    "R5": _match_r5,
-    "R6": _match_r6,
-    "R7": _match_r7,
-    "R8": _match_r8,
-    "R0": _match_r0,
-}
+# (rule id, matcher, reads the tree form rather than the product, also tried on
+# the dual) in scan order; the order only shapes the trace.  R1 needs no dual:
+# on a product's tree it can fail only at the root, where the dual's check agrees.
+_SCAN = (
+    ("R1", _match_r1, True, False),
+    ("R2", _match_r2, False, False),
+    ("R3", _match_r3, False, False),
+    ("R5", _match_r5, True, True),
+    ("R6", _match_r6, False, True),
+    ("R7", _match_r7, False, True),
+    ("R8", _match_r8, False, True),
+    ("R4", _match_r4, False, False),
+    ("R0", _match_r0, True, False),
+)
 
 
-def _terminal(inst: Instance, tree: LabeledTree, trace: list[Step]) -> str | None:
-    """Scan the catalog on ``inst``, whose tree form is ``tree``; one-sided rules
-    also on its dual.  Returns the status of the first rule that fires, its
-    steps appended to ``trace``, or None."""
-    sides = [(inst, tree, False)]
-    if isinstance(inst, FlagProduct):
-        dual = dualize(inst)
-        sides.append((dual, product_to_tree(dual), True))
-    for rid in _TERMINAL_ORDER:
-        if rid in _PRODUCT_ONLY and not isinstance(inst, FlagProduct):
+def _terminal(inst: Instance, tree: LabeledTree, dual: FlagProduct | None,
+              trace: list[Step]) -> str | None:
+    """Scan the catalog on ``inst``, whose tree form is ``tree`` and whose sorted
+    dual is ``dual`` (None for a tree).  Returns the status of the first rule
+    that fires, its steps appended to ``trace``, or None."""
+    sides = [(inst, tree)]
+    if dual is not None:
+        sides.append((dual, product_to_tree(dual)))
+    for rid, match, on_tree, on_dual in _SCAN:
+        if not on_tree and dual is None:
             continue
-        for cand, cand_tree, used_dual in sides if rid in _ONE_SIDED else sides[:1]:
-            hit = _MATCHERS[rid](cand_tree if rid in _ON_TREE else cand)
+        for cand, cand_tree in sides if on_dual else sides[:1]:
+            hit = match(cand_tree if on_tree else cand)
             if hit:
-                status, note = hit
-                if used_dual:
+                if cand is dual:
                     trace.append(_step("dualize-normalize", inst, cand,
                                        note="rule hypothesis holds on the dual"))
-                trace.append(_step(rid, cand, cand, note=note))
-                return status
+                trace.append(_step(rid, cand, cand, note=hit[1]))
+                return hit[0]
     return None
 
 
-def _dual_norm(p: FlagProduct, trace: list[Step]) -> FlagProduct:
-    q = dualize(p)
-    if q.factors < p.factors:
-        trace.append(_step("dualize-normalize", p, q, note="dual is lexicographically smaller"))
-        return q
-    return p
+def _sorted(p: FlagProduct) -> FlagProduct:
+    factors = tuple(sorted(p.factors))
+    return p if factors == p.factors else FlagProduct(factors, p.ambient)
+
+
+def _canonical(p: FlagProduct, trace: list[Step]) -> tuple[FlagProduct, FlagProduct]:
+    """The smaller of ``p`` and its dual, factors sorted, then the other one.
+
+    Records one dualize-normalize step when the result is not ``p`` itself.
+    """
+    low, high = _sorted(p), _sorted(dualize(p))
+    took_dual = high.factors < low.factors
+    if took_dual:
+        low, high = high, low
+    if low is not p:
+        trace.append(_step("dualize-normalize", p, low, note=(
+            "the dual is smaller once both sides are sorted" if took_dual else "factors sorted")))
+    return low, high
 
 
 def _rewrite_once(inst: Instance):
@@ -324,14 +322,15 @@ def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
     if isinstance(inst, LabeledTree):
         p = as_flag_product(inst)
         if p is not None:
-            trace.append(_step("as-product", inst, p))
-            inst = p
-    if isinstance(inst, FlagProduct):
-        inst = _dual_norm(inst, trace)
+            inst = _sorted(p)
+            trace.append(_step("as-product", x, inst))
     for _ in range(inst.ambient + 16):
+        dual = None
+        if isinstance(inst, FlagProduct):
+            inst, dual = _canonical(inst, trace)
         if inst is not x:
             tree = as_tree(inst)
-        status = _terminal(inst, tree, trace)
+        status = _terminal(inst, tree, dual, trace)
         if status is not None:
             break
         nxt = _rewrite_once(inst)
@@ -339,10 +338,9 @@ def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
             status = SPARSE if depth >= 1 and _r9(inst, tree, depth, trace, memo) else UNKNOWN
             break
         rule_id, new_inst = nxt
+        new_inst = _sorted(new_inst)  # every rewrite yields a product
         trace.append(_step(rule_id, inst, new_inst))
         inst = new_inst
-        if isinstance(inst, FlagProduct):
-            inst = _dual_norm(inst, trace)
     else:
         raise IterationLimit(f"rewriting did not reach a fixpoint from {display(x)}")
     return Verdict(status, tuple(trace), display(x), display(inst))

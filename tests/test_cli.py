@@ -14,8 +14,9 @@ from treeorbits.cli import main
 from treeorbits.oracle import DEFAULT_PRIME
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
-# ROADMAP item 1: R9 reaches an unsound R8 match from here, so the Sparse below
-# is wrong; the golden bytes pin the engine's output until R8 is mended
+# ROADMAP item 1: R9 reaches G(1;7)^3*G(3;7)*G(4;7) from here, which the
+# certificate proves dense; with sorted factors R8 calls that image Dense
+# rather than Sparse, so the tree is Unknown, no longer the wrong Sparse
 R8_TREE = "v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7"
 
 
@@ -97,40 +98,22 @@ class TestDecide:
         assert "no rule applies" in out
 
     # byte for byte the output of the engine before the one-pass dimension
-    # check, the shared tree forms and the R9 memo
+    # check, the shared tree forms and the R9 memo; the first two were read
+    # again when products got one canonical form (sorted, smaller side)
     @pytest.mark.parametrize(
         "argv,out",
         [
             (('--depth', '2', R8_TREE),
              '{"final":"v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7",'
              '"input":"v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7",'
-             '"status":"Sparse",'
-             '"trace":[{"after":"v1:1>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>r:7 | v6:1>v5:2>r:7",'
-             '"before":"v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7",'
-             '"citation":"a surjective forgetful map sends a dense orbit onto a dense orbit",'
-             '"note":"forgetting vertex v0 is surjective and the image is sparse",'
-             '"rule_id":"R9","subtrace":[{"after":"F(1;7)*F(4;7)*F(3;7)*F(1;7)*F(1,2;7)",'
-             '"before":"v1:1>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>r:7 | v6:1>v5:2>r:7",'
-             '"citation":"chains joined only at the root index a product of flag varieties",'
-             '"rule_id":"as-product"},{"after":"f0.1:1>r:7 | f1.1:4>r:7 | f2.1:3>r:7 | '
-             'f3.1:1>r:7 | f4.1:1>r:7","before":"F(1;7)*F(4;7)*F(3;7)*F(1;7)*F(1,2;7)",'
-             '"citation":"a surjective forgetful map sends a dense orbit onto a dense orbit",'
-             '"note":"forgetting vertex f4.2 is surjective and the image is sparse",'
-             '"rule_id":"R9","subtrace":[{"after":"F(1;7)*F(4;7)*F(3;7)*F(1;7)^2",'
-             '"before":"f0.1:1>r:7 | f1.1:4>r:7 | f2.1:3>r:7 | f3.1:1>r:7 | f4.1:1>r:7",'
-             '"citation":"chains joined only at the root index a product of flag varieties",'
-             '"rule_id":"as-product"},{"after":"F(1;7)*F(4;7)*F(3;7)*F(1;7)^2",'
-             '"before":"F(1;7)*F(4;7)*F(3;7)*F(1;7)^2",'
-             '"citation":"factors (d1,...,d4, n-d5; n) with d5 >= d4 >= ... >= d1 and '
-             'd1+...+d4 <= n are dense iff d1+d2+d3+d4 != 2 d5",'
-             '"note":"(d1..d4) = (1, 1, 1, 3), d5 = 3: d1+d2+d3+d4 = 2 d5",'
-             '"rule_id":"R8"}]}]}]}\n'
+             '"status":"Unknown","trace":[]}\n'
             ),
             (('F(3,4;5)^3',),
              '{"final":"F(1,2;5)^3","input":"F(3,4;5)^3","status":"Dense",'
              '"trace":[{"after":"F(1,2;5)^3","before":"F(3,4;5)^3",'
-             '"citation":"sending each k to n - k identifies the orbit structures of dual '
-             'configurations","note":"dual is lexicographically smaller",'
+             '"citation":"factor order does not change the variety, and sending each k to n - k '
+             'identifies the orbit structures of dual configurations",'
+             '"note":"the dual is smaller once both sides are sorted",'
              '"rule_id":"dualize-normalize"},{"after":"F(1,2;5)^3","before":"F(1,2;5)^3",'
              '"citation":"F(k1,k2;n)^3 is sparse exactly when k1 + k2 = n",'
              '"note":"k1 + k2 = 3 != 5 = n","rule_id":"R3"}]}\n'

@@ -2,8 +2,9 @@
 
 import json
 import random
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from treeorbits import (
 )
 from treeorbits.classify import trivially_sparse
 from treeorbits.engine import RULES
-from treeorbits.parsing import parse_tree_dsl
+from treeorbits.parsing import parse_product, parse_tree_dsl
+from treeorbits.products import product_to_tree
 
 from .helpers import random_product, random_tree
 
@@ -36,6 +38,21 @@ def rule_ids(verdict):
 
 def triple(k, n):
     return FlagProduct((tuple(k),) * 3, n)
+
+
+def multisets(n, m):
+    """Every product of m flag varieties in F^n, one factor order each."""
+    types = [c for r in range(1, n) for c in combinations(range(1, n), r)]
+    return combinations_with_replacement(types, m)
+
+
+def assert_chain(steps, start):
+    """Each step starts where the one before ended, an R9 subtrace at its image."""
+    for step in steps:
+        assert step.before == start
+        if step.subtrace:
+            assert_chain(step.subtrace, step.after)
+        start = step.after
 
 
 class TestFrozenVerdicts:
@@ -149,6 +166,7 @@ class TestVerdictShape:
             assert step.before and step.after
             if step.rule_id != "R9":
                 assert step.subtrace == ()
+        assert_chain(v.trace, v.input)
         record = v.to_json_dict()
         assert record["status"] == v.status
         assert record["input"] == v.input
@@ -207,6 +225,38 @@ class TestEngineInvariants:
             [(f"w{s}", f"w{d}") for s, d in t.edges],
         )
         assert decide(t2).status == decide(t).status
+
+
+class TestCanonicalProduct:
+    # each pair got two statuses before products were put in one canonical form
+    @pytest.mark.parametrize("a,b", [
+        ("F(4,5;10)*F(7,8;10)*F(4,9;10)", "F(7,8;10)*F(4,5;10)*F(4,9;10)"),
+        ("F(1,2;5)*F(4;5)^3", "F(1;5)^3*F(3,4;5)"),
+        ("G(1;7)^3*G(3;7)*G(4;7)", "G(4;7)*G(3;7)*G(1;7)^3"),
+    ], ids=["hypothesis-draw", "dual-choice", "r8-first-index"])
+    def test_pinned_reorders(self, a, b):
+        assert decide(parse_product(a)).status == decide(parse_product(b)).status
+
+    def test_every_order_and_dual_agree(self):
+        for n, m in [(n, m) for n in range(2, 6) for m in range(1, 5) if m < 4 or n <= 4]:
+            for combo in multisets(n, m):
+                statuses = set()
+                for order in set(permutations(combo)):
+                    p = FlagProduct(order, n)
+                    for v in (decide(p), decide(dualize(p))):
+                        assert_chain(v.trace, v.input)
+                        statuses.add(v.status)
+                assert len(statuses) == 1, (combo, n, statuses)
+
+    def test_dimension_check_fails_only_at_the_root(self):
+        # why the scan does not try R1 on the dual of a product
+        for n in range(2, 6):
+            for m in range(1, 5):
+                for combo in multisets(n, m):
+                    p = FlagProduct(combo, n)
+                    ts = trivially_sparse(product_to_tree(p))
+                    assert not ts.violated or ts.vertex == "r", (combo, n)
+                    assert ts.violated == trivially_sparse(product_to_tree(dualize(p))).violated
 
 
 class TestRuleCatalog:
