@@ -111,6 +111,16 @@ def _rules_listing() -> str:
     return "\n".join(lines)
 
 
+def _trace_lines(steps, indent: str = "  "):
+    for step in steps:
+        arrow = f"{step.before} -> {step.after}" if step.after != step.before else step.before
+        yield f"{indent}{step.rule_id:18} {arrow}"
+        if step.note:
+            yield f"{indent}{'':18} {step.note}"
+        yield f"{indent}{'':18} [{step.citation}]"
+        yield from _trace_lines(step.subtrace, indent + "  ")
+
+
 def _cmd_decide(args):
     if args.rules:
         record = {
@@ -124,13 +134,7 @@ def _cmd_decide(args):
     inst = _instance(args)
     verdict = engine.decide(inst, depth=args.depth)
     record = verdict.to_json_dict()
-    lines = [f"{verdict.status}: {verdict.input}"]
-    for step in verdict.trace:
-        arrow = f"{step.before} -> {step.after}" if step.after != step.before else step.before
-        lines.append(f"  {step.rule_id:18} {arrow}")
-        if step.note:
-            lines.append(f"  {'':18} {step.note}")
-        lines.append(f"  {'':18} [{step.citation}]")
+    lines = [f"{verdict.status}: {verdict.input}", *_trace_lines(verdict.trace)]
     if verdict.status == engine.UNKNOWN:
         lines.append(f"  no rule applies to the reduced instance {verdict.final}")
     return record, "\n".join(lines)

@@ -9,11 +9,11 @@
 
 At entry and after every rewrite a product is put in one canonical form,
 the smaller of its sorted factors and its dual's (k -> n - k), so no
-verdict depends on factor order or dualizing; one-sided rules also try the
-sorted dual.  At the fixpoint, rule R9 tries every single-vertex surjective
-deletion and propagates sparseness back from the image (a surjective
-equivariant map sends a dense orbit onto a dense orbit).  If nothing fires
-the verdict is Unknown: the procedure never guesses.
+verdict depends on factor order or dualizing.  At the fixpoint, rule R9
+tries every single-vertex surjective deletion and propagates sparseness
+back from the image (a surjective equivariant map sends a dense orbit onto
+a dense orbit).  If nothing fires the verdict is Unknown: the procedure
+never guesses.
 
 Every verdict carries a trace of the rules and rewrites that produced it.
 """
@@ -29,7 +29,6 @@ from .products import (
     as_flag_product,
     as_tree,
     dualize,
-    product_to_tree,
     reduce_half,
     reduce_span,
     tree_to_product,
@@ -136,11 +135,21 @@ def display(inst: Instance) -> str:
     return to_dsl(inst) if isinstance(inst, LabeledTree) else inst.spec_string()
 
 
-def _step(rule_id: str, before: Instance, after: Instance, note: str = "",
-          subtrace: tuple[Step, ...] = ()) -> Step:
-    shown = display(before)
-    return Step(rule_id, _RULES_BY_ID[rule_id].citation, shown,
-                shown if after is before else display(after), note, subtrace)
+class _Trace(list):
+    """Steps from the rendered input ``start``, a chain by construction: each
+    starts at ``shown``, where the one before ended, and renders only its ``after``."""
+
+    __slots__ = ("start", "shown")
+
+    def __init__(self, start: str):
+        self.start = self.shown = start
+
+    def add(self, rule_id: str, after: Instance | None = None, note: str = "",
+            subtrace: tuple[Step, ...] = ()) -> None:
+        before = self.shown
+        if after is not None:
+            self.shown = display(after)
+        self.append(Step(rule_id, _RULES_BY_ID[rule_id].citation, before, self.shown, note, subtrace))
 
 
 def _match_r2(p: FlagProduct):
@@ -230,40 +239,37 @@ def _match_r1(tree: LabeledTree):
     return None
 
 
-# (rule id, matcher, reads the tree form rather than the product, also tried on
-# the dual) in scan order; the order only shapes the trace.  R1 needs no dual:
-# on a product's tree it can fail only at the root, where the dual's check agrees.
+# (rule id, matcher, reads the tree form rather than the product) in scan
+# order; the order only shapes the trace.  A product is scanned on its
+# canonical side L only.  On the other side H, R1 fails only at the root, as
+# on L; and as L's least first entry a_1 <= n - (largest last entry), R5 on H
+# (sum n - a_j <= n) leaves one factor or L = G(a)*G(n-a), where R5 holds on L;
+# R6 on H needs L's k_1 >= n/2, so L = H; R7 on H forces m <= 3, holds on L
+# for m = 2 and for m = 3 forces L = (k, n-k, n-k), so H < L unless L = H; R8
+# on H at i needs sum_{j != i} k_j >= 3n, which k_1 + k_5 <= n leaves only for
+# i = 1 and L = (k_1, (n-k_1)^4), so H < L.
 _SCAN = (
-    ("R1", _match_r1, True, False),
-    ("R2", _match_r2, False, False),
-    ("R3", _match_r3, False, False),
-    ("R5", _match_r5, True, True),
-    ("R6", _match_r6, False, True),
-    ("R7", _match_r7, False, True),
-    ("R8", _match_r8, False, True),
-    ("R4", _match_r4, False, False),
-    ("R0", _match_r0, True, False),
+    ("R1", _match_r1, True),
+    ("R2", _match_r2, False),
+    ("R3", _match_r3, False),
+    ("R5", _match_r5, True),
+    ("R6", _match_r6, False),
+    ("R7", _match_r7, False),
+    ("R8", _match_r8, False),
+    ("R4", _match_r4, False),
+    ("R0", _match_r0, True),
 )
 
 
-def _terminal(inst: Instance, tree: LabeledTree, dual: FlagProduct | None,
-              trace: list[Step]) -> str | None:
-    """Scan the catalog on ``inst``, whose tree form is ``tree`` and whose sorted
-    dual is ``dual`` (None for a tree).  Returns the status of the first rule
-    that fires, its steps appended to ``trace``, or None."""
-    sides = [(inst, tree)]
-    if dual is not None:
-        sides.append((dual, product_to_tree(dual)))
-    for rid, match, on_tree, on_dual in _SCAN:
-        if not on_tree and dual is None:
-            continue
-        for cand, cand_tree in sides if on_dual else sides[:1]:
-            hit = match(cand_tree if on_tree else cand)
+def _terminal(inst: Instance, tree: LabeledTree, trace: _Trace) -> str | None:
+    """Scan the catalog on ``inst``, whose tree form is ``tree``.  Returns the
+    status of the first rule that fires, its step added to ``trace``, or None."""
+    product = isinstance(inst, FlagProduct)
+    for rid, match, on_tree in _SCAN:
+        if on_tree or product:
+            hit = match(tree if on_tree else inst)
             if hit:
-                if cand is dual:
-                    trace.append(_step("dualize-normalize", inst, cand,
-                                       note="rule hypothesis holds on the dual"))
-                trace.append(_step(rid, cand, cand, note=hit[1]))
+                trace.add(rid, note=hit[1])
                 return hit[0]
     return None
 
@@ -273,19 +279,18 @@ def _sorted(p: FlagProduct) -> FlagProduct:
     return p if factors == p.factors else FlagProduct(factors, p.ambient)
 
 
-def _canonical(p: FlagProduct, trace: list[Step]) -> tuple[FlagProduct, FlagProduct]:
-    """The smaller of ``p`` and its dual, factors sorted, then the other one.
+def _canonical(p: FlagProduct, trace: _Trace) -> FlagProduct:
+    """The smaller of ``p`` and its dual, factors sorted.
 
     Records one dualize-normalize step when the result is not ``p`` itself.
     """
-    low, high = _sorted(p), _sorted(dualize(p))
-    took_dual = high.factors < low.factors
-    if took_dual:
-        low, high = high, low
+    low, dual = _sorted(p), _sorted(dualize(p))
+    if dual.factors < low.factors:
+        low = dual
     if low is not p:
-        trace.append(_step("dualize-normalize", p, low, note=(
-            "the dual is smaller once both sides are sorted" if took_dual else "factors sorted")))
-    return low, high
+        trace.add("dualize-normalize", low, note=(
+            "the dual is smaller once both sides are sorted" if low is dual else "factors sorted"))
+    return low
 
 
 def _rewrite_once(inst: Instance):
@@ -313,24 +318,24 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
 
 def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
     tree = as_tree(x)
+    trace = _Trace(display(x))
     hit = _match_r1(tree)
     if hit:
-        step = _step("R1", x, x, note=hit[1])
-        return Verdict(TRIVIALLY_SPARSE, (step,), step.before, step.before)
-    trace: list[Step] = []
+        trace.add("R1", note=hit[1])
+        return Verdict(TRIVIALLY_SPARSE, tuple(trace), trace.start, trace.start)
     inst: Instance = x
     if isinstance(inst, LabeledTree):
         p = as_flag_product(inst)
         if p is not None:
             inst = _sorted(p)
-            trace.append(_step("as-product", x, inst))
+            trace.add("as-product", inst)
     for _ in range(inst.ambient + 16):
-        dual = None
         if isinstance(inst, FlagProduct):
-            inst, dual = _canonical(inst, trace)
+            inst = _canonical(inst, trace)
+        final = trace.shown  # R9 moves the chain on to its image
         if inst is not x:
             tree = as_tree(inst)
-        status = _terminal(inst, tree, dual, trace)
+        status = _terminal(inst, tree, trace)
         if status is not None:
             break
         nxt = _rewrite_once(inst)
@@ -338,15 +343,14 @@ def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
             status = SPARSE if depth >= 1 and _r9(inst, tree, depth, trace, memo) else UNKNOWN
             break
         rule_id, new_inst = nxt
-        new_inst = _sorted(new_inst)  # every rewrite yields a product
-        trace.append(_step(rule_id, inst, new_inst))
-        inst = new_inst
+        inst = _sorted(new_inst)  # every rewrite yields a product
+        trace.add(rule_id, inst)
     else:
-        raise IterationLimit(f"rewriting did not reach a fixpoint from {display(x)}")
-    return Verdict(status, tuple(trace), display(x), display(inst))
+        raise IterationLimit(f"rewriting did not reach a fixpoint from {trace.start}")
+    return Verdict(status, tuple(trace), trace.start, final)
 
 
-def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step], memo: dict) -> bool:
+def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: _Trace, memo: dict) -> bool:
     """Rule R9 on ``inst``, whose tree form is ``tree``: whether some surjective
     deletion has a sparse image, its step appended to ``trace``.
 
@@ -364,14 +368,8 @@ def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: list[Step], memo: 
         if sub is None:
             sub = memo[key] = _decide(image, depth - 1, memo)
         if sub.status in (SPARSE, TRIVIALLY_SPARSE):
-            trace.append(
-                _step(
-                    "R9",
-                    inst,
-                    image,
-                    note=f"forgetting vertex {v} is surjective and the image is sparse",
-                    subtrace=sub.trace,
-                )
-            )
+            trace.add("R9", image,
+                      note=f"forgetting vertex {v} is surjective and the image is sparse",
+                      subtrace=sub.trace)
             return True
     return False

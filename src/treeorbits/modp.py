@@ -138,13 +138,11 @@ def nullspace_mod(a, p: int) -> np.ndarray:
     """Matrix whose columns are a basis of the right kernel of a mod p."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     cols = a.shape[1]
-    red, _, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        basis[f, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-red[i, f]) % p
+    red, rank, pivots = rref_mod(a, p)
+    free = np.array([c for c in range(cols) if c not in pivots], dtype=np.intp)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -red[:rank, free] % p
     return basis
 
 
@@ -163,11 +161,9 @@ def solve_mod(a, b, p: int) -> np.ndarray:
         b = b[:, None]
     m = a.shape[1]
     red, rank, pivots = rref_mod(np.hstack([a, b]), p)
-    if any(pc >= m for pc in pivots):
+    if pivots and pivots[-1] >= m:
         raise ArithmeticError("inconsistent linear system")
     if rank != m:
         raise ArithmeticError("coefficient matrix is column rank deficient")
-    x = np.zeros((m, b.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i, m:]
+    x = red[:m, m:]  # full column rank: the pivots are exactly 0..m-1
     return x[:, 0] if single else x

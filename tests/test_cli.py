@@ -91,6 +91,25 @@ class TestDecide:
         assert record["status"] == "Dense"
         assert [s["rule_id"] for s in record["trace"]][-1] == "R3"
 
+    def test_r9_subtrace_is_printed(self, capsys):
+        # the derivation of the image that R9 proves sparse, indented under the R9 step
+        image = "f0.1:1>f0.3:4>r:5 | f1.1:1>f1.2:4>r:5 | f2.1:1>f2.2:4>r:5"
+        code, out, _ = run(capsys, "decide", "F(1,2,4;5)*F(1,4;5)^2")
+        assert code == 0
+        assert out == "\n".join([
+            "Sparse: F(1,2,4;5)*F(1,4;5)^2",
+            f"  R9                 F(1,2,4;5)*F(1,4;5)^2 -> {image}",
+            "                     forgetting vertex f0.2 is surjective and the image is sparse",
+            "                     [a surjective forgetful map sends a dense orbit onto a dense orbit]",
+            f"    as-product         {image} -> F(1,4;5)^3",
+            "                       [chains joined only at the root index a product of flag varieties]",
+            "    R2                 F(1,4;5)^3",
+            "                       k_1 + k_2 = 1 + 4 = n",
+            "                       [a triple self-product with k_i + k_j = n (i != j) carries a "
+            "continuous invariant]",
+            "",
+        ])
+
     def test_unknown_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, "decide", "--tree", HONEST_TREE)
         assert code == 0

@@ -46,6 +46,16 @@ def multisets(n, m):
     return combinations_with_replacement(types, m)
 
 
+@st.composite
+def products(draw, max_ambient=16, max_factors=7):
+    """A product of up to ``max_factors`` flag varieties in F^n, n <= ``max_ambient``,
+    with Grassmannian factors drawn apart so that R7 comes up."""
+    n = draw(st.integers(2, max_ambient))
+    flag = st.lists(st.integers(1, n - 1), min_size=1, unique=True).map(lambda ks: tuple(sorted(ks)))
+    factor = st.one_of(st.integers(1, n - 1).map(lambda k: (k,)), flag)
+    return FlagProduct(tuple(draw(st.lists(factor, min_size=1, max_size=max_factors))), n)
+
+
 def assert_chain(steps, start):
     """Each step starts where the one before ended, an R9 subtrace at its image."""
     for step in steps:
@@ -167,6 +177,12 @@ class TestVerdictShape:
             if step.rule_id != "R9":
                 assert step.subtrace == ()
         assert_chain(v.trace, v.input)
+        if not v.trace:
+            assert v.final == v.input
+        elif v.trace[-1].rule_id == "R9":
+            assert v.final == v.trace[-1].before
+        else:
+            assert v.final == v.trace[-1].after
         record = v.to_json_dict()
         assert record["status"] == v.status
         assert record["input"] == v.input
@@ -257,6 +273,31 @@ class TestCanonicalProduct:
                     ts = trivially_sparse(product_to_tree(p))
                     assert not ts.violated or ts.vertex == "r", (combo, n)
                     assert ts.violated == trivially_sparse(product_to_tree(dualize(p))).violated
+
+    @staticmethod
+    def assert_one_side_suffices(p):
+        # why the scan tries R5-R8 on the canonical side only
+        low = engine._canonical(p, engine._Trace(""))
+        other = {tuple(sorted(p.factors)), tuple(sorted(dualize(p).factors))} - {low.factors}
+        high = FlagProduct(other.pop(), p.ambient) if other else low
+        for rule_id, match in [("R5", lambda q: engine._match_r5(product_to_tree(q))),
+                               ("R6", engine._match_r6), ("R7", engine._match_r7)]:
+            assert not match(high) or match(low), (rule_id, low, high)
+        assert not engine._match_r8(high), (low, high)
+
+    def test_one_side_suffices(self):
+        for n in range(2, 6):
+            for m in range(1, 5):
+                for combo in multisets(n, m):
+                    self.assert_one_side_suffices(FlagProduct(combo, n))
+        for n in range(2, 10):
+            for ks in combinations_with_replacement(range(1, n), 5):
+                self.assert_one_side_suffices(FlagProduct(tuple((k,) for k in ks), n))
+
+    @given(products())
+    @settings(max_examples=300, deadline=None)
+    def test_one_side_suffices_at_random(self, p):
+        self.assert_one_side_suffices(p)
 
 
 class TestRuleCatalog:
