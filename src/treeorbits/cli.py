@@ -30,6 +30,14 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+
+
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", nargs="?", help="tree (chains or JSON) or product text")
     sub.add_argument("--tree", help="tree text, chain notation or JSON")
@@ -44,11 +52,7 @@ def _instance(args) -> LabeledTree | FlagProduct:
     if args.tree is not None:
         given.append(("tree", args.tree))
     if getattr(args, "tree_file", None) is not None:
-        try:
-            with open(args.tree_file) as fh:
-                given.append(("tree", fh.read()))
-        except OSError as e:
-            raise ParseError(f"cannot read {args.tree_file}: {e}") from None
+        given.append(("tree", _read(args.tree_file)))
     if args.product is not None:
         given.append(("product", args.product))
     if len(given) != 1:
@@ -180,20 +184,25 @@ def _cmd_crossratio(args):
 
     from .oracle import cross_ratio
 
+    text = _read(args.pencil_file)
     try:
-        with open(args.pencil_file) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {args.pencil_file}: {e}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON in {args.pencil_file}: {e.msg}", e.pos) from None
+
+    def matrix(rows) -> np.ndarray:
+        entries = np.array(rows, dtype=object)
+        if not all(type(x) is int for x in entries.flat):
+            raise ValueError("entries must be integers")
+        return entries.astype(np.int64)
+
     try:
         p = data["p"]
-        subspaces = [np.array(m, dtype=np.int64).T for m in data["subspaces"]]
+        subspaces = [matrix(m).T for m in data["subspaces"]]
         n = subspaces[0].shape[0]
-        lower = np.array(data["lower"], dtype=np.int64).reshape(-1, n).T
-        upper = np.array(data["upper"], dtype=np.int64).reshape(-1, n).T
-    except (KeyError, ValueError, IndexError) as e:
+        lower = matrix(data["lower"]).reshape(-1, n).T
+        upper = matrix(data["upper"]).reshape(-1, n).T
+    except (KeyError, ValueError, IndexError, TypeError, OverflowError) as e:
         raise ParseError(f"pencil file needs p, subspaces, lower, upper: {e}") from None
     value = cross_ratio(subspaces, lower, upper, p)
     record = {"p": p, "value": value}

@@ -270,7 +270,7 @@ def projected_point_count(x, q: int) -> int:
     tree = as_tree(x)
     _check_field(q)
     total = 1
-    for s, t in tree.edges:
+    for s, t in tree.parent.items():
         total *= gaussian_binomial(tree.labels[t], tree.labels[s], q)
     return total
 

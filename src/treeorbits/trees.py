@@ -34,12 +34,14 @@ class LabeledTree:
     (labels not positive, above the cap, or not strictly increasing along
     an edge), or NotATree (unknown endpoint, a vertex with two outgoing
     edges, or no unique root).  ``labels`` maps vertex names to positive
-    integers and ``edges`` is a set of ``(source, target)`` pairs pointing
-    toward the root.  The root is inferred as the unique vertex with no
+    integers.  ``parent`` maps each non-root vertex to the target of its one
+    ``(source, target)`` edge toward the root: it is the stored edge
+    relation, ``children`` is its inverse with sorted lists, and ``edges``
+    is a set view derived from it.  The root is the unique vertex with no
     outgoing edge and its label is the ambient dimension.
     """
 
-    __slots__ = ("labels", "edges", "root", "ambient", "parent", "children", "_dist")
+    __slots__ = ("labels", "parent", "children", "root", "ambient")
 
     def __init__(self, labels: dict[str, int], edges) -> None:
         if not labels:
@@ -50,7 +52,9 @@ class LabeledTree:
                 raise LabelViolation(f"label of {v!r} must be a positive integer, got {k!r}")
             if k > MAX_LABEL:
                 raise LabelViolation(f"label of {v!r} exceeds the cap {MAX_LABEL}")
-        edge_set = set()
+        parent: dict[str, str] = {}
+        # first vertex in input order with a second target, raised after the checks above
+        forked = None
         for s, t in edges:
             s, t = str(s), str(t)
             if s not in labels:
@@ -61,36 +65,27 @@ class LabeledTree:
                 raise LabelViolation(
                     f"edge ({s!r}, {t!r}) needs label {labels[s]} < {labels[t]}"
                 )
-            edge_set.add((s, t))
-        parent: dict[str, str] = {}
-        for s, t in edge_set:
-            if s in parent:
-                raise NotATree(f"vertex {s!r} has two outgoing edges")
-            parent[s] = t
+            if parent.setdefault(s, t) != t and forked is None:
+                forked = s
+        if forked is not None:
+            raise NotATree(f"vertex {forked!r} has two outgoing edges")
         roots = [v for v in labels if v not in parent]
         if len(roots) > 1:
             raise NotATree(f"disconnected: {len(roots)} vertices have no outgoing edge")
         # labels strictly increase along edges, so cycles are impossible and a
         # unique sink means every vertex reaches it
-        self.labels = dict(labels)
-        self.edges = frozenset(edge_set)
+        self.labels = labels
         self.parent = parent
         self.root = roots[0]
         self.ambient = labels[self.root]
         children: dict[str, list[str]] = {v: [] for v in labels}
-        for s, t in edge_set:
-            children[t].append(s)
-        for v in children:
-            children[v].sort()
+        for s in sorted(parent):
+            children[parent[s]].append(s)
         self.children = children
-        dist = {self.root: 0}
-        queue = [self.root]
-        while queue:
-            t = queue.pop()
-            for s in children[t]:
-                dist[s] = dist[t] + 1
-                queue.append(s)
-        self._dist = dist
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.parent.items())
 
     @property
     def vertices(self) -> list[str]:
@@ -109,21 +104,25 @@ class LabeledTree:
         """Number of edges on the chain from v to the root."""
         if v not in self.labels:
             raise UnknownVertex(f"no vertex named {v!r}")
-        return self._dist[v]
+        d = 0
+        while v != self.root:
+            v = self.parent[v]
+            d += 1
+        return d
 
     @property
     def depth(self) -> int:
-        return max(self._dist.values())
+        return max(map(self.distance, self.labels))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LabeledTree)
             and self.labels == other.labels
-            and self.edges == other.edges
+            and self.parent == other.parent
         )
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.labels.items())), self.edges))
+        return hash((frozenset(self.labels.items()), frozenset(self.parent.items())))
 
     def __repr__(self) -> str:
         return f"LabeledTree({to_dsl(self)!r})"
@@ -132,7 +131,7 @@ class LabeledTree:
 def dimension(tree: LabeledTree) -> int:
     """Dimension of the configuration variety: sum of phi(s)(phi(t)-phi(s)) over edges."""
     lab = tree.labels
-    return sum(lab[s] * (lab[t] - lab[s]) for s, t in tree.edges)
+    return sum(lab[s] * (lab[t] - lab[s]) for s, t in tree.parent.items())
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def subtree_at(tree: LabeledTree, v: str) -> LabeledTree:
             keep.add(s)
             queue.append(s)
     labels = {u: tree.labels[u] for u in keep}
-    edges = [(s, t) for s, t in tree.edges if s in keep and t in keep]
+    edges = [(s, t) for s, t in tree.parent.items() if s in keep and t in keep]
     return LabeledTree(labels, edges)
 
 
@@ -214,7 +213,7 @@ def forget_vertex(tree: LabeledTree, v: str) -> tuple[LabeledTree, bool]:
     up = tree.parent[v]
     labels = {u: k for u, k in tree.labels.items() if u != v}
     edges = []
-    for s, t in tree.edges:
+    for s, t in tree.parent.items():
         if s == v:
             continue
         edges.append((s, up if t == v else t))
@@ -243,7 +242,7 @@ def truncate(tree: LabeledTree, m: int) -> TruncationResult:
         raise BadRange(f"truncation distance must be an integer >= 1, got {m!r}")
     keep = {v for v in tree.labels if tree.distance(v) <= m}
     labels = {v: tree.labels[v] for v in keep}
-    edges = [(s, t) for s, t in tree.edges if s in keep and t in keep]
+    edges = [(s, t) for s, t in tree.parent.items() if s in keep and t in keep]
     base = LabeledTree(labels, edges)
     hanging = tuple(
         subtree_at(tree, v)
@@ -257,7 +256,7 @@ def to_json_dict(tree: LabeledTree) -> dict:
     """Plain-data form with vertices and edges sorted."""
     return {
         "labels": {v: tree.labels[v] for v in sorted(tree.labels)},
-        "edges": [list(e) for e in sorted(tree.edges)],
+        "edges": [list(e) for e in sorted(tree.parent.items())],
     }
 
 

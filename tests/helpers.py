@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import product as iproduct
 
 from treeorbits import FlagProduct, LabeledTree
@@ -31,6 +32,24 @@ def random_tree(
         labels[name] = rng.randint(1, labels[parent] - 1)
         edges.append((name, parent))
     return LabeledTree(labels, edges)
+
+
+def bfs_distances(tree: LabeledTree) -> dict[str, int]:
+    """Edges from every vertex to the root, by breadth-first search down the edges.
+
+    Independent of ``LabeledTree.distance``, which walks up the parent map.
+    """
+    below = {v: [] for v in tree.labels}
+    for s, t in tree.edges:
+        below[t].append(s)
+    dist = {tree.root: 0}
+    queue = deque([tree.root])
+    while queue:
+        t = queue.popleft()
+        for s in below[t]:
+            dist[s] = dist[t] + 1
+            queue.append(s)
+    return dist
 
 
 def random_product(

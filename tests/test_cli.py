@@ -298,6 +298,29 @@ class TestCrossRatio:
         assert code == 2
         assert "bad JSON" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b'"x"',
+            {"subspaces": 5},
+            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[10**26, 1]]]},
+            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[3.5, 1]]]},
+            b'{"p": 101, "lower": [], "upper": [[1, 0], [0, 1]], "subspaces": "\xff"}',
+        ],
+        ids=["list", "string", "subspaces-not-a-list", "int64-overflow", "float-entry",
+             "not-utf8"],
+    )
+    def test_malformed_pencil_exits_2(self, capsys, tmp_path, content):
+        if isinstance(content, dict):
+            path = self.pencil(tmp_path, **content)
+        else:
+            path = tmp_path / "pencil.json"
+            path.write_bytes(content)
+        code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestInputHandling:
     def test_parse_error_exits_2(self, capsys):
@@ -331,6 +354,13 @@ class TestInputHandling:
 
     def test_missing_tree_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "dim", "--tree-file", str(tmp_path / "absent.txt"))
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_non_utf8_tree_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_bytes(b"a:1>r:\xff2\n")
+        code, _, err = run(capsys, "dim", "--tree-file", str(path))
         assert code == 2
         assert "cannot read" in err
 

@@ -28,7 +28,7 @@ from treeorbits.trees import (
     truncate,
 )
 
-from .helpers import random_tree
+from .helpers import bfs_distances, random_tree
 
 
 def two_branch_tree() -> LabeledTree:
@@ -76,6 +76,13 @@ class TestValidation:
     def test_two_outgoing_edges(self):
         with pytest.raises(NotATree):
             LabeledTree({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("a", "c")])
+        # two vertices with two outgoing edges: the first in input order is named
+        labels = {"a": 1, "b": 1, "c": 2, "d": 2, "r": 3}
+        edges = [("a", "c"), ("c", "r"), ("a", "d"), ("d", "r"), ("b", "c"), ("b", "d")]
+        with pytest.raises(NotATree, match="'a' has two"):
+            LabeledTree(labels, edges)
+        with pytest.raises(NotATree, match="'b' has two"):
+            LabeledTree(labels, edges[::-1])
 
     def test_disconnected(self):
         with pytest.raises(NotATree):
@@ -89,6 +96,17 @@ class TestValidation:
         assert t.depth == 4
         assert t.distance("d1") == 4
         assert t.distance("d5") == 2
+
+    @given(st.integers(0, 10**6))
+    def test_derived_views_match_the_parent_map(self, seed):
+        t = random_tree(random.Random(seed))
+        dist = bfs_distances(t)
+        assert {v: t.distance(v) for v in t.labels} == dist
+        assert t.depth == max(dist.values())
+        assert t.children == {
+            v: sorted(s for s, u in t.parent.items() if u == v) for v in t.labels
+        }
+        assert t.edges == frozenset(t.parent.items())
 
     def test_unknown_vertex_lookups(self):
         t = two_branch_tree()
@@ -290,3 +308,12 @@ class TestSerialization:
         b = LabeledTree({"b": 2, "a": 1}, (("a", "b"),))
         assert a == b
         assert hash(a) == hash(b)
+        edges = [("d1", "d2"), ("d2", "d3"), ("d3", "d4"), ("d5", "d4"), ("d4", "n")]
+        c = LabeledTree(two_branch_tree().labels, edges[::-1] + edges[:1])
+        assert c == two_branch_tree()
+        assert hash(c) == hash(two_branch_tree())
+
+    def test_equality_reads_the_edges(self):
+        labels = {"a": 1, "b": 2, "r": 3}
+        chain = LabeledTree(labels, [("a", "b"), ("b", "r")])
+        assert chain != LabeledTree(labels, [("a", "r"), ("b", "r")])
