@@ -189,9 +189,13 @@ def _cmd_crossratio(args):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON in {args.pencil_file}: {e.msg}", e.pos) from None
+    except RecursionError:
+        raise ParseError(f"bad JSON in {args.pencil_file}: nested too deeply") from None
 
     def matrix(rows) -> np.ndarray:
         entries = np.array(rows, dtype=object)
+        if entries.ndim > 2:
+            raise ValueError("a matrix must be a list of rows")
         if not all(type(x) is int for x in entries.flat):
             raise ValueError("entries must be integers")
         return entries.astype(np.int64)

@@ -26,18 +26,23 @@ fibre over one fixed flag, on numpy arrays, in five steps.
   d-subspaces of F_q^n are listed by pivot set and then by their free
   entries read as a base-q number, so the index of an echelon basis is
   its pivot set's offset plus that number: no dict of subspaces is built.
-  Tables are built only for the labels of vertices off the chain.
+  The field tables are built once per q and are read-only; subspace
+  tables are built on every call, only for the labels of vertices off
+  the chain.
 * Points.  Point i is a mixed-radix number with one digit per non-root
   vertex: the subspace index where the parent is the root, otherwise the
   child's position among the subspaces of its parent.  A chain vertex's
   digit has radix 1.  This numbers the points of the fibre 0..N-1 as a
   grid with one axis per vertex.
-* Moves.  Each generator of P acts on the points as one int64 array of
-  length N.  Where a child lands inside the image of its parent is looked
-  up once per (parent, child) pair, in the parent's sorted children; the
-  move is then a sum of gathers from these tables over the grid.  Every
-  generator must fix the flag, every lookup must hit and every move must
-  permute the points.
+* Moves.  The G generators of P form one (G, n, n) stack, which acts on
+  each subspace table in one pass: one stacked product and one row
+  reduction give the table's images under all G at once.  Where a child
+  lands inside the image of its parent is looked up once per (parent,
+  child) pair for the whole stack, in the parent's sorted children; the
+  moves are then sums of gathers from these tables over the grid, a
+  (G, N) int64 array with one row per generator.  Every generator must
+  fix the flag, every lookup must hit and every move must permute the
+  points.
 * Orbits.  They are the connected components of the Schreier graph of the
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
@@ -51,6 +56,7 @@ of X, so it fits under the cap too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -107,6 +113,8 @@ class _Field:
             order[(power == 1) & (order == 0)] = i
             power = self.mul[power, e]
         self.primitive = int(np.flatnonzero(order == q - 1)[0])
+        for table in (self.add, self.mul, self.neg, self.inv):
+            table.flags.writeable = False
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b over F_q, broadcasting over the leading axes."""
@@ -134,6 +142,11 @@ class _Field:
             m = self.add[m, self.neg[self.mul[factor[:, :, None], row[:, None, :]]]]
             m[:, r] = row
         return m
+
+
+# the enumerator's field: built once per q (there are four) and shared,
+# which the read-only tables make safe
+_field = cache(_Field)
 
 
 class _Subspaces:
@@ -199,14 +212,14 @@ def _generators(n: int, field: _Field) -> list[np.ndarray]:
     return gens
 
 
-def _parabolic_generators(n: int, flag: list[int], field: _Field) -> list[np.ndarray]:
+def _parabolic_generators(n: int, flag: list[int], field: _Field) -> np.ndarray:
     """Matrices generating, modulo scalars, the stabilizer P of the standard flag.
 
     The flag is span(e_0..e_{d-1}) for each d in ``flag``; P is block lower
     triangular.  It is generated by ``_generators`` in each diagonal block and
     one elementary matrix linking each pair of adjacent blocks.  The scalar
     of the first 1 x 1 block is left out: it is a scalar matrix times the
-    other blocks' scalars.
+    other blocks' scalars.  Returns them stacked, of shape (G, n, n).
     """
     cuts = [0, *sorted(flag), n]
     gens = []
@@ -223,7 +236,7 @@ def _parabolic_generators(n: int, flag: list[int], field: _Field) -> list[np.nda
         g = np.eye(n, dtype=np.uint8)
         g[d, d - 1] = 1
         gens.append(g)
-    return gens
+    return np.array(gens, np.uint8).reshape(-1, n, n)
 
 
 def _fixed_chain(tree, q: int) -> tuple[list[str], int]:
@@ -290,11 +303,11 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     projected = projected_point_count(tree, q)
     if projected > cap:
         raise CapExceeded(projected, cap)
-    field = _Field(q)
+    field = _field(q)
     chain, flag_points = _fixed_chain(tree, q)
     flag = [tree.labels[v] for v in chain]
     gens = _parabolic_generators(n, flag, field)
-    if any(g[:d, d:].any() for g in gens for d in flag):
+    if any(gens[:, :d, d:].any() for d in flag):
         raise RuntimeError("a generator moves the fixed flag")
 
     order = sorted(
@@ -343,45 +356,45 @@ def _moves(field, gens, spaces, children, up, vdim, free, pair, radix) -> list[n
         else:
             sub.append(digit[k] if j is None else children[pair[k]][sub[j], digit[k]])
     stride = [prod(radix[k + 1:]) for k in range(axes)]
-    # each parent's children sorted, keyed parent * |T_ds| + child; every
-    # subspace table is at most the projected count long, so the keys stay
-    # below its square
-    lookup = {}
+    count, g = prod(radix), len(gens)
+
+    # image[d][h, i] = index of the image of subspace i under generator h
+    image = {}
+    for d, s in spaces.items():
+        moved = field.matmul(s.bases[None], gens[:, None])
+        image[d] = s.index(moved.reshape(-1, *s.bases.shape[1:])).reshape(g, len(s))
+    # shift[t][h, p, i] = position of the image of child i of p among the
+    # children of the image of p; each parent's children are sorted, keyed
+    # parent * |T_ds| + child (every subspace table is at most the projected
+    # count long, so the keys stay below its square); the generators fix the
+    # spans on the chain
+    shift = {}
     for (dt, ds, f), table in children.items():
         at = np.argsort(table, axis=1)
         keys = np.take_along_axis(table, at, axis=1)
         keys += np.arange(len(table))[:, None] * len(spaces[ds])
-        lookup[dt, ds, f] = keys.ravel(), at.ravel()
+        keys, at = keys.ravel(), at.ravel()
+        parent = image[dt] if f else np.zeros((g, 1), np.int64)
+        key = parent[:, :, None] * len(spaces[ds]) + image[ds][:, table]
+        found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        if not np.array_equal(keys[found], key):
+            raise RuntimeError("an image child is missing from its image parent")
+        shift[dt, ds, f] = at[found]
 
-    moves = []
-    for g in gens:
-        image = {d: s.index(field.matmul(s.bases, g)) for d, s in spaces.items()}
-        # shift[t][p, i] = position of the image of child i of p among the
-        # children of the image of p; g fixes the spans on the chain
-        shift = {}
-        for (dt, ds, f), table in children.items():
-            keys, at = lookup[dt, ds, f]
-            parent = image[dt] if f else np.zeros(1, np.int64)
-            key = parent[:, None] * len(spaces[ds]) + image[ds][table]
-            found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            if not np.array_equal(keys[found], key):
-                raise RuntimeError("an image child is missing from its image parent")
-            shift[dt, ds, f] = at[found]
-        move = np.zeros(radix, np.int64)
-        for k, j in enumerate(up):
-            if not free[k]:
-                continue
-            if j is None:
-                move += image[vdim[k]][sub[k]] * stride[k]
-            else:
-                move += shift[pair[k]][sub[j], digit[k]] * stride[k]
-        move = move.ravel()
-        inverse = np.full(move.size, -1, np.int64)
-        inverse[move] = np.arange(move.size)
-        if (inverse < 0).any():
-            raise RuntimeError("a generator does not permute the points")
-        moves += [move, inverse]
-    return moves
+    move = np.zeros((g, *radix), np.int64)
+    for k, j in enumerate(up):
+        if not free[k]:
+            continue
+        if j is None:
+            move += image[vdim[k]][:, sub[k]] * stride[k]
+        else:
+            move += shift[pair[k]][:, sub[j], digit[k]] * stride[k]
+    move = move.reshape(g, count)
+    inverse = np.full((g, count), -1, np.int64)
+    inverse[np.arange(g)[:, None], move] = np.arange(count)
+    if (inverse < 0).any():
+        raise RuntimeError("a generator does not permute the points")
+    return [m for both in zip(move, inverse) for m in both]
 
 
 def _components(moves: list[np.ndarray], count: int) -> int:

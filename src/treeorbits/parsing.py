@@ -78,6 +78,8 @@ def parse_tree_json(text: str) -> LabeledTree:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", e.pos) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
     if not isinstance(data, dict) or "labels" not in data or "edges" not in data:
         raise ParseError('JSON tree needs "labels" and "edges" keys')
     if not isinstance(data["labels"], dict):

@@ -36,9 +36,9 @@ class LabeledTree:
     edges, or no unique root).  ``labels`` maps vertex names to positive
     integers.  ``parent`` maps each non-root vertex to the target of its one
     ``(source, target)`` edge toward the root: it is the stored edge
-    relation, ``children`` is its inverse with sorted lists, and ``edges``
-    is a set view derived from it.  The root is the unique vertex with no
-    outgoing edge and its label is the ambient dimension.
+    relation and ``children`` is its inverse with sorted lists.  The root
+    is the unique vertex with no outgoing edge and its label is the ambient
+    dimension.
     """
 
     __slots__ = ("labels", "parent", "children", "root", "ambient")
@@ -82,10 +82,6 @@ class LabeledTree:
         for s in sorted(parent):
             children[parent[s]].append(s)
         self.children = children
-
-    @property
-    def edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.parent.items())
 
     @property
     def vertices(self) -> list[str]:

@@ -40,7 +40,7 @@ def bfs_distances(tree: LabeledTree) -> dict[str, int]:
     Independent of ``LabeledTree.distance``, which walks up the parent map.
     """
     below = {v: [] for v in tree.labels}
-    for s, t in tree.edges:
+    for s, t in tree.parent.items():
         below[t].append(s)
     dist = {tree.root: 0}
     queue = deque([tree.root])

@@ -87,7 +87,7 @@ class TestOrbitClass:
     def test_invariant_under_renaming(self, seed):
         t = random_tree(random.Random(seed))
         renamed_labels = {f"x{v}": k for v, k in t.labels.items()}
-        renamed_edges = [(f"x{s}", f"x{t_}") for s, t_ in t.edges]
+        renamed_edges = [(f"x{s}", f"x{t_}") for s, t_ in t.parent.items()]
 
         t2 = LabeledTree(renamed_labels, renamed_edges)
         assert orbit_class(t2).kind == orbit_class(t).kind

@@ -307,9 +307,11 @@ class TestCrossRatio:
             {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[10**26, 1]]]},
             {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[3.5, 1]]]},
             b'{"p": 101, "lower": [], "upper": [[1, 0], [0, 1]], "subspaces": "\xff"}',
+            {"subspaces": [[[[1]]]] * 4},
+            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], json.loads("[" * 60 + "1" + "]" * 60)]},
         ],
         ids=["list", "string", "subspaces-not-a-list", "int64-overflow", "float-entry",
-             "not-utf8"],
+             "not-utf8", "three-axes", "many-axes"],
     )
     def test_malformed_pencil_exits_2(self, capsys, tmp_path, content):
         if isinstance(content, dict):
@@ -320,6 +322,13 @@ class TestCrossRatio:
         code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_deeply_nested_pencil_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pencil.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
 
 class TestInputHandling:
@@ -363,6 +372,13 @@ class TestInputHandling:
         code, _, err = run(capsys, "dim", "--tree-file", str(path))
         assert code == 2
         assert "cannot read" in err
+
+    def test_deeply_nested_tree_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text('{"labels": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}')
+        code, _, err = run(capsys, "dim", "--tree-file", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
     def test_unknown_verb_raises_usage_error(self):
         with pytest.raises(SystemExit):

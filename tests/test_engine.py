@@ -238,7 +238,7 @@ class TestEngineInvariants:
         t = random_tree(random.Random(seed), max_label=14)
         t2 = LabeledTree(
             {f"w{v}": k for v, k in t.labels.items()},
-            [(f"w{s}", f"w{d}") for s, d in t.edges],
+            [(f"w{s}", f"w{d}") for s, d in t.parent.items()],
         )
         assert decide(t2).status == decide(t).status
 

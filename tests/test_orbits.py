@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import CapExceeded, FlagProduct, enumerate_orbits, parse_instance
+from treeorbits import CapExceeded, FlagProduct, dualize, enumerate_orbits, parse_instance
 from treeorbits.errors import BadRange, UnsupportedField
 from treeorbits.orbits import (
     DEFAULT_CAP,
@@ -226,6 +226,24 @@ class TestExhaustiveGates:
             checked += 1
         assert checked >= len(types)
 
+    def test_two_flags_ignore_order_and_duality(self):
+        # the fixed chain, and so the fibre and the generators, change with
+        # factor order and duality; the counts must not
+        checked = 0
+        for q in (2, 3):
+            for n in (2, 3, 4):
+                types = [c for r in range(1, n) for c in combinations(range(1, n), r)]
+                for a, b in combinations_with_replacement(types, 2):
+                    pair = FlagProduct((a, b), n)
+                    if projected_point_count(pair, q) > DEFAULT_CAP:
+                        continue
+                    counts = {(r.point_count, r.orbit_count) for r in (
+                        enumerate_orbits(x, q=q)
+                        for x in (pair, FlagProduct((b, a), n), dualize(pair)))}
+                    assert len(counts) == 1, (a, b, n, q, counts)
+                    checked += 1
+        assert checked == 59
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("m", range(1, 7))
     def test_points_on_a_line_match_burnside(self, m, q):
@@ -282,6 +300,20 @@ class TestResources:
         report = enumerate_orbits(x, q=2, cap=cap)
         assert (report.point_count, report.orbit_count) == (points, orbits)
 
+    def test_stacked_moves_stay_small(self):
+        # the moves of all G generators are built as one (G, N) stack; on
+        # 357 fibre points over F_4 the measured peak is 0.13 MB with one
+        # generator at a time and 0.49 MB stacked (Python 3.11, numpy 2.4)
+        pair = parse_instance("F(2;4)*F(2;4)")
+        tracemalloc.start()
+        try:
+            report = enumerate_orbits(pair, q=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.point_count, report.orbit_count) == (127_449, 3)
+        assert peak < 8 * 2**20
+
     def test_only_the_fibre_is_enumerated(self):
         # walking all 3,723,875 points took a 256 MB tracemalloc peak; the
         # fibre over one fixed plane has 24,025 points and the measured peak
@@ -306,6 +338,9 @@ class TestSideBranches:
             ("a:1>b:2>r:4 | c:1>b", 3, 2_080, 2),
             ("a:1>b:2>r:4 | c:1>b | d:2>r", 2, 11_025, 9),
             ("a:1>b:3>r:4 | c:2>b | d:1>r", 2, 11_025, 8),
+            # the same tree with a and c renamed: the fixed chain is now the
+            # flag (2, 3) in place of (1, 3)
+            ("c:1>b:3>r:4 | a:2>b | d:1>r", 2, 11_025, 8),
             ("a:1>b:2>c:3>r:4 | d:1>c | e:2>c", 2, 15_435, 12),
             ("a:2>b:3>r:5 | c:1>b", 2, 7_595, 2),
             ("r:3", 2, 1, 1),

@@ -17,7 +17,7 @@ class TestTreeDsl:
         t = parse_tree_dsl("a:1>b:2>r:4 | c:2>r")
         assert sorted(t.labels) == ["a", "b", "c", "r"]
         assert t.labels == {"a": 1, "b": 2, "c": 2, "r": 4}
-        assert set(t.edges) == {("a", "b"), ("b", "r"), ("c", "r")}
+        assert t.parent == {"a": "b", "b": "r", "c": "r"}
         assert t.root == "r"
 
     def test_label_resolved_from_any_occurrence(self):
@@ -33,7 +33,7 @@ class TestTreeDsl:
     def test_single_vertex(self):
         t = parse_tree_dsl("a:1")
         assert t.root == "a"
-        assert not t.edges
+        assert not t.parent
 
     def test_whitespace_insensitive(self):
         assert parse_tree_dsl(" a:1 > b:2 ") == parse_tree_dsl("a:1>b:2")
