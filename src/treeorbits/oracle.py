@@ -10,7 +10,15 @@ with basis matrix B_v, the conditions C_v X B_v = 0 where the rows of
 C_v span the left annihilator of B_v.  The system rank equals the
 dimension of the orbit through the point, so rank = dim of the variety
 certifies a dense orbit (one witness suffices); anything less is
-inconclusive, never a sparseness verdict.
+inconclusive, never a sparseness verdict.  The system is ranked after
+moving one chain's flag to the standard flag, where every stabilizing
+matrix is block upper triangular:
+
+    system_rank = rank(conditions of the other vertices on the allowed
+                  entries) + dim(that chain's flag variety),
+
+exactly over every prime, because conjugation maps the stabilizer
+algebras isomorphically.
 
 ``cross_ratio`` evaluates the projective invariant of four d-dimensional
 subspaces in a pencil, reducing to four points on the projective line of
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import BadRange, Degenerate, NotAPencil
 from .modp import check_prime, left_annihilator, matmul_mod, rank_mod, rref_mod, solve_mod
 from .products import as_tree
-from .trees import LabeledTree, dimension
+from .trees import LabeledTree, dimension, heaviest_chain
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -115,18 +123,56 @@ class StabReport:
 
 
 def stabilizer_dim(config: Configuration) -> StabReport:
-    """Rank of the stabilizer system at the configuration; rank = dim certifies density."""
+    """Rank of the stabilizer system at the configuration; rank = dim certifies density.
+
+    The chain from a root child down to a leaf whose flag variety has the
+    largest dimension is moved to the standard flag: the columns of
+    [B_leaf | ... | B_top | I_n] at the pivots of its reduced form are an
+    adapted basis g, whose first phi(v) columns span the subspace of each
+    chain vertex v.  X stabilizes the configuration exactly when
+    Y = g^-1 X g stabilizes the moved one, so Y keeps the standard flag:
+    Y[i, j] = 0 whenever i >= d > j for a chain label d.  Only the other
+    vertices give conditions, on the remaining entries of Y, and
+
+        system_rank = rank(those conditions) + dim(chain flag variety),
+
+    the second term being the sum of phi(v)(phi(parent) - phi(v)) over the
+    chain's edges, the number of entries dropped.  Raises BadRange when a
+    basis has the wrong shape or the chain's bases are not a flag.
+    """
     tree, p = config.tree, config.p
     n = tree.ambient
+    if config.bases.keys() != tree.parent.keys():
+        raise BadRange("a configuration needs one basis per non-root vertex")
+    for v, b in config.bases.items():
+        if np.shape(b) != (n, tree.labels[v]):
+            raise BadRange(f"the basis of {v!r} must be {n} x {tree.labels[v]}, got {np.shape(b)}")
+    # a chain's product of these weights is 2^dim of its flag variety
+    chain, _ = heaviest_chain(tree, lambda big, d: 2 ** (d * (big - d)))
+    chain.reverse()
+    rest = sorted(v for v in config.bases if v not in chain)
+    # the row operations of the reduction are g^-1, so each block of the
+    # reduced form is its basis in the adapted coordinates; nothing right
+    # of I_n is a pivot
+    widths = [tree.labels[v] for v in chain] + [n] + [tree.labels[v] for v in rest]
+    stacked = np.hstack([config.bases[v] for v in chain] + [np.eye(n, dtype=np.int64)]
+                        + [config.bases[v] for v in rest])
+    moved = np.hsplit(rref_mod(stacked, p)[0], np.cumsum(widths)[:-1])
+    for v, m in zip(chain, moved):
+        d = tree.labels[v]
+        if m[d:].any() or rank_mod(m[:d], p) < d:
+            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+    # entries (i[k], j[k]) of Y that the standard chain flag allows: no
+    # chain label d with j < d <= i
+    level = np.searchsorted([tree.labels[v] for v in chain], np.arange(n), side="right")
+    i, j = np.nonzero(level[:, None] <= level[None, :])
     blocks = []
-    for v in sorted(config.bases):
-        b = config.bases[v]
-        c = left_annihilator(b, p)
-        # condition C X B = 0: coefficient of X[i,j] in row (a,col) is C[a,i] B[j,col]
-        block = np.einsum("ai,jb->abij", c, b).reshape(-1, n * n) % p
-        blocks.append(block)
-    system = np.vstack(blocks) if blocks else np.zeros((0, n * n), dtype=np.int64)
-    rank = rank_mod(system, p)
+    for m in moved[len(chain) + 1 :]:
+        c = left_annihilator(m, p)
+        # condition C Y M = 0: coefficient of Y[i,j] in row (a,b) is C[a,i] M[j,b]
+        blocks.append((c[:, None, i] * m.T[None, :, j]).reshape(-1, i.size) % p)
+    system = np.vstack(blocks) if blocks else np.zeros((0, i.size), dtype=np.int64)
+    rank = rank_mod(system, p) + n * n - i.size
     dim = dimension(tree)
     assert rank <= dim, "orbit tangent space cannot exceed the variety dimension"
     lie = n * n - rank
@@ -206,18 +252,23 @@ def cross_ratio(zs, lower, upper, p: int) -> int:
 
         lambda = det(z4,z1) det(z3,z2) / (det(z4,z2) det(z3,z1)) mod p.
 
-    Raises NotAPencil when the flag sandwich fails and Degenerate when
-    the four subspaces are not pairwise distinct.
+    Raises NotAPencil when an input has more than two axes or the flag
+    sandwich fails, and Degenerate when the four subspaces are not
+    pairwise distinct.
     """
     check_prime(p)
     if len(zs) != 4:
         raise BadRange(f"need exactly four subspaces, got {len(zs)}")
     zs = [np.atleast_2d(np.asarray(z, dtype=np.int64)) % p for z in zs]
+    lower = np.asarray(lower, dtype=np.int64)
+    upper = np.asarray(upper, dtype=np.int64)
+    if max(a.ndim for a in (*zs, lower, upper)) > 2:
+        raise NotAPencil("the subspaces and the flag pair must be matrices")
     n, d = zs[0].shape
     if d < 1:
         raise BadRange("subspaces must have dimension at least 1")
-    lower = np.asarray(lower, dtype=np.int64).reshape(n, -1) % p
-    upper = np.asarray(upper, dtype=np.int64).reshape(n, -1) % p
+    lower = lower.reshape(n, -1) % p
+    upper = upper.reshape(n, -1) % p
     if lower.shape != (n, d - 1) or upper.shape != (n, d + 1):
         raise NotAPencil(
             f"flag pair must have shapes {(n, d - 1)} and {(n, d + 1)}, "

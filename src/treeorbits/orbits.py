@@ -64,6 +64,7 @@ import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
 from .products import as_tree
+from .trees import heaviest_chain
 
 DEFAULT_CAP = 200_000
 
@@ -239,27 +240,6 @@ def _parabolic_generators(n: int, flag: list[int], field: _Field) -> np.ndarray:
     return np.array(gens, np.uint8).reshape(-1, n, n)
 
 
-def _fixed_chain(tree, q: int) -> tuple[list[str], int]:
-    """The chain from a root child down to a leaf whose flag variety has the most F_q points.
-
-    Returns the chain, top first, and that point count; a root-only tree
-    has the empty chain, of one point.
-    """
-    # most[v] = the most points of a chain from v down to a leaf, the edge
-    # above v included; children are filled in before their parents
-    most = {}
-    for v in sorted(tree.labels, key=tree.distance, reverse=True):
-        if v != tree.root:
-            below = max((most[c] for c in tree.children[v]), default=1)
-            most[v] = gaussian_binomial(tree.labels[tree.parent[v]], tree.labels[v], q) * below
-    chain = []
-    below = tree.children[tree.root]
-    while below:
-        chain.append(max(below, key=most.__getitem__))
-        below = tree.children[chain[-1]]
-    return chain, most[chain[0]] if chain else 1
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     """Full orbit census of the configuration variety over F_q."""
@@ -304,7 +284,8 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if projected > cap:
         raise CapExceeded(projected, cap)
     field = _field(q)
-    chain, flag_points = _fixed_chain(tree, q)
+    # the chain whose flag variety has the most F_q points
+    chain, flag_points = heaviest_chain(tree, lambda big, d: gaussian_binomial(big, d, q))
     flag = [tree.labels[v] for v in chain]
     gens = _parabolic_generators(n, flag, field)
     if any(gens[:, :d, d:].any() for d in flag):

@@ -130,6 +130,28 @@ def dimension(tree: LabeledTree) -> int:
     return sum(lab[s] * (lab[t] - lab[s]) for s, t in tree.parent.items())
 
 
+def heaviest_chain(tree: LabeledTree, weight) -> tuple[list[str], int]:
+    """The chain from a root child down to a leaf with the largest product of edge weights.
+
+    ``weight(phi(t), phi(s))`` weighs the edge from s up to t.  Ties go to
+    the first child in name order.  Returns the chain, top first, and its
+    product; a root-only tree has the empty chain, of product 1.
+    """
+    # most[v] = the largest product of a chain from v down to a leaf, the
+    # edge above v included; children are filled in before their parents
+    most = {}
+    for v in sorted(tree.labels, key=tree.distance, reverse=True):
+        if v != tree.root:
+            below = max((most[c] for c in tree.children[v]), default=1)
+            most[v] = weight(tree.labels[tree.parent[v]], tree.labels[v]) * below
+    chain = []
+    below = tree.children[tree.root]
+    while below:
+        chain.append(max(below, key=most.__getitem__))
+        below = tree.children[chain[-1]]
+    return chain, most[chain[0]] if chain else 1
+
+
 @dataclass(frozen=True)
 class Branch:
     """Maximal chain from a leaf toward the root avoiding merge points and the root.

@@ -6,7 +6,10 @@ import random
 from collections import deque
 from itertools import product as iproduct
 
+import numpy as np
+
 from treeorbits import FlagProduct, LabeledTree
+from treeorbits.modp import left_annihilator, rank_mod
 
 
 def random_tree(
@@ -32,6 +35,22 @@ def random_tree(
         labels[name] = rng.randint(1, labels[parent] - 1)
         edges.append((name, parent))
     return LabeledTree(labels, edges)
+
+
+def full_system_rank(config) -> int:
+    """Rank of the stabilizer system on all n^2 entries of X, one block per non-root vertex.
+
+    The certificate's system before the chain reduction, kept as the
+    reference that ``stabilizer_dim`` must match.
+    """
+    n, p = config.tree.ambient, config.p
+    blocks = [np.zeros((0, n * n), dtype=np.int64)]
+    for v in sorted(config.bases):
+        b = config.bases[v]
+        c = left_annihilator(b, p)
+        # condition C X B = 0: coefficient of X[i,j] in row (a,col) is C[a,i] B[j,col]
+        blocks.append(np.einsum("ai,jb->abij", c, b).reshape(-1, n * n) % p)
+    return rank_mod(np.vstack(blocks), p)
 
 
 def bfs_distances(tree: LabeledTree) -> dict[str, int]:

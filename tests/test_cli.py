@@ -1,5 +1,7 @@
 """Exercise every verb of the command line front end through cli.main."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeorbits
 
@@ -170,6 +174,31 @@ class TestDecide:
         assert all(r["rule_id"] and r["citation"] for r in rules)
 
 
+@st.composite
+def instance_texts(draw):
+    """Product text, chain notation or any text, with labels at most 6, valid or not."""
+    kind = draw(st.sampled_from(["product", "tree", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=30))
+    n = draw(st.integers(2, 6))
+    # mostly a valid flag or chain, sometimes with repeats, empty or full steps
+    valid = st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)
+    steps = st.one_of(valid, valid, st.lists(st.integers(0, n), min_size=1, max_size=3))
+    steps = steps.map(sorted)
+    if kind == "product":
+        factors = draw(st.lists(steps, min_size=1, max_size=3))
+        return "*".join(
+            f"F({','.join(map(str, f))};{n})^{draw(st.integers(1, 3))}" for f in factors
+        )
+    # names shared between chains merge vertices: side branches, or a
+    # vertex with two parents
+    chains = draw(st.lists(steps, min_size=1, max_size=3))
+    return " | ".join(
+        ">".join([*(f"{draw(st.sampled_from('ab'))}{k}:{k}" for k in chain), f"r:{n}"])
+        for chain in chains
+    )
+
+
 class TestCertify:
     def test_json_record(self, capsys):
         code, out, _ = run(capsys, "certify", "--product", "G(2;4)", "--json")
@@ -199,6 +228,25 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--product", "G(1;3)", "--prime", "10")
         assert code == 2
         assert "error:" in err
+
+    @given(
+        instance_texts(),
+        st.one_of(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(-5, 2**33)),
+        st.integers(-3, 2**64),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_arguments_exit_0_2_or_3(self, text, prime, seed, trials):
+        argv = ["certify", "--prime", str(prime), "--seed", str(seed),
+                "--trials", str(trials), "--json", "--", text]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOrbits:

@@ -1,20 +1,21 @@
 """Random configurations, exact stabilizer ranks, certification, cross-ratio."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import FlagProduct, certify_density, cross_ratio
+from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio
 from treeorbits.errors import BadRange, Degenerate, NotAPencil, NotPrime
 from treeorbits.modp import matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.trees import dimension
 
-from .helpers import random_tree
+from .helpers import full_system_rank, random_tree
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 
@@ -128,6 +129,65 @@ class TestStabilizerDim:
         moved = {v: matmul_mod(g, b, p) for v, b in config.bases.items()}
         alt = Configuration(t, p, config.seed, config.trial, moved)
         assert stabilizer_dim(alt).system_rank == stabilizer_dim(config).system_rank
+
+
+@st.composite
+def branched_trees(draw):
+    """Trees with labels <= 9 in which a vertex below the root has two children."""
+    n = draw(st.integers(3, 9))
+    labels = {"r": n, "m": draw(st.integers(2, n - 1))}
+    edges = [("m", "r")]
+    for k in range(draw(st.integers(2, 6))):
+        wide = sorted(v for v in labels if labels[v] >= 2)
+        up = "m" if k < 2 else draw(st.sampled_from(wide))
+        labels[f"v{k}"] = draw(st.integers(1, labels[up] - 1))
+        edges.append((f"v{k}", up))
+    return LabeledTree(labels, edges)
+
+
+def hand_built(**bases):
+    """A configuration of a:1>b:2>r:4 | c:1>b over F_101 with columns of I_4 as bases."""
+    tree = parse_tree_dsl("a:1>b:2>r:4 | c:1>b")
+    cols = {v: np.eye(4, dtype=np.int64)[:, idx] for v, idx in bases.items()}
+    return Configuration(tree, 101, 0, 0, cols)
+
+
+class TestChainReduction:
+    # stabilizer_dim ranks the system on the parabolic of one chain's flag;
+    # the full n^2-column system is the reference
+
+    @pytest.mark.parametrize("p", [2, DEFAULT_PRIME])
+    def test_two_step_triples_match_the_full_system(self, p):
+        for n in range(3, 9):
+            for flag in combinations(range(1, n), 2):
+                config = random_config(FlagProduct((flag,) * 3, n), p=p)
+                assert stabilizer_dim(config).system_rank == full_system_rank(config), (flag, n)
+
+    @given(branched_trees(), st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_branched_trees_match_the_full_system(self, tree, p, seed):
+        config = random_config(tree, p=p, seed=seed)
+        assert stabilizer_dim(config).system_rank == full_system_rank(config)
+
+    def test_nested_hand_built_chain_is_ranked(self):
+        config = hand_built(a=[0], b=[0, 1], c=[1])
+        assert stabilizer_dim(config).system_rank == full_system_rank(config)
+
+    def test_non_nested_chain_is_refused(self):
+        with pytest.raises(BadRange):
+            stabilizer_dim(hand_built(a=[0], b=[1, 2], c=[1]))
+
+    def test_rank_deficient_chain_basis_is_refused(self):
+        # span(b) is the line e1: it lies in span(e0, e1), the first two
+        # adapted basis vectors, but it is not a plane
+        with pytest.raises(BadRange):
+            stabilizer_dim(hand_built(a=[0], b=[1, 1], c=[1]))
+
+    def test_missing_or_misshapen_basis_is_refused(self):
+        with pytest.raises(BadRange):
+            stabilizer_dim(hand_built(a=[0], b=[0, 1]))
+        with pytest.raises(BadRange):
+            stabilizer_dim(hand_built(a=[0], b=[0, 1], c=[1, 2]))
 
 
 class TestCertifyDensity:
@@ -259,6 +319,15 @@ class TestCrossRatio:
             cross_ratio(zs[:3], np.zeros((2, 0)), np.eye(2), p)
         with pytest.raises(NotAPencil):
             cross_ratio(zs, np.zeros((2, 1)), np.eye(2), p)
+
+    def test_more_than_two_axes_is_refused(self):
+        with pytest.raises(NotAPencil):
+            cross_ratio([[[[1]]]] * 4, [[1, 0]], [[0, 1]], 7)
+        zs = line_points([(0, 1), (1, 0), (1, 1), (3, 1)], 7)
+        with pytest.raises(NotAPencil):
+            cross_ratio(zs, np.zeros((1, 2, 0)), np.eye(2), 7)
+        with pytest.raises(NotAPencil):
+            cross_ratio(zs, np.zeros((2, 0)), np.eye(2)[None], 7)
 
     def test_value_never_zero_or_one(self):
         p = 13

@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
@@ -15,12 +16,12 @@ from treeorbits.errors import BadRange, UnsupportedField
 from treeorbits.orbits import (
     DEFAULT_CAP,
     _Field,
-    _fixed_chain,
     _parabolic_generators,
     gaussian_binomial,
     projected_point_count,
 )
 from treeorbits.parsing import parse_tree_dsl
+from treeorbits.trees import heaviest_chain
 
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
 
@@ -360,7 +361,9 @@ class TestSideBranches:
         ],
     )
     def test_fixed_chain_has_the_most_points(self, spec, chain, points):
-        assert _fixed_chain(parse_tree_dsl(spec), 2) == (chain, points)
+        # the enumerator's weight: each edge's Grassmannian point count over F_2
+        weight = partial(gaussian_binomial, q=2)
+        assert heaviest_chain(parse_tree_dsl(spec), weight) == (chain, points)
 
 
 class TestCaps:
