@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import orbit_class, trivially_sparse
-from .errors import IterationLimit
+from .errors import BadRange, IterationLimit
 from .products import (
     FlagProduct,
     as_flag_product,
@@ -311,8 +311,10 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
 
     ``depth`` bounds the nesting of rule R9: each surjective single-vertex
     deletion is decided recursively with depth - 1, and depth 0 disables
-    R9 entirely.
+    R9 entirely.  Raises BadRange unless ``depth`` is a non-negative int.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise BadRange(f"depth must be a non-negative integer, got {depth!r}")
     return _decide(x, depth, {})
 
 

@@ -11,11 +11,16 @@ C_v span the left annihilator of B_v.  The system rank equals the
 dimension of the orbit through the point, so rank = dim of the variety
 certifies a dense orbit (one witness suffices); anything less is
 inconclusive, never a sparseness verdict.  The system is ranked after
-moving one chain's flag to the standard flag, where every stabilizing
-matrix is block upper triangular:
+moving two chains' flags to coordinate flags: the first to the standard
+flag, the second, under another root child, to a flag spanned by basis
+vectors, by row operations inside the first flag's parabolic P1 (every
+P1-orbit of flags, a double coset P1 w P2, holds a coordinate flag,
+over every field).  Every stabilizing matrix then lies in the
+intersection of the two coordinate parabolic subalgebras, a set of
+allowed entries, and
 
-    system_rank = rank(conditions of the other vertices on the allowed
-                  entries) + dim(that chain's flag variety),
+    system_rank = rank(conditions of the vertices on neither chain, on the
+                  allowed entries) + n^2 - (number of allowed entries),
 
 exactly over every prime, because conjugation maps the stabilizer
 algebras isomorphically.
@@ -122,23 +127,38 @@ class StabReport:
         }
 
 
+def _flag_weight(big: int, d: int) -> int:
+    # a chain's product of these weights is 2^dim of its flag variety
+    return 2 ** (d * (big - d))
+
+
 def stabilizer_dim(config: Configuration) -> StabReport:
     """Rank of the stabilizer system at the configuration; rank = dim certifies density.
 
-    The chain from a root child down to a leaf whose flag variety has the
-    largest dimension is moved to the standard flag: the columns of
-    [B_leaf | ... | B_top | I_n] at the pivots of its reduced form are an
-    adapted basis g, whose first phi(v) columns span the subspace of each
-    chain vertex v.  X stabilizes the configuration exactly when
-    Y = g^-1 X g stabilizes the moved one, so Y keeps the standard flag:
-    Y[i, j] = 0 whenever i >= d > j for a chain label d.  Only the other
-    vertices give conditions, on the remaining entries of Y, and
+    Two chains are moved to coordinate flags.  Chain 1 runs from a root
+    child down to a leaf and has the flag variety of the largest
+    dimension; chain 2 is picked the same way under the other root
+    children (empty when the root has one child).  The columns of
+    [B_leaf | ... | B_top | I_n] at the pivots of its reduced form, chain
+    1's bases leaf first, are an adapted basis g whose first phi(v)
+    columns span the subspace of each chain-1 vertex v.  Row operations h
+    inside chain 1's parabolic P1 then bring chain 2 to a coordinate flag:
+    its columns are taken leaf first, the rows that are already pivots are
+    zeroed (a column operation inside chain 2's flag), and the first
+    nonzero row of the deepest chain-1 level clears the others, each of
+    an equal or shallower level.  X stabilizes the configuration exactly
+    when Y = (hg)^-1 X (hg) stabilizes the moved one, so Y keeps both
+    flags: Y[i, j] may be nonzero only when level1(i) <= level1(j) and
+    level2(i) <= level2(j), where a chain's level of i counts its
+    subspaces that do not hold e_i.  Only the vertices on neither chain
+    give conditions, on those allowed entries of Y, and
 
-        system_rank = rank(those conditions) + dim(chain flag variety),
+        system_rank = rank(those conditions) + n^2 - (number of allowed entries),
 
-    the second term being the sum of phi(v)(phi(parent) - phi(v)) over the
-    chain's edges, the number of entries dropped.  Raises BadRange when a
-    basis has the wrong shape or the chain's bases are not a flag.
+    exactly over every prime, because hg conjugates the stabilizer
+    algebras isomorphically.  With one chain the last term is the
+    dimension of its flag variety.  Raises BadRange when a basis has the
+    wrong shape or a chain's bases are not a flag.
     """
     tree, p = config.tree, config.p
     n = tree.ambient
@@ -147,31 +167,59 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     for v, b in config.bases.items():
         if np.shape(b) != (n, tree.labels[v]):
             raise BadRange(f"the basis of {v!r} must be {n} x {tree.labels[v]}, got {np.shape(b)}")
-    # a chain's product of these weights is 2^dim of its flag variety
-    chain, _ = heaviest_chain(tree, lambda big, d: 2 ** (d * (big - d)))
+    chain, _ = heaviest_chain(tree, _flag_weight)
+    second, _ = heaviest_chain(
+        tree, _flag_weight, [c for c in tree.children[tree.root] if c not in chain]
+    )
     chain.reverse()
-    rest = sorted(v for v in config.bases if v not in chain)
+    second.reverse()
+    rest = sorted(v for v in config.bases if v not in chain and v not in second)
+    flag1 = [tree.labels[v] for v in chain]
+    flag2 = [tree.labels[v] for v in second]
     # the row operations of the reduction are g^-1, so each block of the
     # reduced form is its basis in the adapted coordinates; nothing right
-    # of I_n is a pivot
-    widths = [tree.labels[v] for v in chain] + [n] + [tree.labels[v] for v in rest]
+    # of I_n is a pivot.  The blocks are views, so they see h below.
+    widths = flag1 + [n] + flag2 + [tree.labels[v] for v in rest]
     stacked = np.hstack([config.bases[v] for v in chain] + [np.eye(n, dtype=np.int64)]
-                        + [config.bases[v] for v in rest])
-    moved = np.hsplit(rref_mod(stacked, p)[0], np.cumsum(widths)[:-1])
-    for v, m in zip(chain, moved):
+                        + [config.bases[v] for v in second + rest])
+    red = rref_mod(stacked, p)[0]
+    blocks = np.hsplit(red, np.cumsum(widths)[:-1])
+    for v, m in zip(chain, blocks):
         d = tree.labels[v]
         if m[d:].any() or rank_mod(m[:d], p) < d:
             raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
-    # entries (i[k], j[k]) of Y that the standard chain flag allows: no
-    # chain label d with j < d <= i
-    level = np.searchsorted([tree.labels[v] for v in chain], np.arange(n), side="right")
-    i, j = np.nonzero(level[:, None] <= level[None, :])
-    blocks = []
-    for m in moved[len(chain) + 1 :]:
+    level1 = np.searchsorted(flag1, np.arange(n), side="right")
+    # h acts on the blocks right of I_n; earlier columns of chain 2 are
+    # zero on a new pivot row, so only the later columns change
+    moved = red[:, sum(flag1) + n :]
+    pivots: list[int] = []
+    for c in range(sum(flag2)):
+        col = moved[:, c].copy()
+        col[pivots] = 0
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        r = nz[np.argmax(level1[nz])]
+        nz = nz[nz != r]
+        f = col[nz] * pow(int(col[r]), -1, p) % p
+        moved[nz, c:] = (moved[nz, c:] - f[:, None] * moved[r, c:]) % p
+        pivots.append(r)
+    # chain 2's subspace of label d is spanned by e_i for its first d pivots i
+    position = np.full(n, n)
+    position[pivots] = np.arange(len(pivots))
+    for v, m in zip(second, blocks[len(chain) + 1 :]):
+        held = position < tree.labels[v]
+        if m[~held].any() or rank_mod(m[held], p) < tree.labels[v]:
+            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+    level2 = np.searchsorted(flag2, position, side="right")
+    # entries (i[k], j[k]) of Y that both coordinate flags allow
+    i, j = np.nonzero((level1[:, None] <= level1[None, :]) & (level2[:, None] <= level2[None, :]))
+    conditions = []
+    for m in blocks[len(chain) + len(second) + 1 :]:
         c = left_annihilator(m, p)
         # condition C Y M = 0: coefficient of Y[i,j] in row (a,b) is C[a,i] M[j,b]
-        blocks.append((c[:, None, i] * m.T[None, :, j]).reshape(-1, i.size) % p)
-    system = np.vstack(blocks) if blocks else np.zeros((0, i.size), dtype=np.int64)
+        conditions.append((c[:, None, i] * m.T[None, :, j]).reshape(-1, i.size) % p)
+    system = np.vstack(conditions) if conditions else np.zeros((0, i.size), dtype=np.int64)
     rank = rank_mod(system, p) + n * n - i.size
     dim = dimension(tree)
     assert rank <= dim, "orbit tangent space cannot exceed the variety dimension"

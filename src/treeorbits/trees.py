@@ -130,12 +130,14 @@ def dimension(tree: LabeledTree) -> int:
     return sum(lab[s] * (lab[t] - lab[s]) for s, t in tree.parent.items())
 
 
-def heaviest_chain(tree: LabeledTree, weight) -> tuple[list[str], int]:
+def heaviest_chain(tree: LabeledTree, weight, tops=None) -> tuple[list[str], int]:
     """The chain from a root child down to a leaf with the largest product of edge weights.
 
-    ``weight(phi(t), phi(s))`` weighs the edge from s up to t.  Ties go to
-    the first child in name order.  Returns the chain, top first, and its
-    product; a root-only tree has the empty chain, of product 1.
+    ``weight(phi(t), phi(s))`` weighs the edge from s up to t.  ``tops``
+    are the root children the chain may start from, all of them by
+    default.  Ties go to the first child in name order.  Returns the chain,
+    top first, and its product; with no child to start from the chain is
+    empty, of product 1.
     """
     # most[v] = the largest product of a chain from v down to a leaf, the
     # edge above v included; children are filled in before their parents
@@ -145,7 +147,7 @@ def heaviest_chain(tree: LabeledTree, weight) -> tuple[list[str], int]:
             below = max((most[c] for c in tree.children[v]), default=1)
             most[v] = weight(tree.labels[tree.parent[v]], tree.labels[v]) * below
     chain = []
-    below = tree.children[tree.root]
+    below = tree.children[tree.root] if tops is None else tops
     while below:
         chain.append(max(below, key=most.__getitem__))
         below = tree.children[chain[-1]]

@@ -30,6 +30,44 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@st.composite
+def instance_texts(draw):
+    """Product text, chain notation or any text, with labels at most 6, valid or not."""
+    kind = draw(st.sampled_from(["product", "tree", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=30))
+    n = draw(st.integers(2, 6))
+    # mostly a valid flag or chain, sometimes with repeats, empty or full steps
+    valid = st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)
+    steps = st.one_of(valid, valid, st.lists(st.integers(0, n), min_size=1, max_size=3))
+    steps = steps.map(sorted)
+    if kind == "product":
+        factors = draw(st.lists(steps, min_size=1, max_size=3))
+        return "*".join(
+            f"F({','.join(map(str, f))};{n})^{draw(st.integers(1, 3))}" for f in factors
+        )
+    # names shared between chains merge vertices: side branches, or a
+    # vertex with two parents
+    chains = draw(st.lists(steps, min_size=1, max_size=3))
+    return " | ".join(
+        ">".join([*(f"{draw(st.sampled_from('ab'))}{k}:{k}" for k in chain), f"r:{n}"])
+        for chain in chains
+    )
+
+
+def fuzzed_exit(argv) -> int:
+    """Exit code of main(argv), asserting that nothing printed a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2, 3), err.getvalue()
+    return code
+
+
 class TestDim:
     def test_human(self, capsys):
         code, out, err = run(capsys, "dim", "--tree", "1>2>4")
@@ -173,30 +211,19 @@ class TestDecide:
         assert len(rules) >= 12
         assert all(r["rule_id"] and r["citation"] for r in rules)
 
+    @pytest.mark.parametrize("depth", ["-1", "-3"])
+    def test_negative_depth_exits_2(self, capsys, depth):
+        code, out, err = run(capsys, "decide", "F(1;2)", "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: depth must be a non-negative integer, got {depth}\n"
 
-@st.composite
-def instance_texts(draw):
-    """Product text, chain notation or any text, with labels at most 6, valid or not."""
-    kind = draw(st.sampled_from(["product", "tree", "text"]))
-    if kind == "text":
-        return draw(st.text(max_size=30))
-    n = draw(st.integers(2, 6))
-    # mostly a valid flag or chain, sometimes with repeats, empty or full steps
-    valid = st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)
-    steps = st.one_of(valid, valid, st.lists(st.integers(0, n), min_size=1, max_size=3))
-    steps = steps.map(sorted)
-    if kind == "product":
-        factors = draw(st.lists(steps, min_size=1, max_size=3))
-        return "*".join(
-            f"F({','.join(map(str, f))};{n})^{draw(st.integers(1, 3))}" for f in factors
-        )
-    # names shared between chains merge vertices: side branches, or a
-    # vertex with two parents
-    chains = draw(st.lists(steps, min_size=1, max_size=3))
-    return " | ".join(
-        ">".join([*(f"{draw(st.sampled_from('ab'))}{k}:{k}" for k in chain), f"r:{n}"])
-        for chain in chains
-    )
+    @given(instance_texts(), st.integers(-2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_arguments_exit_0_or_2(self, text, depth):
+        code = fuzzed_exit(["decide", "--depth", str(depth), "--json", "--", text])
+        if depth < 0:
+            assert code == 2
 
 
 class TestCertify:
@@ -237,16 +264,8 @@ class TestCertify:
     )
     @settings(max_examples=60, deadline=None)
     def test_fuzzed_arguments_exit_0_2_or_3(self, text, prime, seed, trials):
-        argv = ["certify", "--prime", str(prime), "--seed", str(seed),
-                "--trials", str(trials), "--json", "--", text]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse usage errors
-                code = e.code
-        assert code in (0, 2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        fuzzed_exit(["certify", "--prime", str(prime), "--seed", str(seed),
+                     "--trials", str(trials), "--json", "--", text])
 
 
 class TestOrbits:
@@ -287,6 +306,12 @@ class TestOrbits:
         code, _, err = run(capsys, "orbits", "--tree", "1>2>4", "--cap", "100")
         assert code == 3
         assert "cap exceeded" in err
+
+    # caps up to 20,000 points keep each enumeration in milliseconds
+    @given(instance_texts(), st.integers(-1, 7), st.integers(-2, 20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_arguments_exit_0_2_or_3(self, text, q, cap):
+        fuzzed_exit(["orbits", "--q", str(q), "--cap", str(cap), "--json", "--", text])
 
     def test_unsupported_field_exits_2(self, capsys):
         code, _, err = run(capsys, "orbits", "--tree", "1>2", "--q", "7")

@@ -22,6 +22,7 @@ from treeorbits import (
 )
 from treeorbits.classify import trivially_sparse
 from treeorbits.engine import RULES
+from treeorbits.errors import BadRange
 from treeorbits.parsing import parse_product, parse_tree_dsl
 from treeorbits.products import product_to_tree
 
@@ -107,6 +108,11 @@ class TestFrozenVerdicts:
     def test_sparse_image_rule_disabled_at_depth_zero(self):
         v = decide(FlagProduct(((1, 2, 4), (1, 4), (1, 4)), 5), depth=0)
         assert v.status == UNKNOWN
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, True, "1", None])
+    def test_depth_must_be_a_non_negative_int(self, depth):
+        with pytest.raises(BadRange):
+            decide(FlagProduct(((1,),), 2), depth=depth)
 
     def test_five_grassmannians_sparse(self):
         v = decide(FlagProduct(((1,), (1,), (2,), (2,), (4,)), 7))

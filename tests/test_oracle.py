@@ -1,7 +1,7 @@
 """Random configurations, exact stabilizer ranks, certification, cross-ratio."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabi
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.trees import dimension
 
-from .helpers import full_system_rank, random_tree
+from .helpers import full_system_rank, random_product, random_tree
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 
@@ -145,11 +145,41 @@ def branched_trees(draw):
     return LabeledTree(labels, edges)
 
 
-def hand_built(**bases):
-    """A configuration of a:1>b:2>r:4 | c:1>b over F_101 with columns of I_4 as bases."""
-    tree = parse_tree_dsl("a:1>b:2>r:4 | c:1>b")
+@st.composite
+def two_branched_trees(draw):
+    """Trees with labels <= 9 whose root has two children, each with two children or more."""
+    n = draw(st.integers(3, 9))
+    labels = {"r": n}
+    edges = []
+    for top in ("a", "b"):
+        labels[top] = draw(st.integers(2, n - 1))
+        edges.append((top, "r"))
+        for k in range(draw(st.integers(2, 4))):
+            wide = sorted(v for v in labels if v.startswith(top) and labels[v] >= 2)
+            up = top if k < 2 else draw(st.sampled_from(wide))
+            labels[f"{top}{k}"] = draw(st.integers(1, labels[up] - 1))
+            edges.append((f"{top}{k}", up))
+    return LabeledTree(labels, edges)
+
+
+def hand_built(tree="a:1>b:2>r:4 | c:1>b", **bases):
+    """A configuration of the tree over F_101 with columns of I_4 as bases."""
+    tree = parse_tree_dsl(tree)
     cols = {v: np.eye(4, dtype=np.int64)[:, idx] for v, idx in bases.items()}
     return Configuration(tree, 101, 0, 0, cols)
+
+
+# two chains of the same flag type: b>a is chain 1 (first in name order), d>c
+# chain 2, and e is the one vertex that gives conditions
+TWO_CHAINS = "a:1>b:2>r:4 | c:1>d:2>r | e:1>r"
+
+
+def small_products(factors):
+    """Every product of ``factors`` flag varieties with ambient n <= 5."""
+    for n in range(2, 6):
+        types = [f for k in range(1, n) for f in combinations(range(1, n), k)]
+        for chosen in combinations_with_replacement(types, factors):
+            yield FlagProduct(chosen, n)
 
 
 class TestChainReduction:
@@ -182,6 +212,44 @@ class TestChainReduction:
         # adapted basis vectors, but it is not a plane
         with pytest.raises(BadRange):
             stabilizer_dim(hand_built(a=[0], b=[1, 1], c=[1]))
+
+    # at p = 2 and 3 many draws put chain 2 in a non-generic position
+    # relative to chain 1
+    @pytest.mark.parametrize("factors", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_products_match_the_full_system(self, factors, p):
+        for product in small_products(factors):
+            config = random_config(product, p=p)
+            assert stabilizer_dim(config).system_rank == full_system_rank(config), product
+
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3, 101, DEFAULT_PRIME]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_products_match_the_full_system(self, seed, p):
+        product = random_product(random.Random(seed), max_ambient=9, max_factors=5)
+        config = random_config(product, p=p, seed=seed)
+        assert stabilizer_dim(config).system_rank == full_system_rank(config)
+
+    @given(two_branched_trees(), st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_branched_second_chains_match_the_full_system(self, tree, p, seed):
+        config = random_config(tree, p=p, seed=seed)
+        assert stabilizer_dim(config).system_rank == full_system_rank(config)
+
+    # the identity cell, where both flags are span(e0) < span(e0, e1), and
+    # a second flag in general position
+    @pytest.mark.parametrize("c,d", [([0], [0, 1]), ([3], [2, 3])], ids=["equal", "opposite"])
+    def test_hand_built_second_chain_is_ranked(self, c, d):
+        config = hand_built(TWO_CHAINS, a=[0], b=[0, 1], c=c, d=d, e=[1])
+        assert stabilizer_dim(config).system_rank == full_system_rank(config)
+
+    def test_non_nested_second_chain_is_refused(self):
+        with pytest.raises(BadRange, match="vertex 'd'"):
+            stabilizer_dim(hand_built(TWO_CHAINS, a=[0], b=[0, 1], c=[2], d=[1, 3], e=[2]))
+
+    def test_rank_deficient_second_chain_basis_is_refused(self):
+        # span(d) is the line e1, which holds span(c) but is not a plane
+        with pytest.raises(BadRange, match="vertex 'd'"):
+            stabilizer_dim(hand_built(TWO_CHAINS, a=[0], b=[0, 1], c=[1], d=[1, 1], e=[2]))
 
     def test_missing_or_misshapen_basis_is_refused(self):
         with pytest.raises(BadRange):
