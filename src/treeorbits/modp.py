@@ -14,6 +14,22 @@ an update ``(a + g * row) % p`` of residues stays below p^2 < 2^62, so one
 reduction suffices; ``matmul_mod`` splits its right factor into 16-bit
 halves, so inner dimension b sums b terms below 2^47 and fits while
 b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
+
+``ranks_mod`` ranks a whole stack of small matrices in one forward
+elimination, one Python iteration per column for the stack, as batched
+BLAS does for many small problems (Dongarra et al., Procedia CS 108,
+2017).  Its update ``pivot * row - entry * pivot_row`` of residues stays
+in (-p^2, p^2), inside int64, with one reduction.  The certificate uses it
+where it meets many tiny matrices: the drawn factors and the flag checks.
+Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
+matrix at a time is about 11x slower on such stacks: 18 matrices of
+10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms against
+0.09 ms.  ``rank_mod`` stays for the one stabilizer system per draw,
+because on a stack of one its panels win from about 50 x 50 up: 67 x 50
+takes 1.7 ms against 2.0 ms, 162 x 76 4.3 ms against 6.5 ms, and
+225 x 250 29 ms against 77 ms.  Over one draw of each F(k1,k2;n)^3 with
+4 <= n <= 10, five larger products and G(5;20)^5 (125 systems) it took
+115 ms against 179 ms.
 """
 
 from __future__ import annotations
@@ -132,6 +148,36 @@ def rank_mod(a, p: int) -> int:
             top[j + 1 :] = (top[j + 1 :] + mult[j + 1 :, j : j + 1] * top[j]) % p
         a[r:, c1:] = (a[r:, c1:] + matmul_mod(a[r:, pivots], top, p)) % p
     return r
+
+
+def ranks_mod(stack, p: int) -> np.ndarray:
+    """Rank mod p of each matrix of a (count, m, k) stack, by one forward elimination.
+
+    Each matrix takes its own pivot in every column, the first row with a
+    nonzero entry there, and every row becomes pivot * row - entry *
+    pivot row.  That needs no inverse, and it zeroes the pivot row right
+    of the column, which retires it without a swap: a zero row is never a
+    pivot again.  A matrix whose column is zero is left unchanged.
+    """
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    if a.shape[1] < a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a % p)
+    count, _, cols = a.shape
+    at = np.arange(count)
+    ranks = np.zeros(count, dtype=np.intp)
+    for c in range(cols):
+        col = a[:, :, c]
+        r = (col != 0).argmax(axis=1)
+        pivot = col[at, r]
+        found = pivot != 0
+        ranks += found
+        pivot[~found] = 1
+        rest = a[:, :, c + 1 :]
+        rest[:] = (pivot[:, None, None] * rest - col[:, :, None] * a[at, r, None, c + 1 :]) % p
+    return ranks
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:

@@ -3,6 +3,10 @@
 ``random_config`` draws a random point of the configuration variety over
 F_p with a counter-based generator keyed by (seed, trial, vertex index),
 so results are reproducible and independent of evaluation order.
+``certify_density`` draws its trials together, a fixed number at a time:
+the factors of all of them are rank-checked in one stacked elimination,
+and because every stream is keyed, this gives the same configurations as
+drawing one trial at a time with ``random_config``.
 
 ``stabilizer_dim`` computes the exact rank of the linear system cutting
 out the Lie stabilizer of a configuration: for each non-root vertex v
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, Degenerate, NotAPencil
-from .modp import check_prime, left_annihilator, matmul_mod, rank_mod, rref_mod, solve_mod
+from .modp import check_prime, left_annihilator, matmul_mod, rank_mod, ranks_mod, rref_mod, solve_mod
 from .products import as_tree
 from .trees import LabeledTree, dimension, heaviest_chain
 
@@ -69,12 +73,28 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     random full-rank phi(parent) x phi(v) matrix R, which keeps the
     containments exact.  Draws retry until full rank, continuing the
     keyed stream, so every configuration is a genuine variety point.
+    This is ``certify_density``'s draw with one trial: that draws its
+    trials together, and because every stream is keyed by (seed, trial,
+    vertex) its configurations equal these, trial by trial.
     """
-    tree = as_tree(x)
-    if not isinstance(seed, int) or seed < 0:
-        raise BadRange(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(trial, int) or trial < 0:
-        raise BadRange(f"trial must be a non-negative integer, got {trial!r}")
+    return _draw(as_tree(x), p, seed, trial, 1)[0]
+
+
+# trials drawn and held at once, so memory does not grow with ``trials``
+_TRIAL_CHUNK = 8
+
+
+def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> list[Configuration]:
+    """The configurations of trials first, ..., first + count - 1, drawn together.
+
+    The first candidate of every (trial, vertex) is checked in one
+    zero-padded stack of ``ranks_mod``, then only the failures are redrawn
+    from their own streams and checked again; each vertex is lifted for
+    all trials by one stacked ``matmul_mod``.
+    """
+    for name, value in (("seed", seed), ("trial", first)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise BadRange(f"{name} must be a non-negative integer, got {value!r}")
     check_prime(p)
     n = tree.ambient
     index = {v: i for i, v in enumerate(sorted(tree.labels))}
@@ -82,23 +102,29 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
         (v for v in tree.labels if v != tree.root),
         key=lambda v: (tree.distance(v), v),
     )
+    # the root's label is n
+    shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in order}
+    trials = range(first, first + count)
+    streams = {(t, v): _keyed_rng(seed, t, index[v]) for t in trials for v in order}
+    drawn = {key: rng.integers(0, p, size=shape[key[1]], dtype=np.int64)
+             for key, rng in streams.items()}
+    pending = list(drawn)
+    while pending:
+        stack = np.zeros((len(pending), n, max(shape[v][1] for _, v in pending)), dtype=np.int64)
+        for s, key in enumerate(pending):
+            rows, k = shape[key[1]]
+            stack[s, :rows, :k] = drawn[key]
+        ranks = ranks_mod(stack, p)
+        pending = [key for key, r in zip(pending, ranks) if r < shape[key[1]][1]]
+        for key in pending:
+            drawn[key] = streams[key].integers(0, p, size=shape[key[1]], dtype=np.int64)
     bases: dict[str, np.ndarray] = {}
     for v in order:
-        k = tree.labels[v]
+        factors = np.stack([drawn[t, v] for t in trials])
         up = tree.parent[v]
-        rng = _keyed_rng(seed, trial, index[v])
-        if up == tree.root:
-            rows = n
-            lift = None
-        else:
-            rows = tree.labels[up]
-            lift = bases[up]
-        while True:
-            cand = rng.integers(0, p, size=(rows, k), dtype=np.int64)
-            if rank_mod(cand, p) == k:
-                break
-        bases[v] = cand if lift is None else matmul_mod(lift, cand, p)
-    return Configuration(tree, p, seed, trial, bases)
+        bases[v] = factors if up == tree.root else matmul_mod(bases[up], factors, p)
+    return [Configuration(tree, p, seed, t, {v: bases[v][i] for v in order})
+            for i, t in enumerate(trials)]
 
 
 @dataclass(frozen=True)
@@ -130,6 +156,31 @@ class StabReport:
 def _flag_weight(big: int, d: int) -> int:
     # a chain's product of these weights is 2^dim of its flag variety
     return 2 ** (d * (big - d))
+
+
+def _refuse_non_flag(blocks: dict[str, np.ndarray], position: np.ndarray, p: int) -> None:
+    """Raise BadRange at the first chain vertex whose block is not its coordinate subspace.
+
+    ``blocks`` maps a chain's vertices, in chain order, to their bases in
+    the adapted coordinates.  The block of a vertex of label d must vanish
+    outside the rows i with position[i] < d and be invertible on them.
+    The square blocks are ranked in one identity-padded stack; a block
+    with fewer such rows than d is refused without being stacked.
+    """
+    size = max((m.shape[1] for m in blocks.values()), default=0)
+    stack = np.zeros((len(blocks), size, size), dtype=np.int64)
+    bad = []
+    for s, m in enumerate(blocks.values()):
+        d = m.shape[1]
+        held = position < d
+        short = np.count_nonzero(held) < d
+        if not short:
+            stack[s, :d, :d] = m[held]
+        stack[s, range(d, size), range(d, size)] = 1
+        bad.append(short or m[~held].any())
+    for v, b, r in zip(blocks, bad, ranks_mod(stack, p)):
+        if b or r < size:
+            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
 
 
 def stabilizer_dim(config: Configuration) -> StabReport:
@@ -184,10 +235,7 @@ def stabilizer_dim(config: Configuration) -> StabReport:
                         + [config.bases[v] for v in second + rest])
     red = rref_mod(stacked, p)[0]
     blocks = np.hsplit(red, np.cumsum(widths)[:-1])
-    for v, m in zip(chain, blocks):
-        d = tree.labels[v]
-        if m[d:].any() or rank_mod(m[:d], p) < d:
-            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+    _refuse_non_flag(dict(zip(chain, blocks)), np.arange(n), p)
     level1 = np.searchsorted(flag1, np.arange(n), side="right")
     # h acts on the blocks right of I_n; earlier columns of chain 2 are
     # zero on a new pivot row, so only the later columns change
@@ -207,10 +255,7 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     # chain 2's subspace of label d is spanned by e_i for its first d pivots i
     position = np.full(n, n)
     position[pivots] = np.arange(len(pivots))
-    for v, m in zip(second, blocks[len(chain) + 1 :]):
-        held = position < tree.labels[v]
-        if m[~held].any() or rank_mod(m[held], p) < tree.labels[v]:
-            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+    _refuse_non_flag(dict(zip(second, blocks[len(chain) + 1 :])), position, p)
     level2 = np.searchsorted(flag2, position, side="right")
     # entries (i[k], j[k]) of Y that both coordinate flags allow
     i, j = np.nonzero((level1[:, None] <= level1[None, :]) & (level2[:, None] <= level2[None, :]))
@@ -267,17 +312,17 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     A failure to certify is reported as Inconclusive: a low rank at random
     points never proves sparseness.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise BadRange(f"trials must be a positive integer, got {trials!r}")
     tree = as_tree(x)
     ranks = []
     certified = False
-    for t in range(trials):
-        config = random_config(tree, p=p, seed=seed, trial=t)
-        report = stabilizer_dim(config)
-        ranks.append(report.system_rank)
-        if report.certified_dense:
-            certified = True
+    for first in range(0, trials, _TRIAL_CHUNK):
+        for config in _draw(tree, p, seed, first, min(_TRIAL_CHUNK, trials - first)):
+            report = stabilizer_dim(config)
+            ranks.append(report.system_rank)
+            if report.certified_dense:
+                certified = True
     return CertifyReport(
         p=p,
         trials=trials,

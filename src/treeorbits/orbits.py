@@ -276,7 +276,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     CapExceeded (with the exact projected point count) when that count
     exceeds ``cap``, before any work is done.
     """
-    if not isinstance(cap, int) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
     tree = as_tree(x)
     n = tree.ambient

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -55,6 +56,25 @@ def instance_texts(draw):
     )
 
 
+# JSON values of any shape, mostly small integers, for file contents
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def fuzzed_file_exit(argv, flag, content) -> int:
+    """fuzzed_exit with ``flag`` naming a file that holds ``content``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+        return fuzzed_exit([*argv, flag, path])
+
+
 def fuzzed_exit(argv) -> int:
     """Exit code of main(argv), asserting that nothing printed a traceback."""
     err = io.StringIO()
@@ -89,6 +109,31 @@ class TestDim:
         assert code == 0
         assert out == "dimension 8 (ambient 4)\n"
 
+    @given(instance_texts(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_arguments_exit_0_or_2(self, text, as_json):
+        fuzzed_exit(["dim", *(["--json"] if as_json else []), "--", text])
+
+
+@st.composite
+def tree_files(draw):
+    """Tree file contents: chain text, a JSON tree with fuzzed labels and edges, or any bytes."""
+    kind = draw(st.sampled_from(["text", "json", "bytes"]))
+    if kind == "text":
+        return draw(instance_texts())
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    names = st.sampled_from("abcr")
+    data = {
+        "labels": draw(st.one_of(st.dictionaries(names, st.integers(-1, 6), max_size=4),
+                                 json_values)),
+        "edges": draw(st.one_of(st.lists(st.lists(names, min_size=2, max_size=2), max_size=4),
+                                json_values)),
+    }
+    if draw(st.booleans()):
+        data["root"] = draw(st.one_of(names, json_values))
+    return json.dumps(data)
+
 
 class TestClassify:
     def test_finite_type_case(self, capsys):
@@ -114,6 +159,11 @@ class TestClassify:
         assert code == 0
         record = json.loads(out)
         assert record["orbit_class"]["kind"] == "InfiniteType"
+
+    @given(tree_files(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_tree_file_exits_0_or_2(self, content, as_json):
+        fuzzed_file_exit(["classify", *(["--json"] if as_json else [])], "--tree-file", content)
 
 
 class TestDecide:
@@ -328,6 +378,30 @@ class TestOrbits:
         assert "exit code 3" in text
 
 
+@st.composite
+def pencils(draw):
+    """Pencil file contents: a pencil of coordinate subspaces, then a few entries or keys changed."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    lower, upper = unit[: d - 1], unit[: d + 1]
+    members = []
+    for _ in range(4):
+        a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        members.append(lower + [[a * x + b * y for x, y in zip(unit[d - 1], unit[d])]])
+    matrices = [*members, lower, upper]
+    for m, row, col, value in draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, n), st.integers(0, n - 1),
+                      st.integers(-2, 6)), max_size=2)):
+        if row < len(matrices[m]):
+            matrices[m][row] = [*matrices[m][row][:col], value, *matrices[m][row][col + 1 :]]
+    data = {"p": draw(st.sampled_from([2, 3, 7, 101])), "subspaces": matrices[:4],
+            "lower": matrices[4], "upper": matrices[5]}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=2)):
+        data[key] = draw(json_values)
+    return json.dumps(data)
+
+
 class TestCrossRatio:
     def pencil(self, tmp_path, **overrides):
         data = {
@@ -395,6 +469,12 @@ class TestCrossRatio:
         code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    @given(st.one_of(pencils(), json_values.map(json.dumps), st.binary(max_size=40)),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_pencil_file_exits_0_or_2(self, content, as_json):
+        fuzzed_file_exit(["crossratio", *(["--json"] if as_json else [])], "--pencil-file", content)
 
     def test_deeply_nested_pencil_exits_2(self, capsys, tmp_path):
         path = tmp_path / "pencil.json"

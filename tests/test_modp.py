@@ -14,6 +14,7 @@ from treeorbits.modp import (
     matmul_mod,
     nullspace_mod,
     rank_mod,
+    ranks_mod,
     rref_mod,
     solve_mod,
 )
@@ -121,6 +122,48 @@ class TestElimination:
         assert rank_mod(np.zeros((16, 0), dtype=np.int64), 7) == 0
         with pytest.raises(ValueError):
             rank_mod([1, 2, 3], 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 101, 65537, MAX_PRIME)),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+    )
+    def test_stacked_ranks_match_rank_mod(self, p, count, rows, cols, seed):
+        # a stack of low-rank products, tall or wide, each of its own rank,
+        # with forced zero lines
+        rng = np.random.default_rng(seed)
+        stack = np.empty((count, rows, cols), dtype=np.int64)
+        for a in stack:
+            rank = rng.integers(0, min(rows, cols) + 1)
+            a[:] = matmul_mod(rng.integers(0, p, (rows, rank)), rng.integers(0, p, (rank, cols)), p)
+            a[:, rng.integers(0, cols, size=rng.integers(0, 3))] = 0
+            a[rng.integers(0, rows, size=rng.integers(0, 3))] = 0
+        before = stack.copy()
+        assert ranks_mod(stack, p).tolist() == [rank_mod(a, p) for a in stack]
+        assert np.array_equal(stack, before)
+
+    def test_stacked_ranks_at_int64_edge(self):
+        p = MAX_PRIME
+        full = np.full((12, 12), p - 1, dtype=np.int64)
+        shifted = full.copy()
+        np.fill_diagonal(shifted, p - 2)  # -(J + I), determinant 13
+        diagonal = np.diag(np.full(12, p - 1))
+        assert ranks_mod(np.stack([full, shifted, diagonal]), p).tolist() == [1, 12, 12]
+        assert ranks_mod(np.full((2, 5, 12), p - 1), p).tolist() == [1, 1]
+
+    def test_stacked_ranks_of_zero_and_empty_stacks(self):
+        assert ranks_mod(np.zeros((4, 5, 3), dtype=np.int64), 7).tolist() == [0] * 4
+        assert ranks_mod(np.zeros((0, 5, 3), dtype=np.int64), 7).tolist() == []
+        assert ranks_mod(np.zeros((2, 0, 4), dtype=np.int64), 7).tolist() == [0, 0]
+        assert ranks_mod(np.zeros((2, 4, 0), dtype=np.int64), 7).tolist() == [0, 0]
+
+    def test_stacked_ranks_need_a_stack(self):
+        for a in ([1, 2, 3], [[1, 2], [3, 4]], 5):
+            with pytest.raises(ValueError):
+                ranks_mod(a, 7)
 
     @given(st.integers(0, 10**6))
     def test_nullspace_annihilates(self, seed):

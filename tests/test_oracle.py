@@ -1,6 +1,8 @@
 """Random configurations, exact stabilizer ranks, certification, cross-ratio."""
 
+import hashlib
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio
+from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio, oracle, parse_instance
 from treeorbits.errors import BadRange, Degenerate, NotAPencil, NotPrime
 from treeorbits.modp import matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
@@ -46,10 +48,11 @@ class TestRandomConfig:
         t = parse_tree_dsl("1>2")
         with pytest.raises(NotPrime):
             random_config(t, p=10)
-        with pytest.raises(BadRange):
-            random_config(t, seed=-1)
-        with pytest.raises(BadRange):
-            random_config(t, trial=-2)
+        for bad in (-1, True, False, 1.5):
+            with pytest.raises(BadRange):
+                random_config(t, seed=bad)
+            with pytest.raises(BadRange):
+                random_config(t, trial=bad)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -66,6 +69,64 @@ class TestRandomConfig:
             if up != t.root:
                 stacked = np.hstack([config.bases[up], b])
                 assert rank_mod(stacked, p) == t.labels[up]
+
+
+def bases_digest(configs) -> str:
+    """sha256 of the trials' bases: trial, vertex and shape, then the int64 bytes."""
+    h = hashlib.sha256()
+    for config in configs:
+        for v in sorted(config.bases):
+            b = config.bases[v]
+            assert b.dtype == np.int64
+            h.update(f"{config.trial}:{v}:{b.shape}".encode())
+            h.update(b.tobytes())
+    return h.hexdigest()
+
+
+class TestDraws:
+    # read off the draw that checked one (trial, vertex) at a time; over F_2
+    # and F_3 many first candidates are singular, so the redraws are pinned too
+    @pytest.mark.parametrize(
+        "text,p,digest",
+        [
+            ("F(1,2;4)^3", 2, "0efb649672b37c71c783e3d7181de8b7b322821f2b111f1a4fc48e46311a4c9e"),
+            ("F(1,2;4)^3", 3, "db41b9ae29a8e8112baa186dd0efe7e3ee0ce97f0fd6f5b56a11bf19b97d3a36"),
+            (HONEST_TREE, 2, "8b312054ef97572e6f43f99b6f5334b4a835f337e691355387a6b28b0f93f24e"),
+            (HONEST_TREE, 3, "b367625dcfc9d2a829251c36077caad401f462fadc44a14a1c5bec879cdee1fa"),
+        ],
+    )
+    def test_bases_pinned(self, text, p, digest):
+        x = parse_instance(text)
+        assert bases_digest([random_config(x, p=p, trial=t) for t in range(6)]) == digest
+
+    # enough trials for two full chunks and a partial one
+    @pytest.mark.parametrize("text", ["F(1,2;4)^3", HONEST_TREE])
+    @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+    def test_certificate_ranks_the_draws_of_random_config(self, monkeypatch, text, p):
+        x = parse_instance(text)
+        ranked = []
+        rank = oracle.stabilizer_dim
+        monkeypatch.setattr(oracle, "stabilizer_dim", lambda c: ranked.append(c) or rank(c))
+        trials = 2 * oracle._TRIAL_CHUNK + 3
+        certify_density(x, p=p, trials=trials, seed=5)
+        assert [c.trial for c in ranked] == list(range(trials))
+        drawn = [random_config(x, p=p, seed=5, trial=t) for t in range(trials)]
+        assert bases_digest(ranked) == bases_digest(drawn)
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # the draws of only a fixed number of trials are held at once; with
+        # all 64 held, this peak grows threefold
+        x = parse_instance("G(4;12)^5")
+        certify_density(x, trials=1)
+        peaks = []
+        for trials in (3, 64):
+            tracemalloc.start()
+            try:
+                certify_density(x, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestStabilizerDim:
@@ -251,6 +312,13 @@ class TestChainReduction:
         with pytest.raises(BadRange, match="vertex 'd'"):
             stabilizer_dim(hand_built(TWO_CHAINS, a=[0], b=[0, 1], c=[1], d=[1, 1], e=[2]))
 
+    def test_second_chain_basis_on_too_few_coordinates_is_refused(self):
+        # span(d) is the plane spanned by e1 and e2, so chain 2 has two
+        # coordinate rows where d's label needs three
+        tree = "a:1>b:3>r:4 | c:1>d:3>r | e:1>r"
+        with pytest.raises(BadRange, match="vertex 'd'"):
+            stabilizer_dim(hand_built(tree, a=[0], b=[0, 1, 2], c=[1], d=[1, 1, 2], e=[3]))
+
     def test_missing_or_misshapen_basis_is_refused(self):
         with pytest.raises(BadRange):
             stabilizer_dim(hand_built(a=[0], b=[0, 1]))
@@ -301,8 +369,13 @@ class TestCertifyDensity:
         assert record["trials"] == 2
 
     def test_bad_trials(self):
-        with pytest.raises(BadRange):
-            certify_density(parse_tree_dsl("1>2"), trials=0)
+        x = FlagProduct(((1,),), 2)
+        for bad in (0, -1, True, False, 1.5):
+            with pytest.raises(BadRange):
+                certify_density(x, trials=bad)
+        for bad in (-1, True, False, 1.5):
+            with pytest.raises(BadRange):
+                certify_density(x, seed=bad)
 
     # F(k1,k2;n)^3 is dense exactly when k1 + k2 != n; ranks at the default arguments
     def test_dense_side_of_theorem_pinned(self):

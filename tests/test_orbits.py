@@ -390,8 +390,9 @@ class TestCaps:
             enumerate_orbits(tree, q=2)
 
     def test_bad_cap(self):
-        with pytest.raises(BadRange):
-            enumerate_orbits(parse_tree_dsl("1>2"), q=2, cap=0)
+        for cap in (0, -1, 1.5, True, False, "10"):
+            with pytest.raises(BadRange):
+                enumerate_orbits(parse_tree_dsl("1>2"), q=2, cap=cap)
 
     def test_unsupported_field(self):
         for q in (1, 6, 7):
