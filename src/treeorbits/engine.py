@@ -68,8 +68,8 @@ RULES: tuple[Rule, ...] = (
          "2 k_r <= n and 2 k_i <= k_{i+1} for 2 <= i <= r-1 force a dense orbit"),
     Rule("R7", "terminal", "one large Grassmannian among small ones",
          "sum_{i<m} k_i <= n and k_m <= n - sum_{i<m} k_i + min_{i<m} k_i force a dense orbit"),
-    Rule("R8", "terminal", "five Grassmannian factors",
-         "factors (d1,...,d4, n-d5; n) with d5 >= d4 >= ... >= d1 and d1+...+d4 <= n are dense iff d1+d2+d3+d4 != 2 d5"),
+    Rule("R8", "terminal", "five Grassmannian factors, one of codimension above the other four",
+         "factors (d1,...,d4, n-d5; n) with d5 > d4 >= ... >= d1 and d1+...+d4 <= n are dense iff d1+d2+d3+d4 != 2 d5"),
     Rule("R9", "terminal", "sparse forgetful image",
          "a surjective forgetful map sends a dense orbit onto a dense orbit"),
     Rule("as-product", "rewrite", "read chain union as a product",
@@ -217,7 +217,7 @@ def _match_r8(p: FlagProduct):
     for idx in range(5):
         d5 = n - ks[idx]
         rest = ks[:idx] + ks[idx + 1 :]
-        if d5 >= rest[-1] and sum(rest) <= n:
+        if d5 > rest[-1] and sum(rest) <= n:
             tag = f"(d1..d4) = {tuple(rest)}, d5 = {d5}"
             if sum(rest) == 2 * d5:
                 return SPARSE, f"{tag}: d1+d2+d3+d4 = 2 d5"
@@ -311,7 +311,9 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
 
     ``depth`` bounds the nesting of rule R9: each surjective single-vertex
     deletion is decided recursively with depth - 1, and depth 0 disables
-    R9 entirely.  Raises BadRange unless ``depth`` is a non-negative int.
+    R9 entirely.  Each level forgets a vertex and no rewrite adds one, so a
+    depth past (vertices - 1) changes nothing.  Raises BadRange unless
+    ``depth`` is a non-negative int.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise BadRange(f"depth must be a non-negative integer, got {depth!r}")
@@ -357,7 +359,9 @@ def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: _Trace, memo: dict
     deletion has a sparse image, its step appended to ``trace``.
 
     ``memo`` maps (image, depth) to the image's verdict for the length of one
-    top-level ``decide`` call, so an image reached twice is decided once.
+    top-level ``decide`` call, so an image reached twice is decided once; a
+    product image is keyed by its sorted factors, whatever its vertex names.
+    A hit is read only for its status: a sparse verdict ends every R9 above it.
     """
     for v in sorted(tree.labels):
         if v == tree.root:
@@ -365,7 +369,8 @@ def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: _Trace, memo: dict
         image, surjective = forget_vertex(tree, v)
         if not surjective:
             continue
-        key = (image, depth - 1)
+        p = as_flag_product(image)
+        key = (image if p is None else _sorted(p), depth - 1)
         sub = memo.get(key)
         if sub is None:
             sub = memo[key] = _decide(image, depth - 1, memo)

@@ -20,7 +20,7 @@ elimination, one Python iteration per column for the stack, as batched
 BLAS does for many small problems (Dongarra et al., Procedia CS 108,
 2017).  Its update ``pivot * row - entry * pivot_row`` of residues stays
 in (-p^2, p^2), inside int64, with one reduction.  The certificate uses it
-where it meets many tiny matrices: the drawn factors and the flag checks.
+on many tiny matrices: the drawn factors, and both chains' flag blocks.
 Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
 matrix at a time is about 11x slower on such stacks: 18 matrices of
 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms against

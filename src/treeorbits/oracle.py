@@ -15,13 +15,11 @@ C_v span the left annihilator of B_v.  The system rank equals the
 dimension of the orbit through the point, so rank = dim of the variety
 certifies a dense orbit (one witness suffices); anything less is
 inconclusive, never a sparseness verdict.  The system is ranked after
-moving two chains' flags to coordinate flags: the first to the standard
-flag, the second, under another root child, to a flag spanned by basis
-vectors, by row operations inside the first flag's parabolic P1 (every
-P1-orbit of flags, a double coset P1 w P2, holds a coordinate flag,
-over every field).  Every stabilizing matrix then lies in the
-intersection of the two coordinate parabolic subalgebras, a set of
-allowed entries, and
+one elimination moves two chains' flags to coordinate flags, the second
+by row operations inside the first flag's parabolic P1 (Bruhat: every
+P1-orbit of flags, a double coset P1 w P2, holds a coordinate flag, over
+every field).  Every stabilizing matrix then lies in the intersection of
+the two coordinate parabolic subalgebras, a set of allowed entries, and
 
     system_rank = rank(conditions of the vertices on neither chain, on the
                   allowed entries) + n^2 - (number of allowed entries),
@@ -158,19 +156,19 @@ def _flag_weight(big: int, d: int) -> int:
     return 2 ** (d * (big - d))
 
 
-def _refuse_non_flag(blocks: dict[str, np.ndarray], position: np.ndarray, p: int) -> None:
+def _refuse_non_flag(blocks: dict[str, tuple[np.ndarray, np.ndarray]], p: int) -> None:
     """Raise BadRange at the first chain vertex whose block is not its coordinate subspace.
 
-    ``blocks`` maps a chain's vertices, in chain order, to their bases in
-    the adapted coordinates.  The block of a vertex of label d must vanish
-    outside the rows i with position[i] < d and be invertible on them.
-    The square blocks are ranked in one identity-padded stack; a block
-    with fewer such rows than d is refused without being stacked.
+    ``blocks`` maps chain vertices, in checking order, to their moved bases
+    and their chain's ``position``.  The block of a vertex of label d must
+    vanish outside the rows i with position[i] < d and be invertible on
+    them.  The square blocks are ranked in one identity-padded stack; a
+    block with fewer such rows than d is refused without being stacked.
     """
-    size = max((m.shape[1] for m in blocks.values()), default=0)
+    size = max((m.shape[1] for m, _ in blocks.values()), default=0)
     stack = np.zeros((len(blocks), size, size), dtype=np.int64)
     bad = []
-    for s, m in enumerate(blocks.values()):
+    for s, (m, position) in enumerate(blocks.values()):
         d = m.shape[1]
         held = position < d
         short = np.count_nonzero(held) < d
@@ -186,30 +184,23 @@ def _refuse_non_flag(blocks: dict[str, np.ndarray], position: np.ndarray, p: int
 def stabilizer_dim(config: Configuration) -> StabReport:
     """Rank of the stabilizer system at the configuration; rank = dim certifies density.
 
-    Two chains are moved to coordinate flags.  Chain 1 runs from a root
-    child down to a leaf and has the flag variety of the largest
-    dimension; chain 2 is picked the same way under the other root
-    children (empty when the root has one child).  The columns of
-    [B_leaf | ... | B_top | I_n] at the pivots of its reduced form, chain
-    1's bases leaf first, are an adapted basis g whose first phi(v)
-    columns span the subspace of each chain-1 vertex v.  Row operations h
-    inside chain 1's parabolic P1 then bring chain 2 to a coordinate flag:
-    its columns are taken leaf first, the rows that are already pivots are
-    zeroed (a column operation inside chain 2's flag), and the first
-    nonzero row of the deepest chain-1 level clears the others, each of
-    an equal or shallower level.  X stabilizes the configuration exactly
-    when Y = (hg)^-1 X (hg) stabilizes the moved one, so Y keeps both
-    flags: Y[i, j] may be nonzero only when level1(i) <= level1(j) and
-    level2(i) <= level2(j), where a chain's level of i counts its
-    subspaces that do not hold e_i.  Only the vertices on neither chain
-    give conditions, on those allowed entries of Y, and
-
-        system_rank = rank(those conditions) + n^2 - (number of allowed entries),
-
-    exactly over every prime, because hg conjugates the stabilizer
-    algebras isomorphically.  With one chain the last term is the
-    dimension of its flag variety.  Raises BadRange when a basis has the
-    wrong shape or a chain's bases are not a flag.
+    Chain 1 runs from a root child down to a leaf and has the flag variety
+    of the largest dimension; chain 2 is picked the same way under the
+    other root children (empty when the root has one child).  Row
+    operations h on the stacked bases move both to coordinate flags, each
+    chain's columns leaf first: the rows already its pivots are zeroed (a
+    column operation inside its flag), and a nonzero row of the deepest
+    level under the previous chain (for chain 1, the first nonzero row)
+    clears the others, each of an equal or shallower level, so h keeps
+    that chain's coordinate flag.  A chain's subspace of label d is then
+    spanned by e_i for its first d pivots i, and its level of i counts its
+    subspaces that do not hold e_i.  Y = h X h^-1 stabilizes the moved
+    configuration exactly when X stabilizes this one, so Y[i, j] may be
+    nonzero only when level(i) <= level(j) for each chain.  Only the
+    vertices on neither chain give conditions, on those allowed entries,
+    and the system rank is their rank plus the number of entries left
+    out.  Raises BadRange when a basis has the wrong shape or a chain's
+    bases are not a flag, naming chain 1's vertices first.
     """
     tree, p = config.tree, config.p
     n = tree.ambient
@@ -222,45 +213,42 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     second, _ = heaviest_chain(
         tree, _flag_weight, [c for c in tree.children[tree.root] if c not in chain]
     )
-    chain.reverse()
-    second.reverse()
+    chains = (chain[::-1], second[::-1])
     rest = sorted(v for v in config.bases if v not in chain and v not in second)
-    flag1 = [tree.labels[v] for v in chain]
-    flag2 = [tree.labels[v] for v in second]
-    # the row operations of the reduction are g^-1, so each block of the
-    # reduced form is its basis in the adapted coordinates; nothing right
-    # of I_n is a pivot.  The blocks are views, so they see h below.
-    widths = flag1 + [n] + flag2 + [tree.labels[v] for v in rest]
-    stacked = np.hstack([config.bases[v] for v in chain] + [np.eye(n, dtype=np.int64)]
-                        + [config.bases[v] for v in second + rest])
-    red = rref_mod(stacked, p)[0]
-    blocks = np.hsplit(red, np.cumsum(widths)[:-1])
-    _refuse_non_flag(dict(zip(chain, blocks)), np.arange(n), p)
-    level1 = np.searchsorted(flag1, np.arange(n), side="right")
-    # h acts on the blocks right of I_n; earlier columns of chain 2 are
-    # zero on a new pivot row, so only the later columns change
-    moved = red[:, sum(flag1) + n :]
-    pivots: list[int] = []
-    for c in range(sum(flag2)):
-        col = moved[:, c].copy()
-        col[pivots] = 0
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        r = nz[np.argmax(level1[nz])]
-        nz = nz[nz != r]
-        f = col[nz] * pow(int(col[r]), -1, p) % p
-        moved[nz, c:] = (moved[nz, c:] - f[:, None] * moved[r, c:]) % p
-        pivots.append(r)
-    # chain 2's subspace of label d is spanned by e_i for its first d pivots i
-    position = np.full(n, n)
-    position[pivots] = np.arange(len(pivots))
-    _refuse_non_flag(dict(zip(second, blocks[len(chain) + 1 :])), position, p)
-    level2 = np.searchsorted(flag2, position, side="right")
+    order = chains[0] + chains[1] + rest
+    moved = np.array(np.hstack([np.zeros((n, 0), dtype=np.int64)]
+                               + [config.bases[v] for v in order]), dtype=np.int64) % p
+    # views, so they see the row operations
+    blocks = dict(zip(order, np.hsplit(moved, np.cumsum([tree.labels[v] for v in order])[:-1])))
+    level = np.zeros(n, dtype=np.intp)
+    allowed = np.ones((n, n), dtype=bool)
+    flags = {}
+    for links in chains:
+        pivots: list[int] = []
+        for v in links:
+            for col in blocks[v].T:
+                col = col.copy()
+                col[pivots] = 0
+                nz = np.flatnonzero(col)
+                if nz.size == 0:
+                    continue
+                r = nz[np.argmax(level[nz])]
+                nz = nz[nz != r]
+                f = col[nz] * pow(int(col[r]), -1, p) % p
+                # whole rows: this keeps an earlier chain's coordinate flag,
+                # so its blocks still pass the check exactly when they are one
+                moved[nz] = (moved[nz] - f[:, None] * moved[r]) % p
+                pivots.append(r)
+        position = np.full(n, n)
+        position[pivots] = np.arange(len(pivots))
+        flags.update((v, (blocks[v], position)) for v in links)
+        level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
+        allowed &= level[:, None] <= level[None, :]
+    _refuse_non_flag(flags, p)
     # entries (i[k], j[k]) of Y that both coordinate flags allow
-    i, j = np.nonzero((level1[:, None] <= level1[None, :]) & (level2[:, None] <= level2[None, :]))
+    i, j = np.nonzero(allowed)
     conditions = []
-    for m in blocks[len(chain) + len(second) + 1 :]:
+    for m in map(blocks.get, rest):
         c = left_annihilator(m, p)
         # condition C Y M = 0: coefficient of Y[i,j] in row (a,b) is C[a,i] M[j,b]
         conditions.append((c[:, None, i] * m.T[None, :, j]).reshape(-1, i.size) % p)

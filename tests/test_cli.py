@@ -20,8 +20,8 @@ from treeorbits.oracle import DEFAULT_PRIME
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 # ROADMAP item 1: R9 reaches G(1;7)^3*G(3;7)*G(4;7) from here, which the
-# certificate proves dense; with sorted factors R8 calls that image Dense
-# rather than Sparse, so the tree is Unknown, no longer the wrong Sparse
+# certificate proves dense; R8 no longer matches that image, so the tree is
+# Unknown, no longer the wrong Sparse
 R8_TREE = "v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7"
 
 

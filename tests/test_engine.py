@@ -15,6 +15,7 @@ from treeorbits import (
     UNKNOWN,
     FlagProduct,
     LabeledTree,
+    certify_density,
     decide,
     dualize,
     engine,
@@ -364,3 +365,58 @@ class TestR9Memo:
         monkeypatch.undo()
         _, second = self.counted_decide(monkeypatch, x, 3)
         assert first == second > 1
+
+    def test_images_equal_up_to_names_are_decided_once(self, monkeypatch):
+        # the five deletions give two products: G(1;6)^2*G(3;6)^2 and G(1;6)^3*G(3;6)
+        v, calls = self.counted_decide(monkeypatch, parse_product("G(1;6)^3*G(3;6)^2"), 1)
+        assert v.status == UNKNOWN
+        assert calls == 3
+
+    def test_huge_depth_needs_no_guard(self, monkeypatch):
+        # R9 nests at most (vertices - 1) deep, so a larger depth costs no more
+        x = parse_tree_dsl(self.TREE)
+        huge, calls = self.counted_decide(monkeypatch, x, 10**9)
+        monkeypatch.undo()
+        bounded, bounded_calls = self.counted_decide(monkeypatch, x, len(x.labels) - 1)
+        assert huge.to_json_dict() == bounded.to_json_dict()
+        assert calls == bounded_calls
+
+    def test_depth_past_the_vertex_count_changes_nothing(self):
+        # each R9 level forgets a vertex and no rewrite adds one; some of
+        # these trees need depth 2 or more (nine, three of them depth 5)
+        deep = 0
+        for seed in range(150):
+            t = random_tree(random.Random(seed), max_vertices=12, max_label=14)
+            record = decide(t, depth=10**9).to_json_dict()
+            assert decide(t, depth=len(t.labels) - 1).to_json_dict() == record, seed
+            deep += decide(t, depth=1).to_json_dict() != record
+        assert deep > 0
+
+
+def five_grassmannians(ks, n):
+    return FlagProduct(tuple((k,) for k in ks), n)
+
+
+class TestFiveGrassmannians:
+    # the certificate proves these dense; R8 took d5 equal to the largest of
+    # d1..d4 and called them Sparse
+    @pytest.mark.parametrize("ks,n", [
+        ((1, 1, 1, 3, 3), 6), ((3, 3, 5, 5, 5), 6), ((1, 1, 2, 4, 4), 8), ((4, 4, 6, 7, 7), 8),
+    ])
+    def test_dense_certified_products_are_never_sparse(self, ks, n):
+        for order in set(permutations(ks)):
+            assert decide(five_grassmannians(order, n)).status not in SPARSE_CLASS, order
+        assert certify_density(five_grassmannians(ks, n)).certified_dense
+
+    def test_every_multiset_agrees_with_the_certificate(self):
+        # every distinct factor order up to n = 7, sorted and reversed at n = 8
+        for n in range(2, 9):
+            for ks in combinations_with_replacement(range(1, n), 5):
+                orders = set(permutations(ks)) if n <= 7 else {ks, ks[::-1]}
+                statuses = {decide(five_grassmannians(order, n)).status for order in orders}
+                assert len(statuses) == 1, (ks, n, statuses)
+                status = statuses.pop()
+                if status == UNKNOWN:
+                    continue
+                report = certify_density(five_grassmannians(ks, n), trials=2)
+                assert report.certified_dense == (status == DENSE), (ks, n, status, report.ranks)

@@ -244,8 +244,8 @@ def small_products(factors):
 
 
 class TestChainReduction:
-    # stabilizer_dim ranks the system on the parabolic of one chain's flag;
-    # the full n^2-column system is the reference
+    # stabilizer_dim ranks the system on the entries that keep two chains'
+    # coordinate flags; the full n^2-column system is the reference
 
     @pytest.mark.parametrize("p", [2, DEFAULT_PRIME])
     def test_two_step_triples_match_the_full_system(self, p):
@@ -269,8 +269,8 @@ class TestChainReduction:
             stabilizer_dim(hand_built(a=[0], b=[1, 2], c=[1]))
 
     def test_rank_deficient_chain_basis_is_refused(self):
-        # span(b) is the line e1: it lies in span(e0, e1), the first two
-        # adapted basis vectors, but it is not a plane
+        # span(b) is the line e1: it lies in span(e0, e1), the rows of the
+        # chain's first two pivots, but it is not a plane
         with pytest.raises(BadRange):
             stabilizer_dim(hand_built(a=[0], b=[1, 1], c=[1]))
 
@@ -306,6 +306,11 @@ class TestChainReduction:
     def test_non_nested_second_chain_is_refused(self):
         with pytest.raises(BadRange, match="vertex 'd'"):
             stabilizer_dim(hand_built(TWO_CHAINS, a=[0], b=[0, 1], c=[2], d=[1, 3], e=[2]))
+
+    def test_chain_1_is_refused_first(self):
+        # both chains are non-nested; chain 1's vertices are checked first
+        with pytest.raises(BadRange, match="vertex 'b'"):
+            stabilizer_dim(hand_built(TWO_CHAINS, a=[0], b=[1, 2], c=[2], d=[1, 3], e=[2]))
 
     def test_rank_deficient_second_chain_basis_is_refused(self):
         # span(d) is the line e1, which holds span(c) but is not a plane
