@@ -19,17 +19,24 @@ b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
 elimination, one Python iteration per column for the stack, as batched
 BLAS does for many small problems (Dongarra et al., Procedia CS 108,
 2017).  Its update ``pivot * row - entry * pivot_row`` of residues stays
-in (-p^2, p^2), inside int64, with one reduction.  The certificate uses it
-on many tiny matrices: the drawn factors, and both chains' flag blocks.
+in (-p^2, p^2), inside int64, with one reduction.  That column loop,
+``_eliminate``, is the one stacked kernel: ``_left_annihilators`` runs it
+on [M | I_n] and reads each left kernel off the rows that never pivot.
 Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
-matrix at a time is about 11x slower on such stacks: 18 matrices of
-10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms against
-0.09 ms.  ``rank_mod`` stays for the one stabilizer system per draw,
-because on a stack of one its panels win from about 50 x 50 up: 67 x 50
-takes 1.7 ms against 2.0 ms, 162 x 76 4.3 ms against 6.5 ms, and
-225 x 250 29 ms against 77 ms.  Over one draw of each F(k1,k2;n)^3 with
-4 <= n <= 10, five larger products and G(5;20)^5 (125 systems) it took
-115 ms against 179 ms.
+matrix at a time is about 11x slower on stacks of tiny matrices: 18
+matrices of 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms
+against 0.09 ms.
+
+The certificate ranks a chunk of trials (``oracle._TRIAL_CHUNK``) with
+the stacked kernel throughout: the drawn factors, both chains' flag
+blocks, the annihilators of every vertex on neither chain, and the
+stabilizer systems whose short side is at most 50.  Above that
+``rank_mod``'s panels win, one system at a time.  Measured on the same
+host over a chunk of 3 draws (best of 5): a 50 x 67 system takes 2.9 ms
+stacked against 3.2 ms one at a time, 54 x 70 3.5 ms against 3.2 ms,
+76 x 96 10.1 ms against 6.8 ms, and 225 x 250 169 ms against 72 ms;
+over a chunk of 8 the crossover is the same, 7.5 against 8.2 ms at
+50 x 67 and 8.8 against 8.1 ms at 54 x 70.
 """
 
 from __future__ import annotations
@@ -150,22 +157,18 @@ def rank_mod(a, p: int) -> int:
     return r
 
 
-def ranks_mod(stack, p: int) -> np.ndarray:
-    """Rank mod p of each matrix of a (count, m, k) stack, by one forward elimination.
+def _eliminate(a: np.ndarray, p: int, cols: int) -> np.ndarray:
+    """Forward-eliminate the first ``cols`` columns of each matrix of a residue stack, in place.
 
     Each matrix takes its own pivot in every column, the first row with a
     nonzero entry there, and every row becomes pivot * row - entry *
-    pivot row.  That needs no inverse, and it zeroes the pivot row right
-    of the column, which retires it without a swap: a zero row is never a
-    pivot again.  A matrix whose column is zero is left unchanged.
+    pivot row right of the column.  That needs no inverse, and it zeroes
+    the pivot row right of the column, which retires it without a swap: a
+    zero row is never a pivot again.  A matrix whose column is zero is
+    left unchanged.  The columns right of ``cols`` take the same row
+    operations.  Returns the number of pivots of each matrix.
     """
-    a = np.asarray(stack, dtype=np.int64)
-    if a.ndim != 3:
-        raise ValueError("expected a stack of matrices")
-    if a.shape[1] < a.shape[2]:
-        a = a.transpose(0, 2, 1)
-    a = np.ascontiguousarray(a % p)
-    count, _, cols = a.shape
+    count = a.shape[0]
     at = np.arange(count)
     ranks = np.zeros(count, dtype=np.intp)
     for c in range(cols):
@@ -178,6 +181,44 @@ def ranks_mod(stack, p: int) -> np.ndarray:
         rest = a[:, :, c + 1 :]
         rest[:] = (pivot[:, None, None] * rest - col[:, :, None] * a[at, r, None, c + 1 :]) % p
     return ranks
+
+
+def ranks_mod(stack, p: int) -> np.ndarray:
+    """Rank mod p of each matrix of a (count, m, k) stack, by one forward elimination.
+
+    The shorter side of the matrices is put in the columns and eliminated
+    by ``_eliminate``.
+    """
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    if a.shape[1] < a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a % p)
+    return _eliminate(a, p, a.shape[2])
+
+
+def _left_annihilators(stack, p: int) -> np.ndarray:
+    """Rows spanning {c : c M = 0 mod p} for each M of a (count, n, k) stack.
+
+    ``_eliminate`` runs on [M | I_n] over M's columns.  A row that never
+    pivots ends with a zero M part, and its I_n part records the
+    combination of M's rows that it became; a pivot row ends all zero.
+    The n - rank(M) rows that never pivot stay independent, because each
+    step adds to them a multiple of the retiring pivot row and scales them
+    by a nonzero pivot, so their I_n parts span the left kernel.  They
+    are moved to the top in row order, zero-padded to the stack's largest
+    kernel dimension: a (count, q, n) stack.
+    """
+    m = np.asarray(stack, dtype=np.int64) % p
+    count, n, k = m.shape
+    a = np.concatenate([m, np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))], axis=2)
+    _eliminate(a, p, k)
+    kernel = a[:, :, k:]
+    held = kernel.any(axis=2)
+    q = int(held.sum(axis=1).max(initial=0))
+    rows = np.argsort(~held, axis=1, kind="stable")[:, :q]
+    return np.take_along_axis(kernel, rows[:, :, None], axis=1)
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:

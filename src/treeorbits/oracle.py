@@ -6,7 +6,13 @@ so results are reproducible and independent of evaluation order.
 ``certify_density`` draws its trials together, a fixed number at a time:
 the factors of all of them are rank-checked in one stacked elimination,
 and because every stream is keyed, this gives the same configurations as
-drawing one trial at a time with ``random_config``.
+drawing one trial at a time with ``random_config``.  It then ranks each
+chunk's stabilizer systems in one pipeline over the stacked bases
+(``_system_ranks``): one pick of the chains, one chain elimination with
+a Python iteration per column for all trials, one stacked flag check,
+one stacked elimination for every annihilator, and one stacked rank of
+the systems unless they are large.  ``stabilizer_dim`` is that pipeline
+on a chunk of one.
 
 ``stabilizer_dim`` computes the exact rank of the linear system cutting
 out the Lie stabilizer of a configuration: for each non-root vertex v
@@ -39,7 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRange, Degenerate, NotAPencil
-from .modp import check_prime, left_annihilator, matmul_mod, rank_mod, ranks_mod, rref_mod, solve_mod
+from .modp import (
+    _left_annihilators,
+    check_prime,
+    left_annihilator,
+    matmul_mod,
+    rank_mod,
+    ranks_mod,
+    rref_mod,
+    solve_mod,
+)
 from .products import as_tree
 from .trees import LabeledTree, dimension, heaviest_chain
 
@@ -75,20 +90,24 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     trials together, and because every stream is keyed by (seed, trial,
     vertex) its configurations equal these, trial by trial.
     """
-    return _draw(as_tree(x), p, seed, trial, 1)[0]
+    tree = as_tree(x)
+    bases = _draw(tree, p, seed, trial, 1)
+    return Configuration(tree, p, seed, trial, {v: b[0] for v, b in bases.items()})
 
 
 # trials drawn and held at once, so memory does not grow with ``trials``
 _TRIAL_CHUNK = 8
 
 
-def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> list[Configuration]:
-    """The configurations of trials first, ..., first + count - 1, drawn together.
+def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[str, np.ndarray]:
+    """The bases of trials first, ..., first + count - 1, drawn together.
 
-    The first candidate of every (trial, vertex) is checked in one
-    zero-padded stack of ``ranks_mod``, then only the failures are redrawn
-    from their own streams and checked again; each vertex is lifted for
-    all trials by one stacked ``matmul_mod``.
+    Returns each non-root vertex's bases stacked over the trials, a
+    (count, n, phi(v)) array.  The first candidate of every (trial,
+    vertex) is checked in one zero-padded stack of ``ranks_mod``, then
+    only the failures are redrawn from their own streams and checked
+    again; each vertex is lifted for all trials by one stacked
+    ``matmul_mod``.
     """
     for name, value in (("seed", seed), ("trial", first)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -121,8 +140,7 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> list[
         factors = np.stack([drawn[t, v] for t in trials])
         up = tree.parent[v]
         bases[v] = factors if up == tree.root else matmul_mod(bases[up], factors, p)
-    return [Configuration(tree, p, seed, t, {v: bases[v][i] for v in order})
-            for i, t in enumerate(trials)]
+    return bases
 
 
 @dataclass(frozen=True)
@@ -160,29 +178,143 @@ def _refuse_non_flag(blocks: dict[str, tuple[np.ndarray, np.ndarray]], p: int) -
     """Raise BadRange at the first chain vertex whose block is not its coordinate subspace.
 
     ``blocks`` maps chain vertices, in checking order, to their moved bases
-    and their chain's ``position``.  The block of a vertex of label d must
-    vanish outside the rows i with position[i] < d and be invertible on
-    them.  The square blocks are ranked in one identity-padded stack; a
-    block with fewer such rows than d is refused without being stacked.
+    over a run of trials, (T, n, d), and their chain's ``position``, (T, n).
+    The block of a vertex of label d must vanish outside the rows i with
+    position[i] < d and be invertible on them.  The square blocks of all
+    trials are ranked in one identity-padded stack; a block with fewer
+    such rows than d is refused whatever its rank.  The first trial with a
+    refused block names its first one.
     """
-    size = max((m.shape[1] for m, _ in blocks.values()), default=0)
-    stack = np.zeros((len(blocks), size, size), dtype=np.int64)
-    bad = []
+    if not blocks:
+        return
+    count = len(next(iter(blocks.values()))[1])
+    size = max(m.shape[2] for m, _ in blocks.values())
+    stack = np.zeros((count, len(blocks), size, size), dtype=np.int64)
+    bad = np.zeros((count, len(blocks)), dtype=bool)
     for s, (m, position) in enumerate(blocks.values()):
-        d = m.shape[1]
+        d = m.shape[2]
         held = position < d
-        short = np.count_nonzero(held) < d
-        if not short:
-            stack[s, :d, :d] = m[held]
-        stack[s, range(d, size), range(d, size)] = 1
-        bad.append(short or m[~held].any())
-    for v, b, r in zip(blocks, bad, ranks_mod(stack, p)):
-        if b or r < size:
-            raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+        # the rows of positions 0, ..., d - 1, in position order
+        rows = np.argsort(position, axis=1, kind="stable")[:, :d]
+        stack[:, s, :d, :d] = np.take_along_axis(m, rows[:, :, None], axis=1)
+        stack[:, s, range(d, size), range(d, size)] = 1
+        bad[:, s] = (held.sum(axis=1) < d) | (m * ~held[:, :, None]).any(axis=(1, 2))
+    bad |= ranks_mod(stack.reshape(-1, size, size), p).reshape(bad.shape) < size
+    if bad.any():
+        v = list(blocks)[np.argwhere(bad)[0, 1]]
+        raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
+
+
+def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np.ndarray,
+                p: int) -> np.ndarray:
+    """The stabilizer systems of a run of trials on their allowed entries.
+
+    ``blocks`` and ``kernels`` hold, per vertex on neither chain, its moved
+    bases M, (T, n, k), and its left annihilators C, (T, q, n).  The
+    condition C Y M = 0 gives row (a, b) the coefficient C[a, i] M[j, b]
+    of Y[i, j].  Each trial's allowed entries (``allowed``, (T, n, n)) are
+    compressed into the first columns, in row-major order, and the columns
+    are zero-padded to the run's largest count: a (T, rows, entries) stack.
+    """
+    count, n, _ = allowed.shape
+    flat = allowed.reshape(count, n * n)
+    width = int(flat.sum(axis=1).max())
+    entries = np.argsort(~flat, axis=1, kind="stable")[:, :width]
+    keep = np.take_along_axis(flat, entries, axis=1)
+    i, j = np.divmod(entries, n)
+    sizes = [c.shape[1] * m.shape[2] for m, c in zip(blocks, kernels)]
+    system = np.empty((count, sum(sizes), width), dtype=np.int64)
+    top = 0
+    for m, c, size in zip(blocks, kernels, sizes):
+        ci = np.take_along_axis(c, i[:, None, :], axis=2) * keep[:, None, :]
+        mj = np.take_along_axis(m.transpose(0, 2, 1), j[:, None, :], axis=2)
+        system[:, top : top + size] = (ci[:, :, None, :] * mj[:, None, :, :]).reshape(count, size, width)
+        top += size
+    system %= p
+    return system
+
+
+# the largest short side of a chunk's systems that are ranked in one
+# ``ranks_mod`` stack; above it ``rank_mod``'s panels win, one system at a time
+_STACKED_SIDE = 50
+
+
+def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) -> np.ndarray:
+    """The stabilizer system ranks of ``count`` trials, from their stacked bases.
+
+    ``bases`` maps each non-root vertex to its bases over the trials, a
+    (count, n, phi(v)) array.  Both chains are picked once; their
+    elimination, the flag check, the annihilators and the systems then
+    run over all trials together (see ``stabilizer_dim``).
+    """
+    n = tree.ambient
+    chain, _ = heaviest_chain(tree, _flag_weight)
+    second, _ = heaviest_chain(
+        tree, _flag_weight, [c for c in tree.children[tree.root] if c not in chain]
+    )
+    chains = (chain[::-1], second[::-1])
+    rest = sorted(v for v in bases if v not in chain and v not in second)
+    order = chains[0] + chains[1] + rest
+    moved = np.asarray(np.concatenate([np.zeros((count, n, 0), dtype=np.int64)]
+                                      + [bases[v] for v in order], axis=2), dtype=np.int64) % p
+    starts = dict(zip(order, np.cumsum([0] + [tree.labels[v] for v in order]).tolist()))
+    # views, so they see the row operations
+    blocks = {v: moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in order}
+    at = np.arange(count)
+    level = np.zeros((count, n), dtype=np.intp)
+    allowed = np.ones((count, n, n), dtype=bool)
+    flags = {}
+    for links in chains:
+        position = np.full((count, n), n)
+        taken = np.zeros(count, dtype=np.intp)
+        for c in (starts[v] + k for v in links for k in range(tree.labels[v])):
+            col = np.where(position < n, 0, moved[:, :, c])
+            r = np.where(col != 0, level, -1).argmax(axis=1)
+            pivot = col[at, r].tolist()
+            f = col * np.array([pow(x, -1, p) if x else 0 for x in pivot])[:, None] % p
+            f[at, r] = 0
+            # whole rows: this keeps an earlier chain's coordinate flag,
+            # so its blocks still pass the check exactly when they are one
+            moved -= f[:, :, None] * moved[at, r, None, :]
+            moved %= p
+            found = np.flatnonzero(pivot)
+            position[found, r[found]] = taken[found]
+            taken[found] += 1
+        flags.update((v, (blocks[v], position)) for v in links)
+        level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
+        allowed &= level[:, :, None] <= level[:, None, :]
+    _refuse_non_flag(flags, p)
+    kernels = []
+    if rest:
+        stack = np.zeros((len(rest), count, n, max(tree.labels[v] for v in rest)), dtype=np.int64)
+        for s, v in enumerate(rest):
+            stack[s, :, :, : tree.labels[v]] = blocks[v]
+        all_kernels = _left_annihilators(stack.reshape(-1, n, stack.shape[3]), p)
+        for c in all_kernels.reshape(len(rest), count, all_kernels.shape[1], n):
+            # each vertex keeps as many rows as its largest kernel
+            kernels.append(c[:, : c.any(axis=2).sum(axis=1).max()])
+    off = [blocks[v] for v in rest]
+    entries = allowed.sum(axis=(1, 2))
+    rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
+    if min(rows, entries.max()) <= _STACKED_SIDE:
+        ranks = ranks_mod(_conditions(off, kernels, allowed, p), p)
+    else:
+        ranks = np.array([
+            rank_mod(_conditions([m[t : t + 1] for m in off], [c[t : t + 1] for c in kernels],
+                                 allowed[t : t + 1], p)[0], p)
+            for t in range(count)
+        ])
+    ranks = ranks + n * n - entries
+    assert (ranks <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
+    return ranks
 
 
 def stabilizer_dim(config: Configuration) -> StabReport:
     """Rank of the stabilizer system at the configuration; rank = dim certifies density.
+
+    This is the certificate's ranking of a ``_draw`` chunk, run on a chunk
+    of one.  Over a chunk every step below is one stacked computation over
+    the trials, with one Python iteration per column, not per trial.
 
     Chain 1 runs from a root child down to a leaf and has the flag variety
     of the largest dimension; chain 2 is picked the same way under the
@@ -192,15 +324,20 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     column operation inside its flag), and a nonzero row of the deepest
     level under the previous chain (for chain 1, the first nonzero row)
     clears the others, each of an equal or shallower level, so h keeps
-    that chain's coordinate flag.  A chain's subspace of label d is then
-    spanned by e_i for its first d pivots i, and its level of i counts its
-    subspaces that do not hold e_i.  Y = h X h^-1 stabilizes the moved
-    configuration exactly when X stabilizes this one, so Y[i, j] may be
-    nonzero only when level(i) <= level(j) for each chain.  Only the
-    vertices on neither chain give conditions, on those allowed entries,
-    and the system rank is their rank plus the number of entries left
-    out.  Raises BadRange when a basis has the wrong shape or a chain's
-    bases are not a flag, naming chain 1's vertices first.
+    that chain's coordinate flag.  A trial whose column is zero skips it.
+    A chain's subspace of label d is then spanned by e_i for its first d
+    pivots i, and its level of i counts its subspaces that do not hold
+    e_i.  Y = h X h^-1 stabilizes the moved configuration exactly when X
+    stabilizes this one, so Y[i, j] may be nonzero only when level(i) <=
+    level(j) for each chain.  The chains' flag blocks are checked in one
+    ``ranks_mod`` stack.  Only the vertices on neither chain give
+    conditions, from their left annihilators, which one stacked
+    elimination of [M | I_n] finds for all of them; the system rank is
+    the conditions' rank on the allowed entries plus the number of entries
+    left out.  Systems whose short side is at most ``_STACKED_SIDE`` are
+    ranked in one ``ranks_mod`` stack, larger ones one at a time by
+    ``rank_mod``.  Raises BadRange when a basis has the wrong shape or a
+    chain's bases are not a flag, naming chain 1's vertices first.
     """
     tree, p = config.tree, config.p
     n = tree.ambient
@@ -209,53 +346,8 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     for v, b in config.bases.items():
         if np.shape(b) != (n, tree.labels[v]):
             raise BadRange(f"the basis of {v!r} must be {n} x {tree.labels[v]}, got {np.shape(b)}")
-    chain, _ = heaviest_chain(tree, _flag_weight)
-    second, _ = heaviest_chain(
-        tree, _flag_weight, [c for c in tree.children[tree.root] if c not in chain]
-    )
-    chains = (chain[::-1], second[::-1])
-    rest = sorted(v for v in config.bases if v not in chain and v not in second)
-    order = chains[0] + chains[1] + rest
-    moved = np.array(np.hstack([np.zeros((n, 0), dtype=np.int64)]
-                               + [config.bases[v] for v in order]), dtype=np.int64) % p
-    # views, so they see the row operations
-    blocks = dict(zip(order, np.hsplit(moved, np.cumsum([tree.labels[v] for v in order])[:-1])))
-    level = np.zeros(n, dtype=np.intp)
-    allowed = np.ones((n, n), dtype=bool)
-    flags = {}
-    for links in chains:
-        pivots: list[int] = []
-        for v in links:
-            for col in blocks[v].T:
-                col = col.copy()
-                col[pivots] = 0
-                nz = np.flatnonzero(col)
-                if nz.size == 0:
-                    continue
-                r = nz[np.argmax(level[nz])]
-                nz = nz[nz != r]
-                f = col[nz] * pow(int(col[r]), -1, p) % p
-                # whole rows: this keeps an earlier chain's coordinate flag,
-                # so its blocks still pass the check exactly when they are one
-                moved[nz] = (moved[nz] - f[:, None] * moved[r]) % p
-                pivots.append(r)
-        position = np.full(n, n)
-        position[pivots] = np.arange(len(pivots))
-        flags.update((v, (blocks[v], position)) for v in links)
-        level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
-        allowed &= level[:, None] <= level[None, :]
-    _refuse_non_flag(flags, p)
-    # entries (i[k], j[k]) of Y that both coordinate flags allow
-    i, j = np.nonzero(allowed)
-    conditions = []
-    for m in map(blocks.get, rest):
-        c = left_annihilator(m, p)
-        # condition C Y M = 0: coefficient of Y[i,j] in row (a,b) is C[a,i] M[j,b]
-        conditions.append((c[:, None, i] * m.T[None, :, j]).reshape(-1, i.size) % p)
-    system = np.vstack(conditions) if conditions else np.zeros((0, i.size), dtype=np.int64)
-    rank = rank_mod(system, p) + n * n - i.size
+    rank = int(_system_ranks(tree, p, {v: np.asarray(b)[None] for v, b in config.bases.items()}, 1)[0])
     dim = dimension(tree)
-    assert rank <= dim, "orbit tangent space cannot exceed the variety dimension"
     lie = n * n - rank
     return StabReport(
         p=p,
@@ -303,19 +395,17 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise BadRange(f"trials must be a positive integer, got {trials!r}")
     tree = as_tree(x)
-    ranks = []
-    certified = False
+    dim = dimension(tree)
+    ranks: list[int] = []
     for first in range(0, trials, _TRIAL_CHUNK):
-        for config in _draw(tree, p, seed, first, min(_TRIAL_CHUNK, trials - first)):
-            report = stabilizer_dim(config)
-            ranks.append(report.system_rank)
-            if report.certified_dense:
-                certified = True
+        count = min(_TRIAL_CHUNK, trials - first)
+        ranks += _system_ranks(tree, p, _draw(tree, p, seed, first, count), count).tolist()
+    certified = dim in ranks
     return CertifyReport(
         p=p,
         trials=trials,
         seed=seed,
-        variety_dim=dimension(tree),
+        variety_dim=dim,
         ranks=tuple(ranks),
         certified_dense=certified,
         status="DenseCertified" if certified else "Inconclusive",

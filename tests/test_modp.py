@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treeorbits.errors import BadRange, NotPrime
 from treeorbits.modp import (
     MAX_PRIME,
+    _left_annihilators,
     check_prime,
     is_prime,
     left_annihilator,
@@ -186,6 +187,42 @@ class TestElimination:
         if c.size:
             assert not np.any(matmul_mod(c, b, p))
             assert rank_mod(c, p) == c.shape[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 65537, MAX_PRIME)),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+    )
+    def test_stacked_annihilators_span_the_left_kernel(self, p, count, rows, cols, seed):
+        # tall and wide stacks of low-rank products, each of its own rank,
+        # with forced zero lines
+        rng = np.random.default_rng(seed)
+        stack = np.empty((count, rows, cols), dtype=np.int64)
+        for m in stack:
+            rank = rng.integers(0, min(rows, cols) + 1)
+            m[:] = matmul_mod(rng.integers(0, p, (rows, rank)), rng.integers(0, p, (rank, cols)), p)
+            m[:, rng.integers(0, cols, size=rng.integers(0, 3))] = 0
+            m[rng.integers(0, rows, size=rng.integers(0, 3))] = 0
+        before = stack.copy()
+        kernels = _left_annihilators(stack, p)
+        assert np.array_equal(stack, before)
+        assert kernels.shape == (count, max(rows - rank_mod(m, p) for m in stack), rows)
+        for m, c in zip(stack, kernels):
+            dim = rows - rank_mod(m, p)
+            # the kernel rows come first, then zero padding
+            assert not c[dim:].any()
+            c = c[:dim]
+            assert not matmul_mod(c, m, p).any()
+            assert rank_mod(c, p) == dim
+            reference = left_annihilator(m, p)
+            assert rank_mod(np.vstack([c, reference]), p) == dim
+
+    def test_stacked_annihilators_of_empty_matrices(self):
+        assert _left_annihilators(np.zeros((2, 3, 0), dtype=np.int64), 7).tolist() == [np.eye(3).tolist()] * 2
+        assert _left_annihilators(np.zeros((0, 3, 2), dtype=np.int64), 7).shape == (0, 0, 3)
 
     def test_solve_exact(self):
         p = 13

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio, oracle, parse_instance
 from treeorbits.errors import BadRange, Degenerate, NotAPencil, NotPrime
-from treeorbits.modp import matmul_mod, rank_mod
+from treeorbits.modp import left_annihilator, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
+from treeorbits.products import as_tree
 from treeorbits.trees import dimension
 
 from .helpers import full_system_rank, random_product, random_tree
@@ -104,14 +105,26 @@ class TestDraws:
     @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
     def test_certificate_ranks_the_draws_of_random_config(self, monkeypatch, text, p):
         x = parse_instance(text)
-        ranked = []
-        rank = oracle.stabilizer_dim
-        monkeypatch.setattr(oracle, "stabilizer_dim", lambda c: ranked.append(c) or rank(c))
+        chunks = []
+        draw = oracle._draw
+
+        def spy(tree, p, seed, first, count):
+            chunks.append((first, draw(tree, p, seed, first, count)))
+            return chunks[-1][1]
+
+        monkeypatch.setattr(oracle, "_draw", spy)
         trials = 2 * oracle._TRIAL_CHUNK + 3
-        certify_density(x, p=p, trials=trials, seed=5)
+        report = certify_density(x, p=p, trials=trials, seed=5)
+        ranked = [
+            Configuration(x, p, 5, first + i, {v: b[i] for v, b in bases.items()})
+            for first, bases in chunks
+            for i in range(len(next(iter(bases.values()))))
+        ]
+        assert [first for first, _ in chunks] == [0, oracle._TRIAL_CHUNK, 2 * oracle._TRIAL_CHUNK]
         assert [c.trial for c in ranked] == list(range(trials))
         drawn = [random_config(x, p=p, seed=5, trial=t) for t in range(trials)]
         assert bases_digest(ranked) == bases_digest(drawn)
+        assert list(report.ranks) == [stabilizer_dim(c).system_rank for c in drawn]
 
     def test_peak_memory_does_not_grow_with_trials(self):
         # the draws of only a fixed number of trials are held at once; with
@@ -329,6 +342,52 @@ class TestChainReduction:
             stabilizer_dim(hand_built(a=[0], b=[0, 1]))
         with pytest.raises(BadRange):
             stabilizer_dim(hand_built(a=[0], b=[0, 1], c=[1, 2]))
+
+
+class TestChunkRanking:
+    # certify_density ranks a chunk of trials in one stacked pipeline;
+    # stabilizer_dim ranks each trial alone
+
+    @pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
+    def test_chunk_ranks_equal_each_trial_alone(self, monkeypatch, p):
+        entries = []
+        conditions = oracle._conditions
+
+        def spy(blocks, kernels, allowed, q):
+            entries.append(allowed.sum(axis=(1, 2)).tolist())
+            return conditions(blocks, kernels, allowed, q)
+
+        monkeypatch.setattr(oracle, "_conditions", spy)
+        count = oracle._TRIAL_CHUNK
+        # seeded trees, and a product whose systems are ranked one at a time
+        trees = [random_tree(random.Random(seed), max_vertices=9, max_label=9) for seed in range(40)]
+        for seed, tree in enumerate(trees + [as_tree(parse_instance("F(5,7;12)^3"))]):
+            bases = oracle._draw(tree, p, seed, 0, count)
+            chunk = oracle._system_ranks(tree, p, bases, count).tolist()
+            alone = [stabilizer_dim(random_config(tree, p=p, seed=seed, trial=t)).system_rank
+                     for t in range(count)]
+            assert chunk == alone, (seed, tree.labels)
+        # over F_2 and F_3 the trials of one chunk put chain 2 in different
+        # positions relative to chain 1, so their allowed entries differ
+        if p < 5:
+            assert any(len(set(e)) > 1 for e in entries)
+
+    def test_root_only_tree_has_rank_zero(self):
+        tree = parse_tree_dsl("r:3")
+        assert certify_density(tree).ranks == (0, 0, 0)
+        assert stabilizer_dim(random_config(tree)).system_rank == 0
+
+    def test_rank_deficient_off_chain_basis_is_padded_exactly(self):
+        # e is on neither chain; in trial 0 its basis spans only the line e3,
+        # so its annihilator has one row more than in trial 1, which the
+        # chunk pads with a zero row
+        tree = "a:1>b:2>r:4 | c:1>d:2>r | e:2>r"
+        configs = [hand_built(tree, a=[0], b=[0, 1], c=[1], d=[1, 2], e=e) for e in ([3, 3], [2, 3])]
+        bases = {v: np.stack([c.bases[v] for c in configs]) for v in configs[0].bases}
+        chunk = oracle._system_ranks(configs[0].tree, 101, bases, 2).tolist()
+        assert chunk == [stabilizer_dim(c).system_rank for c in configs]
+        assert chunk == [full_system_rank(c) for c in configs]
+        assert [left_annihilator(c.bases["e"], 101).shape[0] for c in configs] == [3, 2]
 
 
 class TestCertifyDensity:
