@@ -10,13 +10,18 @@ the patterns below.
 ``trivially_sparse`` checks the dimension-count obstruction: a vertex v
 whose subtree variety has dimension larger than phi(v)^2 - 1 rules out a
 dense orbit outright (the group acting on that subtree is too small).
+
+Both take a tree or a flag product.  A product is read on its factors,
+never as a tree: each factor is one branch of ``product_to_tree``, and
+only that tree's root can fail the dimension count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import Branch, LabeledTree, branches, min_width
+from .products import FlagProduct
+from .trees import LabeledTree, branches, min_width
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
 
@@ -49,12 +54,12 @@ class SparsenessCheck:
     rhs: int | None = None
 
 
-def _lengths(brs: list[Branch]) -> list[int]:
-    return sorted(b.length for b in brs)
-
-
-def orbit_class(tree: LabeledTree) -> OrbitClass:
+def orbit_class(x: LabeledTree | FlagProduct) -> OrbitClass:
     """Classify the orbit structure of the configuration variety.
+
+    The branches of a product's tree are its factors: a factor of r
+    entries k_1 < ... < k_r in F^n is a branch of length r and width
+    min(k_1, k_2 - k_1, ..., n - k_r).
 
     Three-leaf patterns, by sorted branch lengths (priority 2a > 2b > 2c > 2d):
 
@@ -66,41 +71,40 @@ def orbit_class(tree: LabeledTree) -> OrbitClass:
 
     Branch roles are matched existentially over all assignments.
     """
-    leaves = tree.leaves
-    if len(leaves) == 1:
+    if isinstance(x, FlagProduct):
+        n = x.ambient
+        shapes = [(len(f), min(f[0], n - f[-1], *(b - a for a, b in zip(f, f[1:]))))
+                  for f in x.factors]
+    else:
+        shapes = [(b.length, min_width(x, b)) for b in branches(x)]
+    # (length, width) of every branch: one per leaf, none for a lone root
+    if len(shapes) <= 1:
         return OrbitClass("Homogeneous", None, "single chain: the variety is one orbit")
-    brs = branches(tree)
-    widths = {b: min_width(tree, b) for b in brs}
-    if (
-        len(brs) == 2
-        and all(b.length == 1 for b in brs)
-        and min(widths.values()) == 1
-    ):
+    if len(shapes) == 2 and all(ln == 1 for ln, _ in shapes) and min(w for _, w in shapes) == 1:
         return OrbitClass(
             "TwoOrbits",
             None,
             "two branches of length 1, one of minimum width 1: exactly two orbits",
         )
-    if len(leaves) <= 2:
-        return OrbitClass("FiniteType", "1", f"{len(leaves)} leaves: finitely many orbits")
-    if len(leaves) == 3:
-        lens = _lengths(brs)
-        ones = [b for b in brs if b.length == 1]
-        twos = [b for b in brs if b.length == 2]
+    if len(shapes) == 2:
+        return OrbitClass("FiniteType", "1", "2 leaves: finitely many orbits")
+    if len(shapes) == 3:
+        lens = sorted(ln for ln, _ in shapes)
+        ones = [w for ln, w in shapes if ln == 1]
+        twos = [w for ln, w in shapes if ln == 2]
         if lens[0] == 1 and lens[1] == 1:
             return OrbitClass("FiniteType", "2a", f"branch lengths {tuple(lens)}")
         if lens[0] == 1 and lens[1] == 2 and lens[2] <= 4:
             return OrbitClass("FiniteType", "2b", f"branch lengths {tuple(lens)}")
         if lens[0] == 1 and lens[1] == 2 and lens[2] >= 5:
-            if any(widths[b] <= 2 for b in ones) or any(widths[b] == 1 for b in twos):
+            if min(ones) <= 2 or min(twos) == 1:
                 return OrbitClass(
                     "FiniteType",
                     "2c",
                     f"branch lengths {tuple(lens)} with admissible widths "
-                    f"(length-1 width {min(widths[b] for b in ones)}, "
-                    f"length-2 width {min(widths[b] for b in twos)})",
+                    f"(length-1 width {min(ones)}, length-2 width {min(twos)})",
                 )
-        if lens[0] == 1 and any(widths[b] == 1 for b in ones):
+        if lens[0] == 1 and min(ones) == 1:
             return OrbitClass(
                 "FiniteType", "2d", f"branch lengths {tuple(lens)}, a length-1 branch has width 1"
             )
@@ -109,17 +113,26 @@ def orbit_class(tree: LabeledTree) -> OrbitClass:
             None,
             f"three leaves, branch lengths {tuple(lens)}: no finite pattern matches",
         )
-    return OrbitClass("InfiniteType", None, f"{len(leaves)} leaves: infinitely many orbits")
+    return OrbitClass("InfiniteType", None, f"{len(shapes)} leaves: infinitely many orbits")
 
 
-def trivially_sparse(tree: LabeledTree) -> SparsenessCheck:
+def trivially_sparse(x: LabeledTree | FlagProduct) -> SparsenessCheck:
     """Report the first vertex where the subtree dimension beats phi(v)^2 - 1.
 
     Subtree dimensions come bottom-up in one pass, children before parents
     (labels grow toward the root): sub(v) = sum over children c of
-    sub(c) + phi(c)(phi(v) - phi(c)).
+    sub(c) + phi(c)(phi(v) - phi(c)).  On a product only the root ``r`` of
+    ``product_to_tree`` can fail, since a chain vertex of label k spans at
+    most k(k - 1)/2 <= k^2 - 1, so the check is the variety's dimension
+    against n^2 - 1.
     """
-    lab, children = tree.labels, tree.children
+    if isinstance(x, FlagProduct):
+        n = x.ambient
+        dim = sum(a * (b - a) for f in x.factors for a, b in zip(f, f[1:] + (n,)))
+        if dim > n * n - 1:
+            return SparsenessCheck(True, "r", dim, n * n - 1)
+        return SparsenessCheck(False)
+    lab, children = x.labels, x.children
     sub: dict[str, int] = {}
     for v in sorted(lab, key=lab.__getitem__):
         k = lab[v]

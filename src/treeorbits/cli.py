@@ -79,9 +79,8 @@ def _cmd_dim(args):
 
 def _cmd_classify(args):
     inst = _instance(args)
-    tree = as_tree(inst)
-    oc = orbit_class(tree)
-    ts = trivially_sparse(tree)
+    oc = orbit_class(inst)
+    ts = trivially_sparse(inst)
     record = {
         "input": engine.display(inst),
         "orbit_class": {

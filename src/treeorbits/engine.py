@@ -15,6 +15,10 @@ back from the image (a surjective equivariant map sends a dense orbit onto
 a dense orbit).  If nothing fires the verdict is Unknown: the procedure
 never guesses.
 
+A product is matched on its factors from entry to verdict, R9 included
+(``products.forget_entries``); only a tree input and the R9 images of a
+tree are read as trees.
+
 Every verdict carries a trace of the rules and rewrites that produced it.
 """
 
@@ -27,8 +31,8 @@ from .errors import BadRange, IterationLimit
 from .products import (
     FlagProduct,
     as_flag_product,
-    as_tree,
     dualize,
+    forget_entries,
     reduce_half,
     reduce_span,
     tree_to_product,
@@ -144,11 +148,11 @@ class _Trace(list):
     def __init__(self, start: str):
         self.start = self.shown = start
 
-    def add(self, rule_id: str, after: Instance | None = None, note: str = "",
+    def add(self, rule_id: str, after: str | None = None, note: str = "",
             subtrace: tuple[Step, ...] = ()) -> None:
         before = self.shown
         if after is not None:
-            self.shown = display(after)
+            self.shown = after
         self.append(Step(rule_id, _RULES_BY_ID[rule_id].citation, before, self.shown, note, subtrace))
 
 
@@ -181,11 +185,14 @@ def _match_r4(p: FlagProduct):
     return DENSE, f"{len(ks)} Grassmannian factors, sum {sum(ks)} != 2n"
 
 
-def _match_r5(tree: LabeledTree):
-    lab = tree.labels
-    if all(sum(lab[c] for c in tree.children[v]) <= lab[v] for v in lab):
-        return DENSE, "source labels sum to at most the label at every vertex"
-    return None
+def _match_r5(x: Instance):
+    # on a product's tree only the root has more than one source
+    if isinstance(x, FlagProduct):
+        holds = sum(f[-1] for f in x.factors) <= x.ambient
+    else:
+        lab = x.labels
+        holds = all(sum(lab[c] for c in x.children[v]) <= lab[v] for v in lab)
+    return (DENSE, "source labels sum to at most the label at every vertex") if holds else None
 
 
 def _match_r6(p: FlagProduct):
@@ -225,22 +232,23 @@ def _match_r8(p: FlagProduct):
     return None
 
 
-def _match_r0(tree: LabeledTree):
-    oc = orbit_class(tree)
+def _match_r0(x: Instance):
+    oc = orbit_class(x)
     if oc.finite:
         return DENSE, f"orbit class {oc.kind}" + (f" (case {oc.case_label})" if oc.case_label else "")
     return None
 
 
-def _match_r1(tree: LabeledTree):
-    ts = trivially_sparse(tree)
+def _match_r1(x: Instance):
+    ts = trivially_sparse(x)
     if ts.violated:
         return SPARSE, f"subtree at {ts.vertex} has dimension {ts.lhs} > {ts.rhs} = phi^2 - 1"
     return None
 
 
-# (rule id, matcher, reads the tree form rather than the product) in scan
-# order; the order only shapes the trace.  A product is scanned on its
+# (rule id, matcher) in scan order; the order only shapes the trace.  R1, R5
+# and R0 take either kind of instance, the others read factors, so a tree
+# is scanned with the first three alone.  A product is scanned on its
 # canonical side L only.  On the other side H, R1 fails only at the root, as
 # on L; and as L's least first entry a_1 <= n - (largest last entry), R5 on H
 # (sum n - a_j <= n) leaves one factor or L = G(a)*G(n-a), where R5 holds on L;
@@ -249,28 +257,27 @@ def _match_r1(tree: LabeledTree):
 # on H at i needs sum_{j != i} k_j >= 3n, which k_1 + k_5 <= n leaves only for
 # i = 1 and L = (k_1, (n-k_1)^4), so H < L.
 _SCAN = (
-    ("R1", _match_r1, True),
-    ("R2", _match_r2, False),
-    ("R3", _match_r3, False),
-    ("R5", _match_r5, True),
-    ("R6", _match_r6, False),
-    ("R7", _match_r7, False),
-    ("R8", _match_r8, False),
-    ("R4", _match_r4, False),
-    ("R0", _match_r0, True),
+    ("R1", _match_r1),
+    ("R2", _match_r2),
+    ("R3", _match_r3),
+    ("R5", _match_r5),
+    ("R6", _match_r6),
+    ("R7", _match_r7),
+    ("R8", _match_r8),
+    ("R4", _match_r4),
+    ("R0", _match_r0),
 )
+_TREE_SCAN = tuple(s for s in _SCAN if s[0] in ("R1", "R5", "R0"))
 
 
-def _terminal(inst: Instance, tree: LabeledTree, trace: _Trace) -> str | None:
-    """Scan the catalog on ``inst``, whose tree form is ``tree``.  Returns the
-    status of the first rule that fires, its step added to ``trace``, or None."""
-    product = isinstance(inst, FlagProduct)
-    for rid, match, on_tree in _SCAN:
-        if on_tree or product:
-            hit = match(tree if on_tree else inst)
-            if hit:
-                trace.add(rid, note=hit[1])
-                return hit[0]
+def _terminal(inst: Instance, trace: _Trace) -> str | None:
+    """Scan the catalog on ``inst``.  Returns the status of the first rule
+    that fires, its step added to ``trace``, or None."""
+    for rid, match in _SCAN if isinstance(inst, FlagProduct) else _TREE_SCAN:
+        hit = match(inst)
+        if hit:
+            trace.add(rid, note=hit[1])
+            return hit[0]
     return None
 
 
@@ -288,7 +295,7 @@ def _canonical(p: FlagProduct, trace: _Trace) -> FlagProduct:
     if dual.factors < low.factors:
         low = dual
     if low is not p:
-        trace.add("dualize-normalize", low, note=(
+        trace.add("dualize-normalize", low.spec_string(), note=(
             "the dual is smaller once both sides are sorted" if low is dual else "factors sorted"))
     return low
 
@@ -320,63 +327,72 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
     return _decide(x, depth, {})
 
 
-def _decide(x: Instance, depth: int, memo: dict) -> Verdict:
-    tree = as_tree(x)
-    trace = _Trace(display(x))
-    hit = _match_r1(tree)
+def _decide(x: Instance, depth: int, memo: dict, start: str | None = None) -> Verdict:
+    """``decide`` within one memo.  ``start`` is given for a product that R9
+    reached as the image of a product: the text of its tree, vertex names
+    kept, where the trace starts before its as-product step."""
+    trace = _Trace(display(x) if start is None else start)
+    hit = _match_r1(x)
     if hit:
         trace.add("R1", note=hit[1])
         return Verdict(TRIVIALLY_SPARSE, tuple(trace), trace.start, trace.start)
     inst: Instance = x
-    if isinstance(inst, LabeledTree):
-        p = as_flag_product(inst)
+    if isinstance(x, LabeledTree):
+        p = as_flag_product(x)
         if p is not None:
-            inst = _sorted(p)
-            trace.add("as-product", inst)
+            inst = p
+    if inst is not x or start is not None:
+        inst = _sorted(inst)
+        trace.add("as-product", inst.spec_string())
     for _ in range(inst.ambient + 16):
         if isinstance(inst, FlagProduct):
             inst = _canonical(inst, trace)
         final = trace.shown  # R9 moves the chain on to its image
-        if inst is not x:
-            tree = as_tree(inst)
-        status = _terminal(inst, tree, trace)
+        status = _terminal(inst, trace)
         if status is not None:
             break
         nxt = _rewrite_once(inst)
         if nxt is None:
-            status = SPARSE if depth >= 1 and _r9(inst, tree, depth, trace, memo) else UNKNOWN
+            status = SPARSE if depth >= 1 and _r9(inst, depth, trace, memo) else UNKNOWN
             break
         rule_id, new_inst = nxt
         inst = _sorted(new_inst)  # every rewrite yields a product
-        trace.add(rule_id, inst)
+        trace.add(rule_id, inst.spec_string())
     else:
         raise IterationLimit(f"rewriting did not reach a fixpoint from {trace.start}")
     return Verdict(status, tuple(trace), trace.start, final)
 
 
-def _r9(inst: Instance, tree: LabeledTree, depth: int, trace: _Trace, memo: dict) -> bool:
-    """Rule R9 on ``inst``, whose tree form is ``tree``: whether some surjective
-    deletion has a sparse image, its step appended to ``trace``.
+def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
+    """Rule R9 on ``inst``: whether some surjective deletion has a sparse
+    image, its step appended to ``trace``.
 
     ``memo`` maps (image, depth) to the image's verdict for the length of one
     top-level ``decide`` call, so an image reached twice is decided once; a
     product image is keyed by its sorted factors, whatever its vertex names.
     A hit is read only for its status: a sparse verdict ends every R9 above it.
     """
-    for v in sorted(tree.labels):
-        if v == tree.root:
-            continue
-        image, surjective = forget_vertex(tree, v)
-        if not surjective:
-            continue
-        p = as_flag_product(image)
+    images = forget_entries(inst) if isinstance(inst, FlagProduct) else _tree_images(inst)
+    for v, image, start in images:
+        p = image if isinstance(image, FlagProduct) else as_flag_product(image)
         key = (image if p is None else _sorted(p), depth - 1)
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = _decide(image, depth - 1, memo)
+            sub = memo[key] = _decide(image, depth - 1, memo, start)
         if sub.status in (SPARSE, TRIVIALLY_SPARSE):
-            trace.add("R9", image,
+            trace.add("R9", start or display(image),
                       note=f"forgetting vertex {v} is surjective and the image is sparse",
                       subtrace=sub.trace)
             return True
     return False
+
+
+def _tree_images(tree: LabeledTree):
+    """(vertex, image, None) for every surjective deletion, in vertex-name
+    order, as ``forget_entries`` gives them for a product; a tree image is
+    rendered only when R9 fires on it."""
+    for v in sorted(tree.labels):
+        if v != tree.root:
+            image, surjective = forget_vertex(tree, v)
+            if surjective:
+                yield v, image, None

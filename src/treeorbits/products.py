@@ -16,6 +16,8 @@ orbit, in both directions:
 The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
 between product instances and the trees that index the same varieties;
 ``as_tree`` is the one place an instance of either kind is read as its tree.
+``forget_entries`` lists the vertex deletions of a product's tree on the
+factors themselves, so the rule engine never builds that tree.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ __all__ = [
     "as_flag_product",
     "as_tree",
     "product_to_tree",
+    "forget_entries",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagProduct:
     """Product of partial flag varieties in a common ambient dimension.
 
@@ -186,6 +189,32 @@ def product_to_tree(p: FlagProduct) -> LabeledTree:
             edges.append((name, prev))
             prev = name
     return LabeledTree(labels, edges)
+
+
+def forget_entries(p: FlagProduct):
+    """Every vertex deletion of ``product_to_tree(p)``, read on the factors.
+
+    Yields ``(vertex, image, text)`` in vertex-name order, where names sort
+    as strings, so ``f10.1`` comes before ``f2.1``.  Deleting ``fi.j`` drops
+    entry j of factor i; the factors keep their order and one left empty is
+    dropped.  Every such deletion is surjective, as a chain vertex has at
+    most one source and it has a smaller label.  ``text`` is ``to_dsl`` of
+    the image tree, vertex names kept.
+    """
+    n = p.ambient
+    tokens = [[f"f{i}.{j + 1}:{k}" for j, k in enumerate(f)] for i, f in enumerate(p.factors)]
+    root = [f"r:{n}"]
+    chains = [">".join(t + root) for t in tokens]
+    # a leaf fi.j sorts by its factor index i alone, whichever entry j it keeps
+    order = sorted(range(len(tokens)), key=str)
+    for name, i, j in sorted((f"f{i}.{j + 1}", i, j)
+                             for i, t in enumerate(tokens) for j in range(len(t))):
+        f = p.factors[i]
+        kept = f[:j] + f[j + 1 :]
+        rest = tokens[i][:j] + tokens[i][j + 1 :]
+        image = FlagProduct(p.factors[:i] + ((kept,) if kept else ()) + p.factors[i + 1 :], n)
+        parts = [chains[c] if c != i else ">".join(rest + root) for c in order if c != i or rest]
+        yield name, image, " | ".join(parts) if parts else root[0]
 
 
 def as_tree(x: LabeledTree | FlagProduct) -> LabeledTree:

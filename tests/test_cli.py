@@ -240,8 +240,42 @@ class TestDecide:
              '{"final":"F(1,2,4;5)*F(1,4;5)^2","input":"F(1,2,4;5)*F(1,4;5)^2",'
              '"status":"Unknown","trace":[]}\n'
             ),
+            # R9 on a product: the image is shown as its tree, vertex names
+            # kept, and the subtrace reads it as a product first
+            (('F(1;6)*F(1,5;6)^3', '--depth', '2'),
+             '{"final":"F(1;6)*F(1,5;6)^3","input":"F(1;6)*F(1,5;6)^3","status":"Sparse",'
+             '"trace":[{"after":"f1.1:1>f1.2:5>r:6 | f2.1:1>f2.2:5>r:6 | f3.1:1>f3.2:5>r:6",'
+             '"before":"F(1;6)*F(1,5;6)^3","citation":"a surjective forgetful map sends a '
+             'dense orbit onto a dense orbit","note":"forgetting vertex f0.1 is surjective '
+             'and the image is sparse","rule_id":"R9","subtrace":[{"after":"F(1,5;6)^3",'
+             '"before":"f1.1:1>f1.2:5>r:6 | f2.1:1>f2.2:5>r:6 | f3.1:1>f3.2:5>r:6",'
+             '"citation":"chains joined only at the root index a product of flag varieties",'
+             '"rule_id":"as-product"},{"after":"F(1,5;6)^3","before":"F(1,5;6)^3",'
+             '"citation":"a triple self-product with k_i + k_j = n (i != j) carries a '
+             'continuous invariant","note":"k_1 + k_2 = 1 + 5 = n","rule_id":"R2"}]}]}\n'
+            ),
+            # vertex names sort as strings, so f10.1 is forgotten before f2.1
+            (('F(1;12)^9*F(10;12)^2',),
+             '{"final":"F(1;12)^9*F(10;12)^2","input":"F(1;12)^9*F(10;12)^2","status":"Sparse",'
+             '"trace":[{"after":"f0.1:1>r:12 | f1.1:1>r:12 | f2.1:1>r:12 | f3.1:1>r:12 | '
+             'f4.1:1>r:12 | f5.1:1>r:12 | f6.1:1>r:12 | f7.1:1>r:12 | f8.1:1>r:12 | '
+             'f9.1:10>r:12","before":"F(1;12)^9*F(10;12)^2","citation":"a surjective '
+             'forgetful map sends a dense orbit onto a dense orbit","note":"forgetting vertex '
+             'f10.1 is surjective and the image is sparse","rule_id":"R9","subtrace":['
+             '{"after":"F(1;12)^9*F(10;12)","before":"f0.1:1>r:12 | f1.1:1>r:12 | '
+             'f2.1:1>r:12 | f3.1:1>r:12 | f4.1:1>r:12 | f5.1:1>r:12 | f6.1:1>r:12 | '
+             'f7.1:1>r:12 | f8.1:1>r:12 | f9.1:10>r:12","citation":"chains joined only at '
+             'the root index a product of flag varieties","rule_id":"as-product"},'
+             '{"after":"F(1;9)^9*F(7;9)","before":"F(1;12)^9*F(10;12)","citation":"a generic '
+             'configuration spans a subspace of dimension n\' = sum of the other top '
+             'dimensions; cutting to it preserves density both ways","rule_id":"reduce_span"},'
+             '{"after":"F(1;9)^9*F(7;9)","before":"F(1;9)^9*F(7;9)","citation":"a subtree of '
+             'dimension above phi(v)^2 - 1 leaves no room for a dense orbit","note":"subtree '
+             'at r has dimension 86 > 80 = phi^2 - 1","rule_id":"R1"}]}]}\n'
+            ),
         ],
-        ids=["r9-subtrace", "dualize-normalize", "entry-trivially-sparse", "unknown-depth-0"],
+        ids=["r9-subtrace", "dualize-normalize", "entry-trivially-sparse", "unknown-depth-0",
+             "r9-on-a-product", "r9-names-sort-as-strings"],
     )
     def test_golden_json(self, capsys, argv, out):
         code, got, _ = run(capsys, "decide", *argv, "--json")

@@ -25,7 +25,8 @@ from treeorbits.classify import trivially_sparse
 from treeorbits.engine import RULES
 from treeorbits.errors import BadRange
 from treeorbits.parsing import parse_product, parse_tree_dsl
-from treeorbits.products import product_to_tree
+from treeorbits.products import as_flag_product, forget_entries, product_to_tree
+from treeorbits.trees import forget_vertex, to_dsl
 
 from .helpers import random_product, random_tree
 
@@ -305,6 +306,49 @@ class TestCanonicalProduct:
     @settings(max_examples=300, deadline=None)
     def test_one_side_suffices_at_random(self, p):
         self.assert_one_side_suffices(p)
+
+
+class TestProductsOnFactors:
+    """decide reads a product on its factors; these are the facts it read on
+    product_to_tree(p) before, R9's deletions in the order it tried them."""
+
+    FIVE_GRASSMANNIANS = [(7, (1, 1, 1, 3, 4)), (7, (3, 4, 6, 6, 6)), (8, (1, 1, 1, 3, 5)),
+                          (8, (3, 5, 7, 7, 7)), (6, (1, 1, 1, 3, 3)), (6, (3, 3, 5, 5, 5)),
+                          (8, (1, 1, 2, 4, 4)), (8, (4, 4, 6, 7, 7))]
+    # factor indices and entries past 9 sort as strings: f10.1 < f2.1, f0.10 < f0.2
+    LONG = ["F(1;12)^9*F(10;12)^2", "G(2;13)^11*F(1,12;13)", "G(1;5)^12",
+            "F(1,2,3,4,5,6,7,8,9,10,11;12)*G(3;12)^10", "F(2,5;7)^6*G(4;7)^7"]
+
+    def products(self, max_ambient):
+        for n in range(2, max_ambient + 1):
+            for m in range(1, 5):
+                for combo in multisets(n, m):
+                    yield FlagProduct(combo, n)
+        for n, ks in self.FIVE_GRASSMANNIANS:
+            for order in sorted(set(permutations(ks))):
+                yield FlagProduct(tuple((k,) for k in order), n)
+        for text in self.LONG:
+            yield parse_product(text)
+
+    def test_rule_facts_match_the_tree(self):
+        for p in self.products(6):
+            tree = product_to_tree(p)
+            assert trivially_sparse(p) == trivially_sparse(tree), p
+            assert orbit_class(p) == orbit_class(tree), p
+            assert engine._match_r5(p) == engine._match_r5(tree), p
+
+    def test_deletions_match_the_tree(self):
+        # n <= 5 here: the 46,376 products with four factors at n = 6 would
+        # cost about 30 s of forget_vertex
+        for p in self.products(5):
+            tree = product_to_tree(p)
+            deletions = [(v, *forget_vertex(tree, v)) for v in sorted(tree.labels) if v != tree.root]
+            entries = list(forget_entries(p))
+            assert [v for v, _, _ in entries] == [v for v, _, _ in deletions], p
+            for (v, image, text), (_, image_tree, surjective) in zip(entries, deletions):
+                assert surjective, (p, v)
+                assert engine._sorted(image) == engine._sorted(as_flag_product(image_tree)), (p, v)
+                assert text == to_dsl(image_tree), (p, v)
 
 
 class TestRuleCatalog:

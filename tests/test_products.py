@@ -46,6 +46,14 @@ class TestFlagProduct:
         with pytest.raises(BoundsError):
             FlagProduct(((1,),), 0)
 
+    def test_slotted_and_frozen(self):
+        # a product keeps no per-instance dict; validation still normalizes
+        p = FlagProduct([[1, 2]], 4)
+        assert not hasattr(p, "__dict__")
+        assert p.factors == ((1, 2),)
+        with pytest.raises(AttributeError):
+            p.ambient = 5
+
 
 class TestDerivedSequence:
     def test_middle_cut(self):
