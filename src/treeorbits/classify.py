@@ -5,7 +5,8 @@ projective transformations of the ambient space acts on the configuration
 variety of a labeled tree with one orbit, two orbits, finitely many, or
 infinitely many.  The finite cases are exactly: at most two leaves, or
 three leaves whose sorted branch lengths and minimum widths match one of
-the patterns below.
+the patterns below.  Branches and their widths are defined in
+``orbit_class``, the one place that reads them.
 
 ``trivially_sparse`` checks the dimension-count obstruction: a vertex v
 whose subtree variety has dimension larger than phi(v)^2 - 1 rules out a
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .products import FlagProduct
-from .trees import LabeledTree, branches, min_width
+from .trees import LabeledTree
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
 
@@ -57,9 +58,13 @@ class SparsenessCheck:
 def orbit_class(x: LabeledTree | FlagProduct) -> OrbitClass:
     """Classify the orbit structure of the configuration variety.
 
-    The branches of a product's tree are its factors: a factor of r
-    entries k_1 < ... < k_r in F^n is a branch of length r and width
-    min(k_1, k_2 - k_1, ..., n - k_r).
+    A tree has one branch per leaf other than the root: the chain from the
+    leaf up to, not including, the root or the first vertex that is the
+    target of two or more edges.  Its length is its number of vertices and
+    its width the least of the leaf's label and the label gaps along the
+    edges leaving its vertices.  The branches of a product's tree are its
+    factors: a factor of r entries k_1 < ... < k_r in F^n is a branch of
+    length r and width min(k_1, k_2 - k_1, ..., n - k_r).
 
     Three-leaf patterns, by sorted branch lengths (priority 2a > 2b > 2c > 2d):
 
@@ -76,7 +81,19 @@ def orbit_class(x: LabeledTree | FlagProduct) -> OrbitClass:
         shapes = [(len(f), min(f[0], n - f[-1], *(b - a for a, b in zip(f, f[1:]))))
                   for f in x.factors]
     else:
-        shapes = [(b.length, min_width(x, b)) for b in branches(x)]
+        lab, parent, children = x.labels, x.parent, x.children
+        shapes = []
+        for v in lab:
+            if children[v] or v == x.root:
+                continue
+            length, width = 0, lab[v]
+            while True:
+                up = parent[v]
+                length, width = length + 1, min(width, lab[up] - lab[v])
+                if up == x.root or len(children[up]) > 1:
+                    break
+                v = up
+            shapes.append((length, width))
     # (length, width) of every branch: one per leaf, none for a lone root
     if len(shapes) <= 1:
         return OrbitClass("Homogeneous", None, "single chain: the variety is one orbit")

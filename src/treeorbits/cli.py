@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import engine
 from .classify import orbit_class, trivially_sparse
@@ -81,20 +82,8 @@ def _cmd_classify(args):
     inst = _instance(args)
     oc = orbit_class(inst)
     ts = trivially_sparse(inst)
-    record = {
-        "input": engine.display(inst),
-        "orbit_class": {
-            "kind": oc.kind,
-            "case_label": oc.case_label,
-            "witness": oc.witness,
-        },
-        "trivially_sparse": {
-            "violated": ts.violated,
-            "vertex": ts.vertex,
-            "lhs": ts.lhs,
-            "rhs": ts.rhs,
-        },
-    }
+    record = {"input": engine.display(inst), "orbit_class": asdict(oc),
+              "trivially_sparse": asdict(ts)}
     lines = [f"orbit class: {oc.kind}" + (f" (case {oc.case_label})" if oc.case_label else ""),
              f"  {oc.witness}"]
     if ts.violated:
@@ -126,13 +115,7 @@ def _trace_lines(steps, indent: str = "  "):
 
 def _cmd_decide(args):
     if args.rules:
-        record = {
-            "rules": [
-                {"rule_id": r.rule_id, "kind": r.kind, "summary": r.summary,
-                 "citation": r.citation}
-                for r in engine.RULES
-            ]
-        }
+        record = {"rules": [asdict(r) for r in engine.RULES]}
         return record, _rules_listing()
     inst = _instance(args)
     verdict = engine.decide(inst, depth=args.depth)

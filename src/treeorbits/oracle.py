@@ -56,7 +56,7 @@ from .modp import (
     solve_mod,
 )
 from .products import as_tree
-from .trees import LabeledTree, dimension, heaviest_chain
+from .trees import LabeledTree, dimension, heaviest_chain, top_down
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -115,10 +115,7 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
     check_prime(p)
     n = tree.ambient
     index = {v: i for i, v in enumerate(sorted(tree.labels))}
-    order = sorted(
-        (v for v in tree.labels if v != tree.root),
-        key=lambda v: (tree.distance(v), v),
-    )
+    order = top_down(tree)
     # the root's label is n
     shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in order}
     trials = range(first, first + count)
@@ -155,18 +152,6 @@ class StabReport:
     lie_stab_dim: int
     pgl_stab_dim: int
     certified_dense: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prime": self.p,
-            "seed": self.seed,
-            "trial": self.trial,
-            "variety_dim": self.variety_dim,
-            "system_rank": self.system_rank,
-            "lie_stab_dim": self.lie_stab_dim,
-            "pgl_stab_dim": self.pgl_stab_dim,
-            "certified_dense": self.certified_dense,
-        }
 
 
 def _flag_weight(big: int, d: int) -> int:

@@ -55,7 +55,7 @@ of X, so it fits under the cap too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations
 from math import prod
@@ -64,13 +64,13 @@ import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
 from .products import as_tree
-from .trees import heaviest_chain
+from .trees import heaviest_chain, top_down
 
 DEFAULT_CAP = 200_000
 
 
 def _check_field(q: int) -> None:
-    if q not in (2, 3, 4, 5):
+    if isinstance(q, bool) or not isinstance(q, int) or q not in (2, 3, 4, 5):
         raise UnsupportedField(f"field order must be one of 2, 3, 4, 5, got {q!r}")
 
 
@@ -250,12 +250,7 @@ class OrbitReport:
     orbit_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "cap": self.cap,
-            "point_count": self.point_count,
-            "orbit_count": self.orbit_count,
-        }
+        return asdict(self)
 
 
 def projected_point_count(x, q: int) -> int:
@@ -291,10 +286,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if any(gens[:, :d, d:].any() for d in flag):
         raise RuntimeError("a generator moves the fixed flag")
 
-    order = sorted(
-        (v for v in tree.labels if v != tree.root),
-        key=lambda v: (tree.distance(v), v),
-    )
+    order = top_down(tree)
     pos = {v: i for i, v in enumerate(order)}
     # up[k] is the position of the parent of order[k], None where that is the root
     up = [pos.get(tree.parent[v]) for v in order]

@@ -28,20 +28,6 @@ from itertools import groupby
 from .errors import BadRange, BoundsError
 from .trees import LabeledTree
 
-__all__ = [
-    "FlagProduct",
-    "derived_sequence",
-    "dualize",
-    "reduce_span",
-    "reduce_half",
-    "tree_to_product",
-    "as_flag_product",
-    "as_tree",
-    "product_to_tree",
-    "forget_entries",
-]
-
-
 @dataclass(frozen=True, slots=True)
 class FlagProduct:
     """Product of partial flag varieties in a common ambient dimension.
@@ -55,14 +41,14 @@ class FlagProduct:
     ambient: int
 
     def __post_init__(self):
-        if not isinstance(self.ambient, int) or self.ambient < 1:
+        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int) or self.ambient < 1:
             raise BoundsError(f"ambient dimension must be a positive integer, got {self.ambient!r}")
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
         for f in self.factors:
             if not f:
                 raise BoundsError("empty factor; drop it instead")
             for k in f:
-                if not isinstance(k, int) or not 0 < k < self.ambient:
+                if isinstance(k, bool) or not isinstance(k, int) or not 0 < k < self.ambient:
                     raise BoundsError(
                         f"flag dimension {k!r} out of range (0, {self.ambient})"
                     )

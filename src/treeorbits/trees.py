@@ -6,13 +6,14 @@ increases along every edge.  Such a tree indexes the variety of tuples of
 subspaces of an ambient space (one subspace per vertex, of dimension equal
 to the label, the root carrying the full space) nested according to the
 edges.  This module provides the tree type, validation, and the purely
-combinatorial operations: dimension, branches and widths, subtrees,
-vertex deletion, and truncation by distance.
+combinatorial operations: dimension, the top-down vertex order, the
+heaviest chain, subtrees, vertex deletion, and truncation by distance.
+A tree's branches and their widths are read where they are used, in
+``classify.orbit_class``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -91,11 +92,6 @@ class LabeledTree:
     def leaves(self) -> list[str]:
         return sorted(v for v in self.labels if not self.children[v])
 
-    def label(self, v: str) -> int:
-        if v not in self.labels:
-            raise UnknownVertex(f"no vertex named {v!r}")
-        return self.labels[v]
-
     def distance(self, v: str) -> int:
         """Number of edges on the chain from v to the root."""
         if v not in self.labels:
@@ -130,6 +126,11 @@ def dimension(tree: LabeledTree) -> int:
     return sum(lab[s] * (lab[t] - lab[s]) for s, t in tree.parent.items())
 
 
+def top_down(tree: LabeledTree) -> list[str]:
+    """Non-root vertices, parents before children: by distance to the root, then name."""
+    return sorted((v for v in tree.labels if v != tree.root), key=lambda v: (tree.distance(v), v))
+
+
 def heaviest_chain(tree: LabeledTree, weight, tops=None) -> tuple[list[str], int]:
     """The chain from a root child down to a leaf with the largest product of edge weights.
 
@@ -142,65 +143,15 @@ def heaviest_chain(tree: LabeledTree, weight, tops=None) -> tuple[list[str], int
     # most[v] = the largest product of a chain from v down to a leaf, the
     # edge above v included; children are filled in before their parents
     most = {}
-    for v in sorted(tree.labels, key=tree.distance, reverse=True):
-        if v != tree.root:
-            below = max((most[c] for c in tree.children[v]), default=1)
-            most[v] = weight(tree.labels[tree.parent[v]], tree.labels[v]) * below
+    for v in reversed(top_down(tree)):
+        below = max((most[c] for c in tree.children[v]), default=1)
+        most[v] = weight(tree.labels[tree.parent[v]], tree.labels[v]) * below
     chain = []
     below = tree.children[tree.root] if tops is None else tops
     while below:
         chain.append(max(below, key=most.__getitem__))
         below = tree.children[chain[-1]]
     return chain, most[chain[0]] if chain else 1
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Maximal chain from a leaf toward the root avoiding merge points and the root.
-
-    ``vertices`` is ordered from the leaf upward.
-    """
-
-    vertices: tuple[str, ...]
-
-    @property
-    def leaf(self) -> str:
-        return self.vertices[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
-def branches(tree: LabeledTree) -> list[Branch]:
-    """All branches, ordered by leaf name.
-
-    Each branch starts at a leaf and extends toward the root while the next
-    vertex is the target of exactly one edge, stopping before the root and
-    before any vertex where a second chain merges in.  A single-vertex tree
-    has no branch.
-    """
-    out = []
-    for leaf in tree.leaves:
-        if leaf == tree.root:
-            continue
-        path = [leaf]
-        cur = leaf
-        while True:
-            up = tree.parent[cur]
-            if up == tree.root or len(tree.children[up]) >= 2:
-                break
-            path.append(up)
-            cur = up
-        out.append(Branch(tuple(path)))
-    return out
-
-
-def min_width(tree: LabeledTree, branch: Branch) -> int:
-    """min of the leaf label and every label gap along edges leaving the branch."""
-    lab = tree.labels
-    gaps = [lab[tree.parent[v]] - lab[v] for v in branch.vertices]
-    return min([lab[branch.leaf]] + gaps)
 
 
 def subtree_at(tree: LabeledTree, v: str) -> LabeledTree:
@@ -270,19 +221,6 @@ def truncate(tree: LabeledTree, m: int) -> TruncationResult:
         if tree.distance(v) == m and tree.children[v]
     )
     return TruncationResult(base, hanging)
-
-
-def to_json_dict(tree: LabeledTree) -> dict:
-    """Plain-data form with vertices and edges sorted."""
-    return {
-        "labels": {v: tree.labels[v] for v in sorted(tree.labels)},
-        "edges": [list(e) for e in sorted(tree.parent.items())],
-    }
-
-
-def to_canonical_json(tree: LabeledTree) -> str:
-    """Byte-stable JSON text: sorted keys, no whitespace."""
-    return json.dumps(to_json_dict(tree), sort_keys=True, separators=(",", ":"))
 
 
 def _token(tree: LabeledTree, v: str) -> str:

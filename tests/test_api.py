@@ -1,6 +1,12 @@
 """The package's top-level names are the API that README documents."""
 
+import ast
+import re
+from pathlib import Path
+
 import treeorbits
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "CapExceeded",
@@ -38,3 +44,37 @@ def test_star_import():
     exec("from treeorbits import *", namespace)
     assert set(PUBLIC) <= set(namespace)
 
+
+def _defined_names(module: ast.Module) -> list[str]:
+    """Functions, classes and assigned names at the top level of a module."""
+    names = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def test_every_module_level_name_has_a_use():
+    # a name counts as used when some module of the package reads or imports
+    # it, or README names it in backticks; dunder names are Python's
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted((ROOT / "src" / "treeorbits").glob("*.py"))}
+    used = set()
+    for module in modules.values():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", readme))))
+    unused = [f"{file}: {name}" for file, module in modules.items()
+              for name in _defined_names(module)
+              if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []

@@ -1,16 +1,23 @@
 """Finite-orbit classification patterns and the dimension-count sparseness check."""
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from treeorbits import orbit_class
-from treeorbits.classify import SparsenessCheck, trivially_sparse
+from treeorbits.classify import OrbitClass, SparsenessCheck, trivially_sparse
 from treeorbits.parsing import parse_tree_dsl
-from treeorbits.trees import LabeledTree, branches, dimension, subtree_at
+from treeorbits.trees import LabeledTree, dimension, subtree_at
 
 from .helpers import random_tree
+
+# sha256 of orbit_class's (kind, case_label, witness) on the 30,000 trees of
+# TestOrbitClass.test_pinned_digest, taken from the earlier branch walk in
+# trees.py; every kind and case occurs among them (2c once, 2d five times)
+ORBIT_CLASS_DIGEST = "c54496c3e32189a5c1c1655fe7eaa95d5a664a833f521fd970520164d24b2aa3"
 
 
 class TestOrbitClass:
@@ -60,8 +67,9 @@ class TestOrbitClass:
         tree = parse_tree_dsl(
             "t:3>j:7 | s1:2>s2:4>j | c1:1>c2:2>c3:3>c4:4>c5:5>c6:6>j"
         )
-        assert {b.length for b in branches(tree)} == {1, 2, 6}
-        assert orbit_class(tree).kind == "InfiniteType"
+        oc = orbit_class(tree)
+        assert oc.kind == "InfiniteType"
+        assert "branch lengths (1, 2, 6)" in oc.witness
 
     def test_case_2d(self):
         tree = parse_tree_dsl("u:1>r:4 | a1:1>a2:2>a3:3>r | b1:1>b2:2>b3:3>r")
@@ -75,6 +83,33 @@ class TestOrbitClass:
     def test_four_leaves(self):
         tree = parse_tree_dsl("a:1>r:2 | b:1>r | c:1>r | d:1>r")
         assert orbit_class(tree).kind == "InfiniteType"
+
+    # branch shapes that decide the kind or case: a branch stops below the
+    # root and below a vertex where chains merge, and its width can be the
+    # label gap at its top
+    @pytest.mark.parametrize(
+        "text,kind,case,witness",
+        [
+            ("a:1>r:3 | b:1>r | c:1>r", "FiniteType", "2a", "branch lengths (1, 1, 1)"),
+            ("a:2>m:3>r:5 | b:2>m", "TwoOrbits", None,
+             "two branches of length 1, one of minimum width 1: exactly two orbits"),
+            ("a:2>m:4>r:5 | b:2>m", "FiniteType", "1", "2 leaves: finitely many orbits"),
+            ("t:2>j:8>r:9 | s1:1>s2:3>j | c1:1>c2:2>c3:3>c4:4>c5:5>c6:7>j", "FiniteType", "2c",
+             "branch lengths (1, 2, 6) with admissible widths "
+             "(length-1 width 2, length-2 width 1)"),
+        ],
+    )
+    def test_branch_shapes(self, text, kind, case, witness):
+        assert orbit_class(parse_tree_dsl(text)) == OrbitClass(kind, case, witness)
+
+    def test_pinned_digest(self):
+        h = hashlib.sha256()
+        rng = random.Random(19)
+        for i in range(30_000):
+            t = random_tree(rng, max_vertices=14, max_label=(3, 5, 9, 30)[i % 4])
+            oc = orbit_class(t)
+            h.update(f"{oc.kind}|{oc.case_label}|{oc.witness}\n".encode())
+        assert h.hexdigest() == ORBIT_CLASS_DIGEST
 
     @given(st.integers(0, 10**6))
     def test_homogeneous_iff_one_branch(self, seed):

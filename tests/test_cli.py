@@ -1,6 +1,7 @@
 """Exercise every verb of the command line front end through cli.main."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,10 @@ HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 # certificate proves dense; R8 no longer matches that image, so the tree is
 # Unknown, no longer the wrong Sparse
 R8_TREE = "v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7"
+# case 2c with its junction j below the root, so each branch stops below j
+CASE_2C_TREE = "t:2>j:8>r:9 | s1:1>s2:3>j | c1:1>c2:2>c3:3>c4:4>c5:5>c6:7>j"
+# sha256 of the bytes of `decide --rules --json`, newline included
+RULES_JSON_SHA256 = "8b2d9bd89f8298eb0653115f7363103255ad65d2520bbda35617e63efd0f1c55"
 
 
 def run(capsys, *argv):
@@ -165,6 +170,37 @@ class TestClassify:
     def test_fuzzed_tree_file_exits_0_or_2(self, content, as_json):
         fuzzed_file_exit(["classify", *(["--json"] if as_json else [])], "--tree-file", content)
 
+    # byte for byte the output of the hand-written records that came before
+    # the dataclass ones
+    @pytest.mark.parametrize(
+        "instance,out",
+        [
+            (CASE_2C_TREE,
+             '{"input":"c1:1>c2:2>c3:3>c4:4>c5:5>c6:7>j:8>r:9 | s1:1>s2:3>j:8>r:9 | t:2>j:8>r:9",'
+             '"orbit_class":{"case_label":"2c","kind":"FiniteType","witness":"branch lengths '
+             '(1, 2, 6) with admissible widths (length-1 width 2, length-2 width 1)"},'
+             '"trivially_sparse":{"lhs":null,"rhs":null,"vertex":null,"violated":false}}\n'
+            ),
+            ("G(1;7)*F(2,4;7)*F(1,2,3,4,5,6;7)",
+             '{"input":"F(1;7)*F(2,4;7)*F(1,2,3,4,5,6;7)","orbit_class":{"case_label":"2c",'
+             '"kind":"FiniteType","witness":"branch lengths (1, 2, 6) with admissible widths '
+             '(length-1 width 1, length-2 width 2)"},"trivially_sparse":{"lhs":null,"rhs":null,'
+             '"vertex":null,"violated":false}}\n'
+            ),
+            ("a1:2>a2:4>r:6 | b1:2>b2:4>r | c1:2>c2:4>r",
+             '{"input":"a1:2>a2:4>r:6 | b1:2>b2:4>r:6 | c1:2>c2:4>r:6","orbit_class":'
+             '{"case_label":null,"kind":"InfiniteType","witness":"three leaves, branch lengths '
+             '(2, 2, 2): no finite pattern matches"},"trivially_sparse":{"lhs":36,"rhs":35,'
+             '"vertex":"r","violated":true}}\n'
+            ),
+        ],
+        ids=["case-2c-junction", "product", "trivially-sparse"],
+    )
+    def test_golden_json(self, capsys, instance, out):
+        code, got, _ = run(capsys, "classify", instance, "--json")
+        assert code == 0
+        assert got == out
+
 
 class TestDecide:
     def test_trace_lines(self, capsys):
@@ -294,6 +330,7 @@ class TestDecide:
         rules = json.loads(out)["rules"]
         assert len(rules) >= 12
         assert all(r["rule_id"] and r["citation"] for r in rules)
+        assert hashlib.sha256(out.encode()).hexdigest() == RULES_JSON_SHA256
 
     @pytest.mark.parametrize("depth", ["-1", "-3"])
     def test_negative_depth_exits_2(self, capsys, depth):

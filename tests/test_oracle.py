@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import asdict
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -165,9 +166,10 @@ class TestStabilizerDim:
         assert not report.certified_dense
 
     def test_report_serialization(self):
+        # a plain dataclass: asdict is its record
         report = stabilizer_dim(random_config(parse_tree_dsl("1>3")))
-        record = report.to_json_dict()
-        assert record["prime"] == DEFAULT_PRIME
+        record = asdict(report)
+        assert record["p"] == DEFAULT_PRIME
         assert record["system_rank"] == report.system_rank
         assert record["lie_stab_dim"] + record["system_rank"] == 9
 

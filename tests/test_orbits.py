@@ -399,6 +399,17 @@ class TestCaps:
             with pytest.raises(UnsupportedField):
                 enumerate_orbits(parse_tree_dsl("1>2"), q=q)
 
+    def test_field_order_must_be_an_int(self):
+        # 2.0 == 2, so only the type tells a float order from an int one
+        tree = parse_tree_dsl("1>2")
+        for q in (2.0, 3.0, True, "2", None):
+            with pytest.raises(UnsupportedField):
+                enumerate_orbits(tree, q=q)
+            with pytest.raises(UnsupportedField):
+                projected_point_count(tree, q)
+            with pytest.raises(UnsupportedField):
+                _Field(q)
+
 
 class TestCountInvariants:
     @given(st.integers(0, 10**6))

@@ -46,6 +46,15 @@ class TestFlagProduct:
         with pytest.raises(BoundsError):
             FlagProduct(((1,),), 0)
 
+    @pytest.mark.parametrize(
+        "factors,n",
+        [(((True, 2),) * 3, 4), (((1, False),), 4), (((1,),), True), ((), True)],
+    )
+    def test_booleans_refused(self, factors, n):
+        # True == 1, so a bool would pass every range check as an integer
+        with pytest.raises(BoundsError):
+            FlagProduct(factors, n)
+
     def test_slotted_and_frozen(self):
         # a product keeps no per-instance dict; validation still normalizes
         p = FlagProduct([[1, 2]], 4)

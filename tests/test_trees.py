@@ -1,4 +1,4 @@
-"""Tree validation, dimension, branches, subtrees, deletion, truncation."""
+"""Tree validation, dimension, vertex order, subtrees, deletion, truncation."""
 
 import random
 
@@ -18,13 +18,11 @@ from treeorbits.errors import (
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.trees import (
     MAX_LABEL,
-    branches,
     dimension,
     forget_vertex,
-    min_width,
     subtree_at,
-    to_canonical_json,
     to_dsl,
+    top_down,
     truncate,
 )
 
@@ -110,11 +108,23 @@ class TestValidation:
     def test_unknown_vertex_lookups(self):
         t = two_branch_tree()
         with pytest.raises(UnknownVertex):
-            t.label("zz")
-        with pytest.raises(UnknownVertex):
             t.distance("zz")
         with pytest.raises(UnknownVertex):
+            forget_vertex(t, "zz")
+        with pytest.raises(UnknownVertex):
             subtree_at(t, "zz")
+
+    def test_top_down_order(self):
+        assert top_down(two_branch_tree()) == ["d4", "d3", "d5", "d2", "d1"]
+        assert top_down(LabeledTree({"r": 4}, [])) == []
+
+    @given(st.integers(0, 10**6))
+    def test_top_down_puts_parents_first(self, seed):
+        t = random_tree(random.Random(seed))
+        dist = bfs_distances(t)
+        order = top_down(t)
+        assert sorted(order) == sorted(v for v in t.labels if v != t.root)
+        assert [(dist[v], v) for v in order] == sorted((dist[v], v) for v in order)
 
 
 class TestDimension:
@@ -126,47 +136,6 @@ class TestDimension:
 
     def test_two_branch_tree(self):
         assert dimension(two_branch_tree()) == 1 + 2 + 3 + 8 + 4
-
-
-class TestBranches:
-    def test_chain_is_one_branch(self):
-        t = parse_tree_dsl("1>3>7")
-        brs = branches(t)
-        assert len(brs) == 1
-        assert brs[0].length == 2
-        assert brs[0].vertices == ("1", "3")
-        assert min_width(t, brs[0]) == 1  # min(1, 3-1, 7-3)
-
-    def test_two_branch_tree(self):
-        t = two_branch_tree()
-        brs = {b.leaf: b for b in branches(t)}
-        assert brs["d1"].vertices == ("d1", "d2", "d3")
-        assert brs["d1"].length == 3
-        assert min_width(t, brs["d1"]) == 1
-        assert brs["d5"].vertices == ("d5",)
-        assert min_width(t, brs["d5"]) == 2
-
-    def test_star(self):
-        t = parse_tree_dsl("a:1>r:3 | b:1>r | c:1>r")
-        brs = branches(t)
-        assert [b.length for b in brs] == [1, 1, 1]
-        assert [min_width(t, b) for b in brs] == [1, 1, 1]
-
-    def test_single_vertex_has_no_branch(self):
-        assert branches(LabeledTree({"r": 4}, [])) == []
-
-    @given(st.integers(0, 10**6))
-    def test_one_branch_per_leaf_and_disjoint(self, seed):
-        t = random_tree(random.Random(seed))
-        brs = branches(t)
-        non_root_leaves = [v for v in t.leaves if v != t.root]
-        assert len(brs) == len(non_root_leaves)
-        seen: set[str] = set()
-        for b in brs:
-            assert min_width(t, b) >= 1
-            for v in b.vertices:
-                assert v not in seen
-                seen.add(v)
 
 
 class TestSubtree:
@@ -294,13 +263,6 @@ class TestSerialization:
     def test_dsl_round_trip(self, seed):
         t = random_tree(random.Random(seed))
         assert parse_tree_dsl(to_dsl(t)) == t
-
-    def test_canonical_json_is_stable(self):
-        t = two_branch_tree()
-        text = to_canonical_json(t)
-        assert text == to_canonical_json(two_branch_tree())
-        assert '"labels"' in text and '"edges"' in text
-        assert " " not in text
 
     def test_equality_ignores_construction_order(self):
         a = LabeledTree({"a": 1, "b": 2}, [("a", "b")])
