@@ -1,6 +1,7 @@
 """Exhaustive orbit counts over tiny fields against closed-form and Burnside oracles."""
 
 import gc
+import hashlib
 import random
 import tracemalloc
 from functools import partial
@@ -26,6 +27,11 @@ from treeorbits.trees import heaviest_chain
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
 
 FOUR_POINTS = FlagProduct(((1,), (1,), (1,), (1,)), 2)
+
+# sha256 of repr() of the (point_count, orbit_count) list of
+# TestCountInvariants.test_pinned_digest (1,708 enumerations), taken from the
+# enumerator that fixed one flag only and reduced no second factor
+RANDOM_TREE_DIGEST = "8089d2fbacae28fcf29aea75a60288b33462ef7d6a302371f3da20380bb01d16"
 
 
 class TestGaussianBinomial:
@@ -412,6 +418,21 @@ class TestCaps:
 
 
 class TestCountInvariants:
+    def test_pinned_digest(self):
+        # every tree of the family at every field within the cap; the side
+        # branches, the trees with one root child and the trees whose second
+        # chain carries children all occur
+        rng = random.Random(5)
+        counts = []
+        for _ in range(600):
+            tree = random_tree(rng, max_vertices=7, max_label=5)
+            for q in (2, 3, 4, 5):
+                if projected_point_count(tree, q) <= DEFAULT_CAP:
+                    report = enumerate_orbits(tree, q=q)
+                    counts.append((report.point_count, report.orbit_count))
+        assert len(counts) == 1_708
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == RANDOM_TREE_DIGEST
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_orbits_partition_points(self, seed):
