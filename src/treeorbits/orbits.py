@@ -2,22 +2,30 @@
 
 Configurations over F_q (q in {2, 3, 4, 5}) are tuples of subspaces, one
 per non-root vertex, nested along the edges.  Orbits are counted on the
-fibre over one fixed flag, on numpy arrays, in five steps.
+fibres over two fixed flags, on numpy arrays, in five steps.
 
 * Reduction.  The vertices on a chain from a root child down to a leaf
-  carry a flag, and GL(n, q) acts transitively on that chain's flag
-  variety X1.  So the GL-orbits on the variety X match the orbits of the
-  stabilizer P of one flag x1 on the fibre over x1: every GL-orbit meets
-  that fibre, and g maps a point of it into it exactly when g fixes x1.
-  The chain fixed is the one whose X1 has the most points (for a product,
-  its largest factor), and x1 is the standard flag span(e_0..e_{d-1}), d
-  running over the chain's labels.
-  Subspaces are row spans acted on by right multiplication, so P is block
-  lower triangular.  It is generated, modulo the scalars, which act
-  trivially, by generators of GL in each diagonal block (a cycle, a
-  transvection and a primitive scalar in one slot) and one elementary
-  matrix linking each pair of adjacent blocks; the scalar of one 1 x 1
-  block is redundant and left out.  The fibre has |X| / |X1| points.
+  carry a flag.  Chain 1 is the chain whose flag variety X1 has the most
+  points (for a product, its largest factor); chain 2 is the same under
+  the other root children, with flag variety X2 (a point when the root
+  has one child).  GL(n, q) is transitive on X1, and the orbits of the
+  stabilizer P1 of the standard flag x1 = span(e_0..e_{d-1}) on X2 are
+  the double cosets P1 w P2 (Bruhat), one per nonnegative integer matrix
+  whose row and column sums are the two flags' quotient sizes.  Each has
+  a coordinate flag w.x2 as representative, which gives each basis
+  vector a level on each chain.  So the GL-orbits on the variety X are,
+  summed over the double cosets, the orbits of H_w, the stabilizer of
+  both x1 and w.x2, on the fibre over (x1, w.x2).
+  Subspaces are row spans acted on by right multiplication, so H_w holds
+  the invertible g with g[i, j] = 0 unless j's levels are at most i's on
+  both chains.  It is generated, modulo the scalars, which act trivially,
+  by generators of GL on each class of basis vectors with equal levels (a
+  cycle, a transvection and a primitive scalar in one slot) and one
+  elementary matrix per covering pair of classes; the scalar of one 1 x 1
+  class is redundant and left out.  With one chain the classes are P1's
+  diagonal blocks.  Each fibre has |X| / (|X1| |X2|) points, and when no
+  vertex is off both chains it is one point, so the orbits are the
+  double cosets and nothing is enumerated.
 * Field layer.  ``_Field`` holds the addition, negation, multiplication
   and inverse tables of F_q as uint8 arrays (so F_4, whose addition is
   xor, needs no special case past its tables), and they act elementwise
@@ -28,36 +36,40 @@ fibre over one fixed flag, on numpy arrays, in five steps.
   its pivot set's offset plus that number: no dict of subspaces is built.
   The field tables are built once per q and are read-only; subspace
   tables are built on every call, only for the labels of vertices off
-  the chain.
-* Points.  Point i is a mixed-radix number with one digit per non-root
-  vertex: the subspace index where the parent is the root, otherwise the
-  child's position among the subspaces of its parent.  A chain vertex's
-  digit has radix 1.  This numbers the points of the fibre 0..N-1 as a
-  grid with one axis per vertex.
-* Moves.  The G generators of P form one (G, n, n) stack, which acts on
-  each subspace table in one pass: one stacked product and one row
-  reduction give the table's images under all G at once.  Where a child
-  lands inside the image of its parent is looked up once per (parent,
-  child) pair for the whole stack, in the parent's sorted children; the
-  moves are then sums of gathers from these tables over the grid, a
-  (G, N) int64 array with one row per generator.  Every generator must
-  fix the flag, every lookup must hit and every move must permute the
-  points.
+  both chains.
+* Points.  Point i is a mixed-radix number with one digit for the double
+  coset and one per non-root vertex: the subspace index where the parent
+  is the root, otherwise the child's position among the subspaces of its
+  parent (a chain 2 parent's span depends on the double coset).  A chain
+  vertex's digit has radix 1.  This numbers the points of all fibres
+  0..N-1 as a grid with a leading double-coset axis and one axis per
+  vertex.
+* Moves.  The generators of every H_w are padded with the identity to a
+  (G, W) array of matrices.  Each distinct one acts on each subspace
+  table once: one stacked product and one row reduction give the table's
+  images under all of them.  Where a child lands inside the image of its
+  parent is looked up once per (parent, child) pair, in the parent's
+  sorted children; a fixed span is its own image.  The moves are then
+  sums of gathers from these tables over the grid, a (G, N) int64 array
+  with one row per generator slot, which keeps every point in its double
+  coset.  Every generator must fix both flags, every lookup must hit and
+  every move must permute the points.
 * Orbits.  They are the connected components of the Schreier graph of the
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
 
 The projected point count of X (a product of Gaussian binomials, one per
-edge) is checked against the cap before anything is enumerated, and the
-fibre's size times |X1| must equal it.  Every subspace table is an image
-of X, so it fits under the cap too.
+edge) is checked against the cap before anything is enumerated.  The
+orbit sizes |P1| / |H_w| must add up to |X2|, and a fibre's size times
+|X1| |X2| must equal the projected count.  Every subspace table is an
+image of X, so it fits under the cap too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, groupby
 from math import prod
 
 import numpy as np
@@ -65,6 +77,7 @@ import numpy as np
 from .errors import BadRange, CapExceeded, UnsupportedField
 from .products import as_tree
 from .trees import heaviest_chain, top_down
+
 
 DEFAULT_CAP = 200_000
 
@@ -75,7 +88,16 @@ def _check_field(q: int) -> None:
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
+    """Number of k-dimensional subspaces of F_q^n; 0 when k is not in 0..n.
+
+    Raises BadRange unless n and k are ints and q is an int of at least 2
+    (booleans are refused).
+    """
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BadRange(f"{name} must be an integer, got {value!r}")
+    if q < 2:
+        raise BadRange(f"q must be at least 2, got {q!r}")
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -198,46 +220,137 @@ class _Subspaces:
         return self.offsets[at] + (m * self.weights[at]).sum(axis=(1, 2))
 
 
-def _generators(n: int, field: _Field) -> list[np.ndarray]:
-    """Matrices generating GL(n, q) (acting by right multiplication on row spans)."""
-    eye = np.eye(n, dtype=np.uint8)
-    gens = []
-    if n >= 2:
-        transvection = eye.copy()
-        transvection[0, 1] = 1
-        gens += [np.roll(eye, 1, axis=1), transvection]  # the cycle e_i -> e_{i+1}
-    if field.q > 2:
-        scalar = eye.copy()
-        scalar[0, 0] = field.primitive
-        gens.append(scalar)
+def _gl_order(n: int, q: int) -> int:
+    return prod(q**n - q**i for i in range(n))
+
+
+def _blocks(flag: list[int], n: int) -> list[int]:
+    """Sizes of the successive quotients of a flag of the given dimensions in F_q^n."""
+    cuts = [0, *sorted(flag), n]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+def _double_cosets(rows: list[int], cols: list[int]) -> list[tuple[int, ...]]:
+    """One coordinate flag per double coset P1 w P2, as the level of each basis vector.
+
+    P1 and P2 stabilize flags with the quotient sizes ``rows`` and ``cols``;
+    P1's flag is the standard one, whose block a is a run of basis vectors.
+    A double coset is a nonnegative integer matrix M with these row and
+    column sums (Bruhat), and its flag puts M[a, b] vectors of block a at
+    level b, in increasing order: the flag's subspace of quotient b is
+    spanned by the vectors at level b or lower.  The vectors take their
+    levels one at a time, never lower than the one before within a block.
+    """
+    flags = [((), tuple(cols))]
+    for size in rows:
+        for k in range(size):
+            flags = [(levels + (b,), room[:b] + (room[b] - 1,) + room[b + 1:])
+                     for levels, room in flags
+                     for b in range(levels[-1] if k else 0, len(room)) if room[b]]
+    return [levels for levels, _ in flags]
+
+
+def _classes(level1: tuple[int, ...], level2: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The classes of basis vectors with equal level pairs, as (second level, start, stop) runs.
+
+    The levels are those of ``_double_cosets``: the pairs never decrease
+    along the basis, so each class is one run, the runs come in order, and
+    a class's levels are both at most another's exactly when it comes
+    first and its second level is at most the other's.
+    """
+    runs, start = [], 0
+    for (_, level), run in groupby(zip(level1, level2)):
+        stop = start + sum(1 for _ in run)
+        runs.append((level, start, stop))
+        start = stop
+    return runs
+
+
+def _pattern_order(level1: tuple[int, ...], level2: tuple[int, ...], q: int) -> int:
+    """Order of H, the invertible matrices g with g[i, j] = 0 unless j's levels are at most i's.
+
+    H is the product of its classes' GL, times one F_q per allowed entry
+    that links two classes.
+    """
+    runs = _classes(level1, level2)
+    links = sum((b - a) * (d - c) for i, (lo, a, b) in enumerate(runs)
+                for hi, c, d in runs[i + 1:] if lo <= hi)
+    return prod(_gl_order(b - a, q) for _, a, b in runs) * q**links
+
+
+def _stabilizer_generators(level1: tuple[int, ...], level2: tuple[int, ...], field: _Field) -> np.ndarray:
+    """Matrices generating, modulo scalars, the group H of ``_pattern_order``.
+
+    H fixes both coordinate flags.  It is generated by generators of GL on
+    each class (the cycle of its basis vectors, a transvection and a
+    primitive scalar in one slot) and one elementary matrix per covering
+    pair of classes, from the last vector of the lower class to the first
+    of the upper one: the classes' GL spread it over the whole block of
+    entries linking the two, and commutators reach every allowed entry
+    beyond.  The scalar of the first 1 x 1 class is left out: it is a
+    scalar matrix times the other classes' scalars.  With no second flag
+    the classes are the first flag's blocks.  Returns them stacked, of
+    shape (G, n, n).
+    """
+    n = len(level1)
+    runs = _classes(level1, level2)
+    # (generator, row, column, value) for each entry off the identity
+    entries = []
+    g = 0
+    dropped = False
+    for _, a, b in runs:
+        if b - a > 1:
+            entries += [(g, i, i, 0) for i in range(a, b)]
+            entries += [(g, i, a + (i + 1 - a) % (b - a), 1) for i in range(a, b)]
+            entries.append((g + 1, a, a + 1, 1))
+            g += 2
+        if field.q > 2:
+            if b - a == 1 and not dropped:
+                dropped = True
+            else:
+                entries.append((g, a, a, field.primitive))
+                g += 1
+    for i, (lo, _, b) in enumerate(runs):
+        for j, (hi, c, _) in enumerate(runs[i + 1:], i + 1):
+            if lo <= hi and not any(lo <= mid <= hi for mid, _, _ in runs[i + 1:j]):
+                entries.append((g, c, b - 1, 1))
+                g += 1
+    gens = np.zeros((g, n, n), np.uint8)
+    gens[:, range(n), range(n)] = 1
+    if entries:
+        h, row, col, value = zip(*entries)
+        gens[h, row, col] = value
     return gens
 
 
-def _parabolic_generators(n: int, flag: list[int], field: _Field) -> np.ndarray:
-    """Matrices generating, modulo scalars, the stabilizer P of the standard flag.
+def _stabilizer_stack(level1: tuple[int, ...], cosets: list[tuple[int, ...]],
+                      field: _Field) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of every double coset's H_w, each distinct matrix once.
 
-    The flag is span(e_0..e_{d-1}) for each d in ``flag``; P is block lower
-    triangular.  It is generated by ``_generators`` in each diagonal block and
-    one elementary matrix linking each pair of adjacent blocks.  The scalar
-    of the first 1 x 1 block is left out: it is a scalar matrix times the
-    other blocks' scalars.  Returns them stacked, of shape (G, n, n).
+    Returns ``distinct`` and ``which``: generator h of H_w is
+    ``distinct[which[h, w]]``, the identity where H_w has fewer than h + 1
+    generators.  Raises RuntimeError when a generator moves one of its two
+    coordinate flags.
     """
-    cuts = [0, *sorted(flag), n]
-    gens = []
-    dropped = False
-    for a, b in zip(cuts, cuts[1:]):
-        for block in _generators(b - a, field):
-            if b - a == 1 and not dropped:
-                dropped = True
-                continue
-            g = np.eye(n, dtype=np.uint8)
-            g[a:b, a:b] = block
-            gens.append(g)
-    for d in cuts[1:-1]:
-        g = np.eye(n, dtype=np.uint8)
-        g[d, d - 1] = 1
-        gens.append(g)
-    return np.array(gens, np.uint8).reshape(-1, n, n)
+    n = len(level1)
+    gens = [_stabilizer_generators(level1, w, field) for w in cosets]
+    level1, level2 = np.array(level1), np.array(cosets)
+    allowed = (level1 <= level1[:, None]) & (level2[:, None, :] <= level2[:, :, None])
+    if (np.concatenate(gens).astype(bool) & ~np.repeat(allowed, list(map(len, gens)), axis=0)).any():
+        raise RuntimeError("a generator moves a fixed flag")
+    eye = np.eye(n, dtype=np.uint8)
+    ids = {}
+    which = np.empty((max(1, *map(len, gens)), len(cosets)), np.intp)
+    for w, stack in enumerate(gens):
+        for h in range(len(which)):
+            which[h, w] = ids.setdefault((stack[h] if h < len(stack) else eye).tobytes(), len(ids))
+    return np.frombuffer(b"".join(ids), np.uint8).reshape(-1, n, n), which
+
+
+def _spans(levels: np.ndarray, k: int, d: int) -> np.ndarray:
+    """Bases of span(e_i : levels[i] <= k), a d-subspace, one per row of ``levels``: (P, d, n)."""
+    pick = np.argsort(levels > k, axis=1, kind="stable")[:, :d]
+    return np.eye(levels.shape[1], dtype=np.uint8)[pick]
 
 
 @dataclass(frozen=True)
@@ -266,10 +379,10 @@ def projected_point_count(x, q: int) -> int:
 def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     """Count GL(n, q) orbits on the F_q points of the configuration variety.
 
-    Only the fibre over one fixed flag is enumerated (see the module
-    docstring); ``point_count`` is the variety's full count.  Raises
-    CapExceeded (with the exact projected point count) when that count
-    exceeds ``cap``, before any work is done.
+    Only the fibres over two fixed flags, one per double coset, are
+    enumerated (see the module docstring); ``point_count`` is the
+    variety's full count.  Raises CapExceeded (with the exact projected
+    point count) when that count exceeds ``cap``, before any work is done.
     """
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
@@ -279,89 +392,118 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if projected > cap:
         raise CapExceeded(projected, cap)
     field = _field(q)
-    # the chain whose flag variety has the most F_q points
-    chain, flag_points = heaviest_chain(tree, lambda big, d: gaussian_binomial(big, d, q))
-    flag = [tree.labels[v] for v in chain]
-    gens = _parabolic_generators(n, flag, field)
-    if any(gens[:, :d, d:].any() for d in flag):
-        raise RuntimeError("a generator moves the fixed flag")
+    # the chain whose flag variety has the most F_q points, then the same
+    # under the other root children
+    weight = partial(gaussian_binomial, q=q)
+    chain, x1 = heaviest_chain(tree, weight)
+    second, x2 = heaviest_chain(tree, weight, [c for c in tree.children[tree.root] if c not in chain])
+    flags = {1: sorted(tree.labels[v] for v in chain), 2: sorted(tree.labels[v] for v in second)}
+    rows, cols = _blocks(flags[1], n), _blocks(flags[2], n)
+    (level1,) = _double_cosets((n,), rows)
+    cosets = _double_cosets(rows, cols)
+    p1 = _pattern_order(level1, (0,) * n, q)
+    if sum(p1 // _pattern_order(level1, w, q) for w in cosets) != x2:
+        raise RuntimeError("the double cosets do not cover the second flag variety")
 
     order = top_down(tree)
     pos = {v: i for i, v in enumerate(order)}
     # up[k] is the position of the parent of order[k], None where that is the root
     up = [pos.get(tree.parent[v]) for v in order]
     vdim = [tree.labels[v] for v in order]
-    free = [v not in chain for v in order]
-    spaces = {d: _Subspaces(n, d, field) for d in sorted({d for d, f in zip(vdim, free) if f})}
+    # on[k] is 1 or 2 for a vertex of the first or second chain, 0 for a free one
+    on = [1 if v in chain else 2 if v in second else 0 for v in order]
+    spaces = {d: _Subspaces(n, d, field) for d in sorted({d for d, f in zip(vdim, on) if not f})}
+    # the fixed spans of a chain's vertices, as each basis vector's level:
+    # one row for the first chain, one per double coset for the second
+    levels = {1: np.array([level1]), 2: np.array(cosets)}
 
     # children[dt, ds, f][p] = indices in spaces[ds] of the ds-subspaces inside
-    # subspace p of a free parent (f true), or inside the parent's fixed span
-    # (f false, p = 0), in the order of _Subspaces(dt, ds)
-    pair = [(vdim[j], vdim[k], free[j]) if f and j is not None else None
-            for k, (j, f) in enumerate(zip(up, free))]
+    # subspace p of a free parent (f = 0), or inside the fixed span of a
+    # parent on chain f (p = 0, or the double coset on chain 2), in the
+    # order of _Subspaces(dt, ds)
+    pair = [(vdim[j], vdim[k], on[j]) if not f and j is not None else None
+            for k, (j, f) in enumerate(zip(up, on))]
     children = {}
     for dt, ds, f in set(pair) - {None}:
-        parents = spaces[dt].bases if f else np.eye(dt, n, dtype=np.uint8)[None]
+        parents = spaces[dt].bases if not f else _spans(levels[f], flags[f].index(dt), dt)
         inside = field.matmul(_Subspaces(dt, ds, field).bases[None], parents[:, None])
         children[dt, ds, f] = spaces[ds].index(inside.reshape(-1, ds, n)).reshape(inside.shape[:2])
-    radix = [1 if not f else len(spaces[d]) if t is None else children[t].shape[1]
-             for d, f, t in zip(vdim, free, pair)]
+    radix = [1 if f else len(spaces[d]) if t is None else children[t].shape[1]
+             for d, f, t in zip(vdim, on, pair)]
     count = prod(radix)
-    if count * flag_points != projected:
-        raise RuntimeError("the fibre over the fixed flag has the wrong number of points")
-    moves = _moves(field, gens, spaces, children, up, vdim, free, pair, radix)
-    return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=_components(moves, count))
+    if count * x1 * x2 != projected:
+        raise RuntimeError("the fibre over the fixed flags has the wrong number of points")
+    if all(on):
+        return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=len(cosets))
+
+    distinct, which = _stabilizer_stack(level1, cosets, field)
+    moves = _moves(field, distinct, which, spaces, children, up, vdim, on, pair, radix)
+    return OrbitReport(q=q, cap=cap, point_count=projected,
+                       orbit_count=_components(moves, len(cosets) * count))
 
 
-def _moves(field, gens, spaces, children, up, vdim, free, pair, radix) -> list[np.ndarray]:
-    """The generators' permutations of the points and their inverses, as index arrays."""
-    # The points form a grid with one axis per vertex, raveled in C order;
-    # the axis of a chain vertex has length 1.  digit[k] and sub[k] (the
-    # subspace of vertex k, 0 on the chain) vary along the axes of k and its
-    # ancestors only, so they stay as small as the chain above k.
-    axes = len(radix)
+def _moves(field, distinct, which, spaces, children, up, vdim, on, pair, radix) -> list[np.ndarray]:
+    """The generators' permutations of the points and their inverses, as index arrays.
+
+    Generator h of double coset w's stabilizer is ``distinct[which[h, w]]``.
+    """
+    # The points form a grid with one axis for the double coset and one per
+    # vertex, raveled in C order; the axis of a chain vertex has length 1.
+    # digit[k] and sub[k] (the subspace of vertex k, the double coset on
+    # chain 2, 0 on chain 1) vary along the axes of k and its ancestors only
+    # (and the double coset's), so they stay as small as the chain above k.
+    g, cosets = which.shape
+    shape = (cosets, *radix)
+    axes = len(shape)
     digit = [np.arange(r).reshape([r if a == k else 1 for a in range(axes)])
-             for k, r in enumerate(radix)]
+             for k, r in enumerate(shape)]
     sub = []
     for k, j in enumerate(up):
-        if not free[k]:
-            sub.append(0)
+        if on[k]:
+            sub.append(0 if on[k] == 1 else digit[0])
         else:
-            sub.append(digit[k] if j is None else children[pair[k]][sub[j], digit[k]])
-    stride = [prod(radix[k + 1:]) for k in range(axes)]
-    count, g = prod(radix), len(gens)
+            sub.append(digit[k + 1] if j is None else children[pair[k]][sub[j], digit[k + 1]])
+    stride = [prod(shape[a + 1:]) for a in range(axes)]
+    count = prod(shape)
 
-    # image[d][h, i] = index of the image of subspace i under generator h
+    # each distinct generator acts once on each table; used[u, w] tells
+    # whether generator u fixes double coset w's flag
+    used = np.zeros((len(distinct), cosets), bool)
+    used[which, np.arange(cosets)] = True
+    # image[d][u, i] = index of the image of subspace i under generator u
     image = {}
     for d, s in spaces.items():
-        moved = field.matmul(s.bases[None], gens[:, None])
-        image[d] = s.index(moved.reshape(-1, *s.bases.shape[1:])).reshape(g, len(s))
-    # shift[t][h, p, i] = position of the image of child i of p among the
+        moved = field.matmul(s.bases[None], distinct[:, None])
+        image[d] = s.index(moved.reshape(-1, *s.bases.shape[1:])).reshape(len(distinct), len(s))
+    # shift[t][u, p, i] = position of the image of child i of p among the
     # children of the image of p; each parent's children are sorted, keyed
     # parent * |T_ds| + child (every subspace table is at most the projected
-    # count long, so the keys stay below its square); the generators fix the
-    # spans on the chain
+    # count long, so the keys stay below its square).  A fixed span is its
+    # own image, and a second-chain span is fixed only by its own double
+    # coset's generators, so only those lookups must hit.
     shift = {}
     for (dt, ds, f), table in children.items():
         at = np.argsort(table, axis=1)
         keys = np.take_along_axis(table, at, axis=1)
         keys += np.arange(len(table))[:, None] * len(spaces[ds])
         keys, at = keys.ravel(), at.ravel()
-        parent = image[dt] if f else np.zeros((g, 1), np.int64)
+        parent = image[dt] if not f else np.arange(len(table))[None]
         key = parent[:, :, None] * len(spaces[ds]) + image[ds][:, table]
         found = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        if not np.array_equal(keys[found], key):
+        hit = keys[found] == key
+        if not (hit[used] if f == 2 else hit).all():
             raise RuntimeError("an image child is missing from its image parent")
         shift[dt, ds, f] = at[found]
 
-    move = np.zeros((g, *radix), np.int64)
+    which = which.reshape(g, *shape[:1], *[1] * len(radix))
+    move = np.broadcast_to(digit[0] * stride[0], (g, *shape)).copy()
     for k, j in enumerate(up):
-        if not free[k]:
+        if on[k]:
             continue
         if j is None:
-            move += image[vdim[k]][:, sub[k]] * stride[k]
+            move += image[vdim[k]][which, sub[k]] * stride[k + 1]
         else:
-            move += shift[pair[k]][:, sub[j], digit[k]] * stride[k]
+            move += shift[pair[k]][which, sub[j], digit[k + 1]] * stride[k + 1]
     move = move.reshape(g, count)
     inverse = np.full((g, count), -1, np.int64)
     inverse[np.arange(g)[:, None], move] = np.arange(count)

@@ -8,21 +8,26 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import CapExceeded, FlagProduct, dualize, enumerate_orbits, parse_instance
+from treeorbits import CapExceeded, FlagProduct, dualize, enumerate_orbits, orbit_class, parse_instance
 from treeorbits.errors import BadRange, UnsupportedField
 from treeorbits.orbits import (
     DEFAULT_CAP,
+    _blocks,
+    _double_cosets,
     _Field,
-    _parabolic_generators,
+    _gl_order,
+    _pattern_order,
+    _stabilizer_generators,
     gaussian_binomial,
     projected_point_count,
 )
 from treeorbits.parsing import parse_tree_dsl
-from treeorbits.trees import heaviest_chain
+from treeorbits.trees import heaviest_chain, to_dsl
 
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
 
@@ -32,6 +37,9 @@ FOUR_POINTS = FlagProduct(((1,), (1,), (1,), (1,)), 2)
 # TestCountInvariants.test_pinned_digest (1,708 enumerations), taken from the
 # enumerator that fixed one flag only and reduced no second factor
 RANDOM_TREE_DIGEST = "8089d2fbacae28fcf29aea75a60288b33462ef7d6a302371f3da20380bb01d16"
+# the same for TestCountInvariants.test_pinned_digest_of_branching_roots (457
+# enumerations), taken from the same enumerator
+BRANCHING_ROOT_DIGEST = "f8162152f7680af65b1c88d312c253f67e3da3123d6c4489f6c1bb501fb01a9c"
 
 
 class TestGaussianBinomial:
@@ -62,6 +70,17 @@ class TestGaussianBinomial:
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, n, k, q):
         assert gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)
+
+    @pytest.mark.parametrize("q", [1, 0, -2, 2.5, 2.0, True, "2", None])
+    def test_bad_field_order(self, q):
+        # q = 1 divided by zero, q = 0 and q = -2 gave 1 and 3, q = 2.5 gave 9.0
+        with pytest.raises(BadRange):
+            gaussian_binomial(2, 1, q)
+
+    @pytest.mark.parametrize("n,k", [(2, True), (True, 0), (2.0, 1), (4, 2.0), ("4", 2), (4, None)])
+    def test_bad_dimensions(self, n, k):
+        with pytest.raises(BadRange):
+            gaussian_binomial(n, k, 2)
 
 
 class TestFieldTables:
@@ -113,45 +132,62 @@ class TestFieldTables:
                     assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
-def _gl_order(n: int, q: int) -> int:
-    return prod(q**n - q**i for i in range(n))
+def _closure_order(gens, field):
+    """Order of the group that a (G, n, n) stack of invertible matrices generates."""
+    n = gens.shape[-1]
+    place = field.q ** np.arange(n * n, dtype=np.int64).reshape(n, n)
+
+    def code(m):
+        return (m.astype(np.int64) * place).sum(axis=(-2, -1))
+
+    frontier = np.eye(n, dtype=np.uint8)[None]
+    seen = code(frontier)
+    while len(frontier):
+        products = field.matmul(frontier[:, None], gens[None]).reshape(-1, n, n)
+        keys, first = np.unique(code(products), return_index=True)
+        fresh = ~np.isin(keys, seen)
+        frontier, seen = products[first[fresh]], np.concatenate([seen, keys[fresh]])
+    return len(seen)
 
 
-class TestParabolicGenerators:
+class TestStabilizerGenerators:
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
-    def test_generate_the_flag_stabilizer(self, n, q):
-        # with the scalar matrices they generate exactly the block lower
-        # triangular group, of order prod |GL(b_i)| * q^(sum_{i<j} b_i b_j)
+    def test_generate_the_stabilizer_of_both_flags(self, n, q):
+        # for every pair of flag types (the second one empty included) and
+        # every double coset, with the scalar matrices they generate exactly
+        # the pattern group, of order prod |GL(class)| * q^(allowed entries
+        # linking two classes), and each of them fixes both coordinate flags
         field = _Field(q)
-
-        def times(a, b):
-            out = []
-            for row in a:
-                acc = [0] * n
-                for x, brow in zip(row, b):
-                    acc = [int(field.add[s, field.mul[x, y]]) for s, y in zip(acc, brow)]
-                out.append(tuple(acc))
-            return tuple(out)
-
-        scalars = [tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
-                   for c in range(1, q)]
-        for r in range(1, n):
-            for flag in combinations(range(1, n), r):
-                gens = [tuple(map(tuple, g.tolist())) for g in _parabolic_generators(n, list(flag), field)]
-                for g in gens:
-                    assert all(not any(g[i][d:]) for d in flag for i in range(d))
-                seen = set(scalars)
-                todo = list(scalars)
-                while todo:
-                    a = todo.pop()
+        scalars = np.array([np.eye(n, dtype=np.uint8) * c for c in range(1, q)])
+        types = [c for r in range(n) for c in combinations(range(1, n), r)]
+        checked = 0
+        for a in types[1:]:
+            rows = _blocks(list(a), n)
+            (level1,) = _double_cosets((n,), rows)
+            for b in types:
+                cosets = _double_cosets(rows, _blocks(list(b), n))
+                assert len(cosets) == contingency_count(rows, _blocks(list(b), n))
+                for level2 in cosets:
+                    gens = _stabilizer_generators(level1, level2, field)
+                    spans = [[i for i in range(n) if i < d] for d in a]
+                    spans += [[i for i in range(n) if level2[i] <= k] for k in range(len(b))]
                     for g in gens:
-                        b = times(a, g)
-                        if b not in seen:
-                            seen.add(b)
-                            todo.append(b)
-                blocks = [b - a for a, b in zip((0, *flag), (*flag, n))]
-                unipotent = sum(x * y for x, y in combinations(blocks, 2))
-                assert len(seen) == prod(_gl_order(b, q) for b in blocks) * q**unipotent, flag
+                        for span in spans:
+                            rest = [j for j in range(n) if j not in span]
+                            assert not g[np.ix_(span, rest)].any(), (a, b, level2)
+                    order = _closure_order(np.concatenate([gens, scalars]), field)
+                    assert order == _pattern_order(level1, level2, q), (a, b, level2)
+                    checked += 1
+        assert checked == {2: 3, 3: 29, 4: 273}[n]
+
+    def test_one_flag_gives_the_parabolic(self):
+        # with no second flag the pattern group is the block lower triangular
+        # stabilizer of the first flag
+        field = _Field(3)
+        (level1,) = _double_cosets((4,), (1, 2, 1))
+        assert level1 == (0, 1, 1, 2)
+        order = _pattern_order(level1, (0,) * 4, 3)
+        assert order == _gl_order(1, 3) ** 2 * _gl_order(2, 3) * 3 ** 5
 
 
 class TestHomogeneousCounts:
@@ -251,6 +287,34 @@ class TestExhaustiveGates:
                     checked += 1
         assert checked == 59
 
+    def test_finite_orbit_class_counts_agree_over_two_fields(self):
+        """A finite ``orbit_class`` gives equal orbit counts over F_2 and F_3.
+
+        A check on a seeded family, not a theorem.  The finite direction
+        has this sketch.  The stabilizer in GL(n) of a configuration is the
+        unit group of the algebra of endomorphisms keeping every subspace,
+        an open subset of a vector space, so it is connected.  By Lang's
+        theorem, each orbit defined over F_q then has its F_q-points in one
+        GL(n, F_q)-orbit, so the F_q-orbits are counted by the orbits defined
+        over F_q.  In finite type an orbit is a sum of indecomposables with
+        given multiplicities, each defined over the prime field, so every
+        orbit counts, for every q.
+        """
+        # the other direction is only observed: each of the 118 enumerable
+        # trees here with an infinite orbit_class has more orbits over F_3
+        rng = random.Random(0)
+        enumerable = finite = 0
+        for _ in range(1_000):
+            tree = random_tree(rng, max_vertices=6, max_label=5)
+            if max(projected_point_count(tree, q) for q in (2, 3)) > DEFAULT_CAP:
+                continue
+            enumerable += 1
+            if orbit_class(tree).finite:
+                finite += 1
+                counts = [enumerate_orbits(tree, q=q).orbit_count for q in (2, 3)]
+                assert counts[0] == counts[1], (to_dsl(tree), counts)
+        assert (enumerable, finite) == (798, 680)
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("m", range(1, 7))
     def test_points_on_a_line_match_burnside(self, m, q):
@@ -261,15 +325,16 @@ class TestExhaustiveGates:
 
 class TestResources:
     def test_no_reference_cycle_left(self):
-        # the whole working set is freed by reference counting on return
+        # the whole working set is freed by reference counting on return; the
+        # third plane is off both fixed chains, so its fibres are enumerated
         gc.collect()
         gc.disable()
         try:
-            report = enumerate_orbits(parse_instance("F(1;4)*F(1,3;4)"), q=4)
+            report = enumerate_orbits(parse_instance("F(2;4)^3"), q=2)
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert (report.point_count, report.orbit_count) == (151_725, 3)
+        assert (report.point_count, report.orbit_count) == (42_875, 17)
 
     def test_working_set_stays_linear(self):
         # a dense |T_3| x |T_2| table of F_2^7 would take 252 MB; the
@@ -308,23 +373,23 @@ class TestResources:
         assert (report.point_count, report.orbit_count) == (points, orbits)
 
     def test_stacked_moves_stay_small(self):
-        # the moves of all G generators are built as one (G, N) stack; on
-        # 357 fibre points over F_4 the measured peak is 0.13 MB with one
-        # generator at a time and 0.49 MB stacked (Python 3.11, numpy 2.4)
-        pair = parse_instance("F(2;4)*F(2;4)")
+        # the moves of all G generators of both double cosets are built as one
+        # (G, 2 N) stack; on the 2 x 441 fibre points over F_4 the measured
+        # peak is 0.14 MB (Python 3.11, numpy 2.4)
+        x = parse_instance("F(1;3)^3*F(2;3)")
         tracemalloc.start()
         try:
-            report = enumerate_orbits(pair, q=4)
+            report = enumerate_orbits(x, q=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (report.point_count, report.orbit_count) == (127_449, 3)
+        assert (report.point_count, report.orbit_count) == (194_481, 27)
         assert peak < 8 * 2**20
 
     def test_only_the_fibre_is_enumerated(self):
         # walking all 3,723,875 points took a 256 MB tracemalloc peak; the
-        # fibre over one fixed plane has 24,025 points and the measured peak
-        # is 2.8 MB (Python 3.11, numpy 2.4)
+        # fibres over two fixed planes, one per double coset, have 3 x 155
+        # points and the measured peak is 0.55 MB (Python 3.11, numpy 2.4)
         cube = parse_instance("G(2;5)^3")
         tracemalloc.start()
         try:
@@ -336,8 +401,9 @@ class TestResources:
 
 
 class TestSideBranches:
-    # side branches hang off the fixed chain (the census has none of these);
-    # the counts were read off the earlier enumerator, which walked every point
+    # side branches hang off the fixed chains (the census has none of these);
+    # the counts were read off earlier enumerators, which walked every point
+    # or fixed one flag only
     @pytest.mark.parametrize(
         "spec,q,points,orbits",
         [
@@ -350,6 +416,9 @@ class TestSideBranches:
             ("c:1>b:3>r:4 | a:2>b | d:1>r", 2, 11_025, 8),
             ("a:1>b:2>c:3>r:4 | d:1>c | e:2>c", 2, 15_435, 12),
             ("a:2>b:3>r:5 | c:1>b", 2, 7_595, 2),
+            # a side branch on each fixed chain
+            ("a:1>p:2>r:4 | b:1>p | c:1>s:2>r | d:1>s", 2, 99_225, 43),
+            ("a:1>p:2>r:3 | b:1>p | c:1>s:2>r | d:1>s", 3, 43_264, 40),
             ("r:3", 2, 1, 1),
         ],
     )
@@ -419,9 +488,8 @@ class TestCaps:
 
 class TestCountInvariants:
     def test_pinned_digest(self):
-        # every tree of the family at every field within the cap; the side
-        # branches, the trees with one root child and the trees whose second
-        # chain carries children all occur
+        # every tree of the family at every field within the cap; side
+        # branches on the first chain and trees with one root child occur
         rng = random.Random(5)
         counts = []
         for _ in range(600):
@@ -432,6 +500,23 @@ class TestCountInvariants:
                     counts.append((report.point_count, report.orbit_count))
         assert len(counts) == 1_708
         assert hashlib.sha256(repr(counts).encode()).hexdigest() == RANDOM_TREE_DIGEST
+
+    def test_pinned_digest_of_branching_roots(self):
+        # trees with two root children that have children of their own, so
+        # that the second fixed chain carries free vertices too (in 145 of
+        # the 457 enumerations)
+        rng = random.Random(7)
+        counts = []
+        for _ in range(6_000):
+            tree = random_tree(rng, max_vertices=9, max_label=4)
+            if sum(1 for c in tree.children[tree.root] if tree.children[c]) < 2:
+                continue
+            for q in (2, 3):
+                if projected_point_count(tree, q) <= DEFAULT_CAP:
+                    report = enumerate_orbits(tree, q=q)
+                    counts.append((report.point_count, report.orbit_count))
+        assert len(counts) == 457
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == BRANCHING_ROOT_DIGEST
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
