@@ -6,7 +6,6 @@ import random
 import tracemalloc
 from functools import partial
 from itertools import combinations, combinations_with_replacement
-from math import prod
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from treeorbits.orbits import (
     _blocks,
     _double_cosets,
     _Field,
-    _gl_order,
     _pattern_order,
     _stabilizer_generators,
     gaussian_binomial,
@@ -179,15 +177,6 @@ class TestStabilizerGenerators:
                     assert order == _pattern_order(level1, level2, q), (a, b, level2)
                     checked += 1
         assert checked == {2: 3, 3: 29, 4: 273}[n]
-
-    def test_one_flag_gives_the_parabolic(self):
-        # with no second flag the pattern group is the block lower triangular
-        # stabilizer of the first flag
-        field = _Field(3)
-        (level1,) = _double_cosets((4,), (1, 2, 1))
-        assert level1 == (0, 1, 1, 2)
-        order = _pattern_order(level1, (0,) * 4, 3)
-        assert order == _gl_order(1, 3) ** 2 * _gl_order(2, 3) * 3 ** 5
 
 
 class TestHomogeneousCounts:
