@@ -4,8 +4,10 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import numpy as np
 import pytest
@@ -130,6 +132,10 @@ class TestFieldTables:
                     assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
+def _gl_order(n: int, q: int) -> int:
+    return prod(q**n - q**i for i in range(n))
+
+
 def _closure_order(gens, field):
     """Order of the group that a (G, n, n) stack of invertible matrices generates."""
     n = gens.shape[-1]
@@ -173,8 +179,15 @@ class TestStabilizerGenerators:
                         for span in spans:
                             rest = [j for j in range(n) if j not in span]
                             assert not g[np.ix_(span, rest)].any(), (a, b, level2)
+                    # the pattern group's order, counted entry by entry
+                    pairs = list(zip(level1, level2))
+                    sizes = Counter(pairs).values()
+                    linking = sum(s <= t and u <= v and (s, u) != (t, v)
+                                  for s, u in pairs for t, v in pairs)
+                    expected = prod(_gl_order(m, q) for m in sizes) * q**linking
+                    assert _pattern_order(level1, level2, q) == expected, (a, b, level2)
                     order = _closure_order(np.concatenate([gens, scalars]), field)
-                    assert order == _pattern_order(level1, level2, q), (a, b, level2)
+                    assert order == expected, (a, b, level2)
                     checked += 1
         assert checked == {2: 3, 3: 29, 4: 273}[n]
 
