@@ -4,8 +4,8 @@ Entries stay in [0, p); p must be below 2^31 so products of two residues
 fit in int64 without overflow.
 
 ``rref_mod`` is Gauss-Jordan, clearing above each pivot too, because
-``nullspace_mod`` and ``solve_mod`` read their answers off the reduced form;
-its pivot is the first nonzero entry in the column, scanning down.
+``nullspace_mod`` reads its answer off the reduced form; its pivot is the
+first nonzero entry in the column, scanning down.
 ``rank_mod`` is the certificate's rank-only kernel: forward elimination with
 the shorter side in the columns, in panels of ``_PANEL`` columns whose
 trailing update is one ``matmul_mod`` (the blocked, delayed reduction of
@@ -28,12 +28,12 @@ matrices of 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms
 against 0.09 ms.
 
 The certificate ranks a chunk of trials (``oracle._TRIAL_CHUNK``) with
-the stacked kernel throughout: the drawn factors, both chains' flag
-blocks, the annihilators of every vertex on neither chain, and the
-stabilizer systems whose short side is at most 50.  Above that
-``rank_mod``'s panels win, one system at a time.  Measured on the same
-host over a chunk of 3 draws (best of 5): a 50 x 67 system takes 2.9 ms
-stacked against 3.2 ms one at a time, 54 x 70 3.5 ms against 3.2 ms,
+the stacked kernel throughout: the drawn factors, the annihilators of
+every vertex on neither chain, and the stabilizer systems whose short
+side is at most 50.  Above that ``rank_mod``'s panels win, one system at
+a time.  Measured on the same host over a chunk of 3 draws (best of 5):
+a 50 x 67 system takes 2.9 ms stacked against 3.2 ms one at a time,
+54 x 70 3.5 ms against 3.2 ms,
 76 x 96 10.1 ms against 6.8 ms, and 225 x 250 169 ms against 72 ms;
 over a chunk of 8 the crossover is the same, 7.5 against 8.2 ms at
 50 x 67 and 8.8 against 8.1 ms at 54 x 70.
@@ -237,20 +237,3 @@ def left_annihilator(b, p: int) -> np.ndarray:
     """Matrix whose rows span {c : c b = 0 mod p}."""
     b = np.atleast_2d(np.asarray(b, dtype=np.int64))
     return nullspace_mod(b.T, p).T
-
-
-def solve_mod(a, b, p: int) -> np.ndarray:
-    """Solve a x = b mod p for a with full column rank; b may be a matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
-    m = a.shape[1]
-    red, rank, pivots = rref_mod(np.hstack([a, b]), p)
-    if pivots and pivots[-1] >= m:
-        raise ArithmeticError("inconsistent linear system")
-    if rank != m:
-        raise ArithmeticError("coefficient matrix is column rank deficient")
-    x = red[:m, m:]  # full column rank: the pivots are exactly 0..m-1
-    return x[:, 0] if single else x

@@ -9,10 +9,12 @@ and because every stream is keyed, this gives the same configurations as
 drawing one trial at a time with ``random_config``.  It then ranks each
 chunk's stabilizer systems in one pipeline over the stacked bases
 (``_system_ranks``): one pick of the chains, one chain elimination with
-a Python iteration per column for all trials, one stacked flag check,
-one stacked elimination for every annihilator, and one stacked rank of
-the systems unless they are large.  ``stabilizer_dim`` is that pipeline
-on a chunk of one.
+a Python iteration per column for all trials, one stacked elimination
+for every annihilator, and one stacked rank of the systems unless they
+are large.  The pipeline assumes that every trial is a point of the
+variety, as every draw is.  ``stabilizer_dim`` is that pipeline on a
+chunk of one, and the one place where bases arrive from outside, so it
+refuses a configuration that is not a point before ranking it.
 
 ``stabilizer_dim`` computes the exact rank of the linear system cutting
 out the Lie stabilizer of a configuration: for each non-root vertex v
@@ -52,8 +54,6 @@ from .modp import (
     matmul_mod,
     rank_mod,
     ranks_mod,
-    rref_mod,
-    solve_mod,
 )
 from .products import as_tree
 from .trees import LabeledTree, dimension, heaviest_chain, top_down
@@ -99,6 +99,14 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
 _TRIAL_CHUNK = 8
 
 
+def _padded(mats: list[np.ndarray], n: int) -> np.ndarray:
+    """Matrices of at most n rows, zero-padded to one (len, n, widest) int64 stack."""
+    stack = np.zeros((len(mats), n, max((m.shape[1] for m in mats), default=0)), dtype=np.int64)
+    for s, m in enumerate(mats):
+        stack[s, : m.shape[0], : m.shape[1]] = m
+    return stack
+
+
 def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[str, np.ndarray]:
     """The bases of trials first, ..., first + count - 1, drawn together.
 
@@ -124,11 +132,7 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
              for key, rng in streams.items()}
     pending = list(drawn)
     while pending:
-        stack = np.zeros((len(pending), n, max(shape[v][1] for _, v in pending)), dtype=np.int64)
-        for s, key in enumerate(pending):
-            rows, k = shape[key[1]]
-            stack[s, :rows, :k] = drawn[key]
-        ranks = ranks_mod(stack, p)
+        ranks = ranks_mod(_padded([drawn[key] for key in pending], n), p)
         pending = [key for key, r in zip(pending, ranks) if r < shape[key[1]][1]]
         for key in pending:
             drawn[key] = streams[key].integers(0, p, size=shape[key[1]], dtype=np.int64)
@@ -138,6 +142,17 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
         up = tree.parent[v]
         bases[v] = factors if up == tree.root else matmul_mod(bases[up], factors, p)
     return bases
+
+
+def _int64_matrix(a, what: str) -> np.ndarray:
+    """``a`` as an int64 array; BadRange unless every entry is an integer that fits int64."""
+    entries = np.asarray(a, dtype=object)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in entries.flat):
+        raise BadRange(f"{what} must have integer entries")
+    try:
+        return entries.astype(np.int64)
+    except OverflowError:
+        raise BadRange(f"{what} has an entry that overflows int64") from None
 
 
 @dataclass(frozen=True)
@@ -157,37 +172,6 @@ class StabReport:
 def _flag_weight(big: int, d: int) -> int:
     # a chain's product of these weights is 2^dim of its flag variety
     return 2 ** (d * (big - d))
-
-
-def _refuse_non_flag(blocks: dict[str, tuple[np.ndarray, np.ndarray]], p: int) -> None:
-    """Raise BadRange at the first chain vertex whose block is not its coordinate subspace.
-
-    ``blocks`` maps chain vertices, in checking order, to their moved bases
-    over a run of trials, (T, n, d), and their chain's ``position``, (T, n).
-    The block of a vertex of label d must vanish outside the rows i with
-    position[i] < d and be invertible on them.  The square blocks of all
-    trials are ranked in one identity-padded stack; a block with fewer
-    such rows than d is refused whatever its rank.  The first trial with a
-    refused block names its first one.
-    """
-    if not blocks:
-        return
-    count = len(next(iter(blocks.values()))[1])
-    size = max(m.shape[2] for m, _ in blocks.values())
-    stack = np.zeros((count, len(blocks), size, size), dtype=np.int64)
-    bad = np.zeros((count, len(blocks)), dtype=bool)
-    for s, (m, position) in enumerate(blocks.values()):
-        d = m.shape[2]
-        held = position < d
-        # the rows of positions 0, ..., d - 1, in position order
-        rows = np.argsort(position, axis=1, kind="stable")[:, :d]
-        stack[:, s, :d, :d] = np.take_along_axis(m, rows[:, :, None], axis=1)
-        stack[:, s, range(d, size), range(d, size)] = 1
-        bad[:, s] = (held.sum(axis=1) < d) | (m * ~held[:, :, None]).any(axis=(1, 2))
-    bad |= ranks_mod(stack.reshape(-1, size, size), p).reshape(bad.shape) < size
-    if bad.any():
-        v = list(blocks)[np.argwhere(bad)[0, 1]]
-        raise BadRange(f"the chain bases are not a flag at vertex {v!r}")
 
 
 def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np.ndarray,
@@ -228,9 +212,10 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     """The stabilizer system ranks of ``count`` trials, from their stacked bases.
 
     ``bases`` maps each non-root vertex to its bases over the trials, a
-    (count, n, phi(v)) array.  Both chains are picked once; their
-    elimination, the flag check, the annihilators and the systems then
-    run over all trials together (see ``stabilizer_dim``).
+    (count, n, phi(v)) array, and every trial must be a point of the
+    variety.  Both chains are picked once; their elimination, the
+    annihilators and the systems then run over all trials together (see
+    ``stabilizer_dim``).
     """
     n = tree.ambient
     chain, _ = heaviest_chain(tree, _flag_weight)
@@ -244,11 +229,10 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
                                       + [bases[v] for v in order], axis=2), dtype=np.int64) % p
     starts = dict(zip(order, np.cumsum([0] + [tree.labels[v] for v in order]).tolist()))
     # views, so they see the row operations
-    blocks = {v: moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in order}
+    off = [moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in rest]
     at = np.arange(count)
     level = np.zeros((count, n), dtype=np.intp)
     allowed = np.ones((count, n, n), dtype=bool)
-    flags = {}
     for links in chains:
         position = np.full((count, n), n)
         taken = np.zeros(count, dtype=np.intp)
@@ -258,27 +242,20 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
             pivot = col[at, r].tolist()
             f = col * np.array([pow(x, -1, p) if x else 0 for x in pivot])[:, None] % p
             f[at, r] = 0
-            # whole rows: this keeps an earlier chain's coordinate flag,
-            # so its blocks still pass the check exactly when they are one
+            # whole rows: this keeps an earlier chain's coordinate flag
             moved -= f[:, :, None] * moved[at, r, None, :]
             moved %= p
             found = np.flatnonzero(pivot)
             position[found, r[found]] = taken[found]
             taken[found] += 1
-        flags.update((v, (blocks[v], position)) for v in links)
         level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
         allowed &= level[:, :, None] <= level[:, None, :]
-    _refuse_non_flag(flags, p)
     kernels = []
     if rest:
-        stack = np.zeros((len(rest), count, n, max(tree.labels[v] for v in rest)), dtype=np.int64)
-        for s, v in enumerate(rest):
-            stack[s, :, :, : tree.labels[v]] = blocks[v]
-        all_kernels = _left_annihilators(stack.reshape(-1, n, stack.shape[3]), p)
+        all_kernels = _left_annihilators(_padded([m[t] for m in off for t in range(count)], n), p)
         for c in all_kernels.reshape(len(rest), count, all_kernels.shape[1], n):
             # each vertex keeps as many rows as its largest kernel
             kernels.append(c[:, : c.any(axis=2).sum(axis=1).max()])
-    off = [blocks[v] for v in rest]
     entries = allowed.sum(axis=(1, 2))
     rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
     if min(rows, entries.max()) <= _STACKED_SIDE:
@@ -314,24 +291,47 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     pivots i, and its level of i counts its subspaces that do not hold
     e_i.  Y = h X h^-1 stabilizes the moved configuration exactly when X
     stabilizes this one, so Y[i, j] may be nonzero only when level(i) <=
-    level(j) for each chain.  The chains' flag blocks are checked in one
-    ``ranks_mod`` stack.  Only the vertices on neither chain give
+    level(j) for each chain.  Only the vertices on neither chain give
     conditions, from their left annihilators, which one stacked
     elimination of [M | I_n] finds for all of them; the system rank is
     the conditions' rank on the allowed entries plus the number of entries
     left out.  Systems whose short side is at most ``_STACKED_SIDE`` are
     ranked in one ``ranks_mod`` stack, larger ones one at a time by
-    ``rank_mod``.  Raises BadRange when a basis has the wrong shape or a
-    chain's bases are not a flag, naming chain 1's vertices first.
+    ``rank_mod``.
+
+    The configuration must be a point of the variety of its tree, or of
+    the tree ``as_tree`` gives a product; this is checked here, once, and
+    the pipeline assumes it.  Raises NotPrime or BadRange
+    for ``config.p`` as ``check_prime`` does, and BadRange when a basis is
+    missing, has the wrong shape or an entry that is not an integer
+    fitting int64, or, reduced mod p, does not have full column rank or
+    leaves the span of its parent's basis.  Every basis is ranked before
+    any containment, each in one ``ranks_mod`` stack, in vertex name
+    order; the first failure is named.
     """
-    tree, p = config.tree, config.p
+    tree, p = as_tree(config.tree), config.p
+    check_prime(p)
     n = tree.ambient
     if config.bases.keys() != tree.parent.keys():
         raise BadRange("a configuration needs one basis per non-root vertex")
-    for v, b in config.bases.items():
-        if np.shape(b) != (n, tree.labels[v]):
-            raise BadRange(f"the basis of {v!r} must be {n} x {tree.labels[v]}, got {np.shape(b)}")
-    rank = int(_system_ranks(tree, p, {v: np.asarray(b)[None] for v, b in config.bases.items()}, 1)[0])
+    bases = {}
+    for v in sorted(config.bases):
+        b = np.asarray(config.bases[v], dtype=object)
+        if b.shape != (n, tree.labels[v]):
+            raise BadRange(f"the basis of vertex {v!r} must be {n} x {tree.labels[v]}, got {b.shape}")
+        bases[v] = _int64_matrix(b, f"the basis of vertex {v!r}") % p
+    ranks = ranks_mod(_padded(list(bases.values()), n), p)
+    for (v, b), r in zip(bases.items(), ranks.tolist()):
+        if r < b.shape[1]:
+            raise BadRange(f"the basis of vertex {v!r} has rank {r} mod {p}, not {b.shape[1]}")
+    below = [v for v in bases if tree.parent[v] != tree.root]
+    ranks = ranks_mod(_padded([np.hstack([bases[tree.parent[v]], bases[v]]) for v in below], n), p)
+    for v, r in zip(below, ranks.tolist()):
+        if r > tree.labels[tree.parent[v]]:
+            raise BadRange(
+                f"the basis of vertex {v!r} is not inside that of vertex {tree.parent[v]!r} mod {p}"
+            )
+    rank = int(_system_ranks(tree, p, {v: b[None] for v, b in bases.items()}, 1)[0])
     dim = dimension(tree)
     lie = n * n - rank
     return StabReport(
@@ -408,30 +408,34 @@ def cross_ratio(zs, lower, upper, p: int) -> int:
 
         lambda = det(z4,z1) det(z3,z2) / (det(z4,z2) det(z3,z1)) mod p.
 
-    Raises NotAPencil when an input has more than two axes or the flag
-    sandwich fails, and Degenerate when the four subspaces are not
-    pairwise distinct.
+    Raises NotPrime or BadRange for ``p`` as ``check_prime`` does;
+    BadRange unless there are four subspaces of dimension at least 1 and
+    every entry is an integer fitting int64; NotAPencil when an input has
+    more than two axes or the flag sandwich fails; and Degenerate when the
+    four subspaces are not pairwise distinct.
     """
     check_prime(p)
     if len(zs) != 4:
         raise BadRange(f"need exactly four subspaces, got {len(zs)}")
-    zs = [np.atleast_2d(np.asarray(z, dtype=np.int64)) % p for z in zs]
-    lower = np.asarray(lower, dtype=np.int64)
-    upper = np.asarray(upper, dtype=np.int64)
+    zs = [np.atleast_2d(np.asarray(z, dtype=object)) for z in zs]
+    lower = np.asarray(lower, dtype=object)
+    upper = np.asarray(upper, dtype=object)
     if max(a.ndim for a in (*zs, lower, upper)) > 2:
         raise NotAPencil("the subspaces and the flag pair must be matrices")
     n, d = zs[0].shape
     if d < 1:
         raise BadRange("subspaces must have dimension at least 1")
-    lower = lower.reshape(n, -1) % p
-    upper = upper.reshape(n, -1) % p
-    if lower.shape != (n, d - 1) or upper.shape != (n, d + 1):
+    # the flag pair is read as n x (d - 1) and n x (d + 1), whatever its shape
+    if lower.size != n * (d - 1) or upper.size != n * (d + 1):
         raise NotAPencil(
             f"flag pair must have shapes {(n, d - 1)} and {(n, d + 1)}, "
             f"got {lower.shape} and {upper.shape}"
         )
     if any(z.shape != (n, d) for z in zs):
         raise NotAPencil("the four subspaces must share the shape n x d")
+    lower = _int64_matrix(lower, "the lower flag").reshape(n, d - 1) % p
+    upper = _int64_matrix(upper, "the upper flag").reshape(n, d + 1) % p
+    zs = [_int64_matrix(z, f"subspace {i + 1}") % p for i, z in enumerate(zs)]
     if rank_mod(lower, p) != d - 1:
         raise NotAPencil("lower flag is not (d-1)-dimensional")
     if rank_mod(upper, p) != d + 1:
@@ -443,17 +447,18 @@ def cross_ratio(zs, lower, upper, p: int) -> int:
             raise NotAPencil(f"subspace {i + 1} does not contain the lower flag")
         if rank_mod(np.hstack([z, upper]), p) != d + 1:
             raise NotAPencil(f"subspace {i + 1} is not inside the upper flag")
-    # coordinates in the upper flag, then a 2-dim quotient by the lower flag
-    lower_coords = solve_mod(upper, lower, p)
-    quot = left_annihilator(lower_coords, p)  # 2 x (d+1), kernel exactly the lower flag
-    points = []
-    for z in zs:
-        w = matmul_mod(quot, solve_mod(upper, z, p), p)
-        red, rank, _ = rref_mod(w.T, p)
-        assert rank == 1, "pencil member must map to a line in the quotient"
-        points.append(red[0])
+    # each subspace's point in F^n / lower: the first column of quot z
+    # outside the lower flag, the kernel of quot
+    quot = left_annihilator(lower, p)
+    points = [w[:, w.any(axis=0).argmax()] for w in matmul_mod(quot, np.stack(zs), p)]
+    # the points lie on the line upper / lower, and two coordinates on which
+    # points 1 and 2 have a nonzero minor are coordinates on it; without one,
+    # points 1 and 2 coincide, i = j = 0, and the check below names them
+    minors = (np.outer(points[0], points[1]) - np.outer(points[1], points[0])) % p
+    i, j = divmod(int((minors != 0).argmax()), len(minors))
+    points = [(int(z[i]), int(z[j])) for z in points]
     def det2(u, v):
-        return (int(u[0]) * int(v[1]) - int(u[1]) * int(v[0])) % p
+        return (u[0] * v[1] - u[1] * v[0]) % p
     for i in range(4):
         for j in range(i + 1, 4):
             if det2(points[i], points[j]) == 0:

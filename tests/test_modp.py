@@ -17,7 +17,6 @@ from treeorbits.modp import (
     rank_mod,
     ranks_mod,
     rref_mod,
-    solve_mod,
 )
 
 
@@ -223,30 +222,3 @@ class TestElimination:
     def test_stacked_annihilators_of_empty_matrices(self):
         assert _left_annihilators(np.zeros((2, 3, 0), dtype=np.int64), 7).tolist() == [np.eye(3).tolist()] * 2
         assert _left_annihilators(np.zeros((0, 3, 2), dtype=np.int64), 7).shape == (0, 0, 3)
-
-    def test_solve_exact(self):
-        p = 13
-        a = np.array([[2, 0], [0, 3], [1, 1]], dtype=np.int64)
-        x = np.array([5, 7], dtype=np.int64)
-        b = matmul_mod(a, x[:, None], p)[:, 0]
-        assert np.array_equal(solve_mod(a, b, p), x)
-
-    def test_solve_matrix_rhs(self):
-        p = 17
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, p, size=(5, 3))
-        while rank_mod(a, p) < 3:
-            a = rng.integers(0, p, size=(5, 3))
-        x = rng.integers(0, p, size=(3, 4))
-        b = matmul_mod(a, x, p)
-        assert np.array_equal(solve_mod(a, b, p), x)
-
-    def test_solve_rejects_inconsistent(self):
-        a = [[1], [0]]
-        with pytest.raises(ArithmeticError):
-            solve_mod(a, [0, 1], 7)
-
-    def test_solve_rejects_rank_deficient(self):
-        a = [[1, 2], [2, 4]]
-        with pytest.raises(ArithmeticError):
-            solve_mod(a, [1, 2], 7)

@@ -346,6 +346,113 @@ class TestChainReduction:
             stabilizer_dim(hand_built(a=[0], b=[0, 1], c=[1, 2]))
 
 
+def is_point(config) -> bool:
+    """Whether every basis has full rank mod p and lies in its parent's span, one rank at a time."""
+    tree, p = config.tree, config.p
+    for v, b in config.bases.items():
+        up = tree.parent[v]
+        if rank_mod(b, p) < tree.labels[v]:
+            return False
+        if up != tree.root and rank_mod(np.hstack([config.bases[up], b]), p) > tree.labels[up]:
+            return False
+    return True
+
+
+def replaced(config, **bases) -> Configuration:
+    return Configuration(config.tree, config.p, config.seed, config.trial, {**config.bases, **bases})
+
+
+class TestPointCheck:
+    # stabilizer_dim ranks only points of the variety; b, c and d hang below
+    # the 3-space m of HONEST_TREE
+
+    @pytest.mark.parametrize("v", ["b", "c", "d"])
+    def test_basis_outside_its_parent_is_refused(self, v):
+        config = random_config(parse_tree_dsl(HONEST_TREE), p=101)
+        k = config.tree.labels[v]
+        outside = np.random.default_rng(7).integers(0, 101, size=(5, k), dtype=np.int64)
+        with pytest.raises(BadRange, match=f"vertex '{v}' is not inside that of vertex 'm'"):
+            stabilizer_dim(replaced(config, **{v: outside}))
+
+    @pytest.mark.parametrize("v", ["b", "c", "d"])
+    def test_zero_basis_is_refused(self, v):
+        config = random_config(parse_tree_dsl(HONEST_TREE), p=101)
+        zero = np.zeros_like(config.bases[v])
+        with pytest.raises(BadRange, match=f"vertex '{v}' has rank 0"):
+            stabilizer_dim(replaced(config, **{v: zero}))
+
+    def test_basis_of_full_rank_only_over_the_integers_is_refused(self):
+        # e0 and e0 + 101 e1 are independent, but equal mod 101
+        b = np.array([[1, 1], [0, 101], [0, 0], [0, 0]])
+        with pytest.raises(BadRange, match="vertex 'b' has rank 1 mod 101"):
+            stabilizer_dim(replaced(hand_built(a=[0], b=[0, 1], c=[1]), b=b))
+
+    # 2^40 + 15 and 2^31 + 11 are primes above the int64-safe cap
+    @pytest.mark.parametrize(
+        "p,error,message",
+        [(4, NotPrime, "not prime"), (1, NotPrime, "not prime"), (0, NotPrime, "not prime"),
+         (7.0, NotPrime, "not prime"), (True, NotPrime, "not prime"),
+         (2**40 + 15, BadRange, "exceeds"), (2**31 + 11, BadRange, "exceeds")],
+    )
+    def test_modulus_that_is_no_safe_prime_is_refused(self, p, error, message):
+        config = random_config(parse_tree_dsl(HONEST_TREE), p=101)
+        with pytest.raises(error, match=message):
+            stabilizer_dim(Configuration(config.tree, p, 0, 0, config.bases))
+
+    @pytest.mark.parametrize("entry", [0.5, True, 2**63, "1", None])
+    def test_entry_that_is_no_int64_integer_is_refused(self, entry):
+        config = hand_built(a=[0], b=[0, 1], c=[1])
+        b = config.bases["b"].astype(object)
+        b[2, 0] = entry
+        with pytest.raises(BadRange, match="vertex 'b' .*int"):
+            stabilizer_dim(replaced(config, b=b))
+
+    def test_float_basis_is_refused(self):
+        config = hand_built(a=[0], b=[0, 1], c=[1])
+        with pytest.raises(BadRange, match="integer entries"):
+            stabilizer_dim(replaced(config, b=config.bases["b"] + 0.5))
+        with pytest.raises(BadRange, match="integer entries"):
+            stabilizer_dim(replaced(config, b=config.bases["b"].astype(bool)))
+
+    def test_integer_bases_of_any_kind_are_ranked(self):
+        config = hand_built(a=[0], b=[0, 1], c=[1])
+        rank = stabilizer_dim(config).system_rank
+        as_lists = {v: b.tolist() for v, b in config.bases.items()}
+        as_uint8 = {v: b.astype(np.uint8) for v, b in config.bases.items()}
+        for bases in (as_lists, as_uint8):
+            assert stabilizer_dim(replaced(config, **bases)).system_rank == rank
+
+    def test_product_configuration_is_read_as_its_tree(self):
+        x = parse_instance("F(1,2;4)^3")
+        config = random_config(x, p=101)
+        assert stabilizer_dim(Configuration(x, 101, 0, 0, config.bases)) == stabilizer_dim(config)
+
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3, 101, DEFAULT_PRIME]),
+           st.integers(0, 10**6), st.sampled_from(["entry", "zero column", "copy column"]))
+    @settings(max_examples=80, deadline=None)
+    def test_perturbed_configuration_is_ranked_exactly_when_a_point(self, seed, p, pick, kind):
+        tree = random_tree(random.Random(seed), max_vertices=6, max_label=6)
+        config = random_config(tree, p=p, seed=seed)
+        if not config.bases:
+            return
+        v = sorted(config.bases)[pick % len(config.bases)]
+        b = config.bases[v].copy()
+        i, j = divmod(pick // len(config.bases), b.shape[1])
+        i %= b.shape[0]
+        if kind == "entry":
+            b[i, j] = (b[i, j] + 1 + pick % (p - 1)) % p
+        elif kind == "zero column":
+            b[:, j] = 0
+        else:
+            b[:, j] = b[:, 0]
+        perturbed = replaced(config, **{v: b})
+        if is_point(perturbed):
+            assert stabilizer_dim(perturbed).system_rank == full_system_rank(perturbed)
+        else:
+            with pytest.raises(BadRange, match="vertex"):
+                stabilizer_dim(perturbed)
+
+
 class TestChunkRanking:
     # certify_density ranks a chunk of trials in one stacked pipeline;
     # stabilizer_dim ranks each trial alone
@@ -382,12 +489,15 @@ class TestChunkRanking:
     def test_rank_deficient_off_chain_basis_is_padded_exactly(self):
         # e is on neither chain; in trial 0 its basis spans only the line e3,
         # so its annihilator has one row more than in trial 1, which the
-        # chunk pads with a zero row
+        # chunk pads with a zero row.  Trial 0 is not a point of the variety,
+        # so stabilizer_dim refuses it; the pipeline still ranks it exactly
         tree = "a:1>b:2>r:4 | c:1>d:2>r | e:2>r"
         configs = [hand_built(tree, a=[0], b=[0, 1], c=[1], d=[1, 2], e=e) for e in ([3, 3], [2, 3])]
         bases = {v: np.stack([c.bases[v] for c in configs]) for v in configs[0].bases}
         chunk = oracle._system_ranks(configs[0].tree, 101, bases, 2).tolist()
-        assert chunk == [stabilizer_dim(c).system_rank for c in configs]
+        with pytest.raises(BadRange, match="vertex 'e'"):
+            stabilizer_dim(configs[0])
+        assert chunk[1] == stabilizer_dim(configs[1]).system_rank
         assert chunk == [full_system_rank(c) for c in configs]
         assert [left_annihilator(c.bases["e"], 101).shape[0] for c in configs] == [3, 2]
 
@@ -526,6 +636,49 @@ class TestCrossRatio:
             cross_ratio(zs[:3], np.zeros((2, 0)), np.eye(2), p)
         with pytest.raises(NotAPencil):
             cross_ratio(zs, np.zeros((2, 1)), np.eye(2), p)
+        # a flag pair whose size is no multiple of n
+        with pytest.raises(NotAPencil):
+            cross_ratio(zs, np.zeros((3, 1), dtype=np.int64), np.eye(2, dtype=np.int64), p)
+
+    @pytest.mark.parametrize("entry", [3.7, True, 2**64, "3"])
+    def test_entry_that_is_no_int64_integer_is_refused(self, entry):
+        zs = [z.astype(object) for z in line_points([(0, 1), (1, 0), (1, 1), (3, 1)], 101)]
+        zs[3][0, 0] = entry
+        with pytest.raises(BadRange, match="subspace 4"):
+            cross_ratio(zs, np.zeros((2, 0), dtype=np.int64), np.eye(2, dtype=np.int64), 101)
+
+    def test_float_flag_is_refused(self):
+        zs = line_points([(0, 1), (1, 0), (1, 1), (3, 1)], 101)
+        with pytest.raises(BadRange, match="upper flag"):
+            cross_ratio(zs, np.zeros((2, 0), dtype=np.int64), np.eye(2), 101)
+
+    @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([5, 7, 101, DEFAULT_PRIME]),
+           st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_moved_standard_pencil_gives_the_cross_ratio_of_its_parameters(self, d, extra, p, seed):
+        # the pencil of d-spaces e_0, ..., e_{d-2}, a e_{d-1} + b e_d, moved by
+        # a random g in GL(n) and with each basis changed by a random GL(d)
+        n = d + 1 + extra
+        rng = np.random.default_rng(seed)
+        params = []
+        while len(params) < 4:
+            a, b = (int(x) for x in rng.integers(0, p, size=2))
+            if (a, b) != (0, 0) and all((a * y - b * x) % p for x, y in params):
+                params.append((a, b))
+        eye = np.eye(n, dtype=np.int64)
+        g = rand_gl(rng, n, p)
+        zs = [
+            matmul_mod(g, np.hstack([eye[:, : d - 1], (a * eye[:, d - 1] + b * eye[:, d])[:, None]]), p)
+            for a, b in params
+        ]
+        zs = [matmul_mod(z, rand_gl(rng, d, p), p) for z in zs]
+        lower, upper = matmul_mod(g, eye[:, : d - 1], p), matmul_mod(g, eye[:, : d + 1], p)
+
+        def det2(u, v):
+            return u[0] * v[1] - u[1] * v[0]
+        z1, z2, z3, z4 = params
+        expected = det2(z4, z1) * det2(z3, z2) * pow(det2(z4, z2) * det2(z3, z1), -1, p) % p
+        assert cross_ratio(zs, lower, upper, p) == expected
 
     def test_more_than_two_axes_is_refused(self):
         with pytest.raises(NotAPencil):

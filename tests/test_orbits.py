@@ -339,17 +339,20 @@ class TestResources:
         assert (report.point_count, report.orbit_count) == (42_875, 17)
 
     def test_working_set_stays_linear(self):
-        # a dense |T_3| x |T_2| table of F_2^7 would take 252 MB; the
-        # measured peak is 14.5 MB (Python 3.11, numpy 2.4)
-        tree = parse_tree_dsl("a:2>b:3>r:7")
+        # the chains e>c and f>d are fixed, and a lies under the free b, so
+        # the enumerator walks 11 double cosets times a fibre of 465 points,
+        # not the 547,409,625 points of the variety, whose one int64 array
+        # would take 4.4 GB.  The measured peak is 0.94 MB (Python 3.11,
+        # numpy 2.4)
+        tree = parse_tree_dsl("a:1>b:2>r:5 | c:1>e:3>r | d:1>f:3>r")
         tracemalloc.start()
         try:
-            report = enumerate_orbits(tree, q=2)
+            report = enumerate_orbits(tree, q=2, cap=10**9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (report.point_count, report.orbit_count) == (82_677, 1)
-        assert peak < 40 * 2**20
+        assert (report.point_count, report.orbit_count) == (547_409_625, 409)
+        assert peak < 4 * 2**20
 
     def test_raised_cap_count(self):
         # refused at the default cap; the count was read off the earlier,
