@@ -152,7 +152,7 @@ def _cmd_orbits(args):
     inst = _instance(args)
     cap = DEFAULT_CAP if args.cap is None else args.cap
     report = enumerate_orbits(inst, q=args.q, cap=cap)
-    record = {"input": engine.display(inst), **report.to_json_dict()}
+    record = {"input": engine.display(inst), **asdict(report)}
     plural = "" if report.orbit_count == 1 else "s"
     human = (
         f"{report.orbit_count} orbit{plural} on {report.point_count} points "

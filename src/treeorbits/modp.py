@@ -1,27 +1,29 @@
 """Exact linear algebra over a prime field, vectorized with int64 numpy.
 
 Entries stay in [0, p); p must be below 2^31 so products of two residues
-fit in int64 without overflow.
+fit in int64 without overflow.  Every rank and left kernel comes from
+one of two elimination kernels.
 
-``rref_mod`` is Gauss-Jordan, clearing above each pivot too, because
-``nullspace_mod`` reads its answer off the reduced form; its pivot is the
-first nonzero entry in the column, scanning down.
-``rank_mod`` is the certificate's rank-only kernel: forward elimination with
-the shorter side in the columns, in panels of ``_PANEL`` columns whose
-trailing update is one ``matmul_mod`` (the blocked, delayed reduction of
-FFLAS-FFPACK; Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Its int64 bounds:
-an update ``(a + g * row) % p`` of residues stays below p^2 < 2^62, so one
-reduction suffices; ``matmul_mod`` splits its right factor into 16-bit
-halves, so inner dimension b sums b terms below 2^47 and fits while
-b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
+``rank_mod`` ranks one large matrix: forward elimination with the shorter
+side in the columns, in panels of ``_PANEL`` columns whose trailing update
+is one ``matmul_mod`` (the blocked, delayed reduction of FFLAS-FFPACK;
+Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  It serves the stabilizer
+systems whose short side is above ``oracle._STACKED_SIDE``.  Its int64
+bounds: an update ``(a + g * row) % p`` of residues stays below p^2 <
+2^62, so one reduction suffices; ``matmul_mod`` splits its right factor
+into 16-bit halves, so inner dimension b sums b terms below 2^47 and fits
+while b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
 
-``ranks_mod`` ranks a whole stack of small matrices in one forward
-elimination, one Python iteration per column for the stack, as batched
-BLAS does for many small problems (Dongarra et al., Procedia CS 108,
-2017).  Its update ``pivot * row - entry * pivot_row`` of residues stays
-in (-p^2, p^2), inside int64, with one reduction.  That column loop,
-``_eliminate``, is the one stacked kernel: ``_left_annihilators`` runs it
-on [M | I_n] and reads each left kernel off the rows that never pivot.
+``_eliminate`` forward-eliminates a stack of small matrices, one Python
+iteration per column for the whole stack, as batched BLAS does for many
+small problems (Dongarra et al., Procedia CS 108, 2017).  Its update
+``pivot * row - entry * pivot_row`` of residues stays in (-p^2, p^2),
+inside int64, with one reduction.  ``ranks_mod`` reads ranks off it, and
+``_left_annihilators`` runs it on [M | I_n] and reads each left kernel off
+the rows that never pivot.  They serve everything else: the certificate's
+draws, point check, annihilators and smaller systems, and
+``oracle.cross_ratio``, whose rank checks of a pencil are one stack and
+whose quotient by the lower flag is a left kernel in a stack of one.
 Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
 matrix at a time is about 11x slower on stacks of tiny matrices: 18
 matrices of 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms
@@ -91,33 +93,6 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64) % p
     hi, lo = b >> 16, b & 0xFFFF
     return ((a @ hi % p) * (1 << 16) + a @ lo) % p
-
-
-def rref_mod(a, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form; returns (matrix, rank, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    rows, cols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, r, pivots
 
 
 def rank_mod(a, p: int) -> int:
@@ -219,21 +194,3 @@ def _left_annihilators(stack, p: int) -> np.ndarray:
     q = int(held.sum(axis=1).max(initial=0))
     rows = np.argsort(~held, axis=1, kind="stable")[:, :q]
     return np.take_along_axis(kernel, rows[:, :, None], axis=1)
-
-
-def nullspace_mod(a, p: int) -> np.ndarray:
-    """Matrix whose columns are a basis of the right kernel of a mod p."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    cols = a.shape[1]
-    red, rank, pivots = rref_mod(a, p)
-    free = np.array([c for c in range(cols) if c not in pivots], dtype=np.intp)
-    basis = np.zeros((cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots] = -red[:rank, free] % p
-    return basis
-
-
-def left_annihilator(b, p: int) -> np.ndarray:
-    """Matrix whose rows span {c : c b = 0 mod p}."""
-    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-    return nullspace_mod(b.T, p).T

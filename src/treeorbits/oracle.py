@@ -50,7 +50,6 @@ from .errors import BadRange, Degenerate, NotAPencil
 from .modp import (
     _left_annihilators,
     check_prime,
-    left_annihilator,
     matmul_mod,
     rank_mod,
     ranks_mod,
@@ -436,20 +435,20 @@ def cross_ratio(zs, lower, upper, p: int) -> int:
     lower = _int64_matrix(lower, "the lower flag").reshape(n, d - 1) % p
     upper = _int64_matrix(upper, "the upper flag").reshape(n, d + 1) % p
     zs = [_int64_matrix(z, f"subspace {i + 1}") % p for i, z in enumerate(zs)]
-    if rank_mod(lower, p) != d - 1:
-        raise NotAPencil("lower flag is not (d-1)-dimensional")
-    if rank_mod(upper, p) != d + 1:
-        raise NotAPencil("upper flag is not (d+1)-dimensional")
-    for i, z in enumerate(zs):
-        if rank_mod(z, p) != d:
-            raise NotAPencil(f"subspace {i + 1} is not {d}-dimensional")
-        if rank_mod(np.hstack([lower, z]), p) != d:
-            raise NotAPencil(f"subspace {i + 1} does not contain the lower flag")
-        if rank_mod(np.hstack([z, upper]), p) != d + 1:
-            raise NotAPencil(f"subspace {i + 1} is not inside the upper flag")
+    # every rank in one stack, checked in this order: the first failure is named
+    checks = [(lower, d - 1, "lower flag is not (d-1)-dimensional"),
+              (upper, d + 1, "upper flag is not (d+1)-dimensional")]
+    for i, z in enumerate(zs, 1):
+        checks += [(z, d, f"subspace {i} is not {d}-dimensional"),
+                   (np.hstack([lower, z]), d, f"subspace {i} does not contain the lower flag"),
+                   (np.hstack([z, upper]), d + 1, f"subspace {i} is not inside the upper flag")]
+    ranks = ranks_mod(_padded([m for m, _, _ in checks], n), p)
+    for (_, rank, message), r in zip(checks, ranks.tolist()):
+        if r != rank:
+            raise NotAPencil(message)
     # each subspace's point in F^n / lower: the first column of quot z
     # outside the lower flag, the kernel of quot
-    quot = left_annihilator(lower, p)
+    quot = _left_annihilators(lower[None], p)[0]
     points = [w[:, w.any(axis=0).argmax()] for w in matmul_mod(quot, np.stack(zs), p)]
     # the points lie on the line upper / lower, and two coordinates on which
     # points 1 and 2 have a nonzero minor are coordinates on it; without one,

@@ -67,7 +67,7 @@ image of X, so it fits under the cap too.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, groupby
 from math import prod
@@ -361,9 +361,6 @@ class OrbitReport:
     cap: int
     point_count: int
     orbit_count: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def projected_point_count(x, q: int) -> int:

@@ -9,7 +9,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from treeorbits import FlagProduct, LabeledTree
-from treeorbits.modp import left_annihilator, rank_mod
+from treeorbits.modp import _left_annihilators, rank_mod
 
 
 def random_tree(
@@ -47,10 +47,39 @@ def full_system_rank(config) -> int:
     blocks = [np.zeros((0, n * n), dtype=np.int64)]
     for v in sorted(config.bases):
         b = config.bases[v]
-        c = left_annihilator(b, p)
+        c = _left_annihilators(b[None], p)[0]
         # condition C X B = 0: coefficient of X[i,j] in row (a,col) is C[a,i] B[j,col]
         blocks.append(np.einsum("ai,jb->abij", c, b).reshape(-1, n * n) % p)
     return rank_mod(np.vstack(blocks), p)
+
+
+def rand_gl(rng: np.random.Generator, k: int, p: int) -> np.ndarray:
+    """A uniform random invertible k x k matrix mod p, by rejection."""
+    while True:
+        m = rng.integers(0, p, size=(k, k), dtype=np.int64)
+        if rank_mod(m, p) == k:
+            return m
+
+
+def reference_rank(a, p: int) -> int:
+    """Rank of a mod p by textbook Gaussian elimination on Python ints.
+
+    Independent of ``modp``: no int64, no panels, no stacks.
+    """
+    rows = [[int(x) % p for x in row] for row in np.asarray(a).tolist()]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def bfs_distances(tree: LabeledTree) -> dict[str, int]:

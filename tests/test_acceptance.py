@@ -27,14 +27,14 @@ from treeorbits import (
     reduce_span,
     tree_to_product,
 )
-from treeorbits.modp import matmul_mod, rank_mod
+from treeorbits.modp import matmul_mod
 from treeorbits.oracle import Configuration, random_config, stabilizer_dim
 from treeorbits.orbits import projected_point_count
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import product_to_tree
 from treeorbits.trees import dimension, truncate
 
-from .helpers import burnside_line_orbits, random_product, random_tree
+from .helpers import burnside_line_orbits, rand_gl, random_product, random_tree
 
 SPARSE_CLASS = {SPARSE, TRIVIALLY_SPARSE}
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
@@ -220,13 +220,6 @@ def _three_leaf_tree(rng: random.Random) -> LabeledTree:
     return LabeledTree(labels, edges)
 
 
-def _rand_gl(nrng: np.random.Generator, k: int, p: int) -> np.ndarray:
-    while True:
-        m = nrng.integers(0, p, size=(k, k), dtype=np.int64)
-        if rank_mod(m, p) == k:
-            return m
-
-
 def _verdicts_agree(a, b) -> None:
     assert (a.status in SPARSE_CLASS) == (b.status in SPARSE_CLASS)
     assert (a.status == DENSE) == (b.status == DENSE)
@@ -302,12 +295,12 @@ def test_criterion_6_invariance_suite():
         base = stabilizer_dim(config).system_rank
         nrng = np.random.default_rng(i)
         changed = {
-            v: matmul_mod(b, _rand_gl(nrng, b.shape[1], p), p)
+            v: matmul_mod(b, rand_gl(nrng, b.shape[1], p), p)
             for v, b in config.bases.items()
         }
         alt = Configuration(t, p, config.seed, config.trial, changed)
         assert stabilizer_dim(alt).system_rank == base
-        g = _rand_gl(nrng, t.ambient, p)
+        g = rand_gl(nrng, t.ambient, p)
         moved = {v: matmul_mod(g, b, p) for v, b in config.bases.items()}
         alt = Configuration(t, p, config.seed, config.trial, moved)
         assert stabilizer_dim(alt).system_rank == base
@@ -318,7 +311,7 @@ def test_criterion_6_invariance_suite():
         nrng = np.random.default_rng(1000 + i)
         n = int(nrng.integers(2, 6))
         d = int(nrng.integers(1, n))
-        frame = _rand_gl(nrng, n, cr_prime)[:, : d + 1]
+        frame = rand_gl(nrng, n, cr_prime)[:, : d + 1]
         lower, u, v = frame[:, : d - 1], frame[:, d - 1], frame[:, d]
         t_val = int(nrng.integers(2, cr_prime))
         params = [(0, 1), (1, 0), (1, 1), (t_val, 1)]
@@ -327,7 +320,7 @@ def test_criterion_6_invariance_suite():
             for a, b in params
         ]
         assert cross_ratio(zs, lower, frame, cr_prime) == t_val
-        g = _rand_gl(nrng, n, cr_prime)
+        g = rand_gl(nrng, n, cr_prime)
         assert cross_ratio(
             [matmul_mod(g, z, cr_prime) for z in zs],
             matmul_mod(g, lower, cr_prime),

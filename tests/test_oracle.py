@@ -1,5 +1,6 @@
 """Random configurations, exact stabilizer ranks, certification, cross-ratio."""
 
+import collections
 import hashlib
 import random
 import tracemalloc
@@ -13,22 +14,15 @@ from hypothesis import strategies as st
 
 from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio, oracle, parse_instance
 from treeorbits.errors import BadRange, Degenerate, NotAPencil, NotPrime
-from treeorbits.modp import left_annihilator, matmul_mod, rank_mod
+from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_tree
 from treeorbits.trees import dimension
 
-from .helpers import full_system_rank, random_product, random_tree
+from .helpers import full_system_rank, rand_gl, random_product, random_tree
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
-
-
-def rand_gl(rng: np.random.Generator, k: int, p: int) -> np.ndarray:
-    while True:
-        m = rng.integers(0, p, size=(k, k), dtype=np.int64)
-        if rank_mod(m, p) == k:
-            return m
 
 
 class TestRandomConfig:
@@ -499,7 +493,7 @@ class TestChunkRanking:
             stabilizer_dim(configs[0])
         assert chunk[1] == stabilizer_dim(configs[1]).system_rank
         assert chunk == [full_system_rank(c) for c in configs]
-        assert [left_annihilator(c.bases["e"], 101).shape[0] for c in configs] == [3, 2]
+        assert [_left_annihilators(c.bases["e"][None], 101)[0].shape[0] for c in configs] == [3, 2]
 
 
 class TestCertifyDensity:
@@ -566,6 +560,28 @@ class TestCertifyDensity:
 def line_points(params, p):
     """Columns a*u + b*v in the plane with u = (1,0), v = (0,1)."""
     return [np.array([[a], [b]], dtype=np.int64) % p for a, b in params]
+
+
+def moved_pencil(rng: np.random.Generator, n: int, d: int, p: int):
+    """A random pencil of d-spaces in F_p^n with its parameters: (params, g, zs, lower, upper).
+
+    The pencil of e_0, ..., e_{d-2}, a e_{d-1} + b e_d for four distinct
+    points (a, b) of P^1, moved by a random g in GL(n), with each basis
+    changed by a random GL(d).
+    """
+    params = []
+    while len(params) < 4:
+        a, b = (int(x) for x in rng.integers(0, p, size=2))
+        if (a, b) != (0, 0) and all((a * y - b * x) % p for x, y in params):
+            params.append((a, b))
+    eye = np.eye(n, dtype=np.int64)
+    g = rand_gl(rng, n, p)
+    zs = [
+        matmul_mod(g, np.hstack([eye[:, : d - 1], (a * eye[:, d - 1] + b * eye[:, d])[:, None]]), p)
+        for a, b in params
+    ]
+    zs = [matmul_mod(z, rand_gl(rng, d, p), p) for z in zs]
+    return params, g, zs, matmul_mod(g, eye[:, : d - 1], p), matmul_mod(g, eye[:, : d + 1], p)
 
 
 class TestCrossRatio:
@@ -656,29 +672,56 @@ class TestCrossRatio:
            st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_moved_standard_pencil_gives_the_cross_ratio_of_its_parameters(self, d, extra, p, seed):
-        # the pencil of d-spaces e_0, ..., e_{d-2}, a e_{d-1} + b e_d, moved by
-        # a random g in GL(n) and with each basis changed by a random GL(d)
-        n = d + 1 + extra
-        rng = np.random.default_rng(seed)
-        params = []
-        while len(params) < 4:
-            a, b = (int(x) for x in rng.integers(0, p, size=2))
-            if (a, b) != (0, 0) and all((a * y - b * x) % p for x, y in params):
-                params.append((a, b))
-        eye = np.eye(n, dtype=np.int64)
-        g = rand_gl(rng, n, p)
-        zs = [
-            matmul_mod(g, np.hstack([eye[:, : d - 1], (a * eye[:, d - 1] + b * eye[:, d])[:, None]]), p)
-            for a, b in params
-        ]
-        zs = [matmul_mod(z, rand_gl(rng, d, p), p) for z in zs]
-        lower, upper = matmul_mod(g, eye[:, : d - 1], p), matmul_mod(g, eye[:, : d + 1], p)
+        params, _, zs, lower, upper = moved_pencil(np.random.default_rng(seed), d + 1 + extra, d, p)
 
         def det2(u, v):
             return u[0] * v[1] - u[1] * v[0]
         z1, z2, z3, z4 = params
         expected = det2(z4, z1) * det2(z3, z2) * pow(det2(z4, z2) * det2(z3, z1), -1, p) % p
         assert cross_ratio(zs, lower, upper, p) == expected
+
+    def test_outcomes_pinned(self):
+        # moved standard pencils with d = 1..4, intact or with one corruption:
+        # two subspaces made to coincide, a subspace moved outside the upper
+        # flag (around the lower flag, or meeting the upper flag only in 0,
+        # so missing a non-empty lower flag first), or a lower flag (d >= 2)
+        # made rank-deficient; every input also carries multiples of p, so
+        # it is read mod p
+        outcomes = []
+        for p in (5, 7, 101, DEFAULT_PRIME):
+            for seed in range(100):
+                rng = np.random.default_rng([seed, p])
+                kind = seed % 4
+                d = 1 + seed // 4 % 4 if kind != 3 else 2 + seed // 4 % 3
+                n = (d + 1 if kind != 2 else 2 * d + 1) + int(rng.integers(0, 3))
+                _, g, zs, lower, upper = moved_pencil(rng, n, d, p)
+                i, j = sorted(int(x) for x in rng.choice(4, size=2, replace=False))
+                if kind == 1:
+                    zs[j] = matmul_mod(zs[i], rand_gl(rng, d, p), p)
+                elif kind == 2 and seed % 8 == 2:
+                    zs[j] = matmul_mod(g[:, [*range(d - 1), d + 1]], rand_gl(rng, d, p), p)
+                elif kind == 2:
+                    zs[j] = matmul_mod(g[:, d + 1 : 2 * d + 1], rand_gl(rng, d, p), p)
+                elif kind == 3:
+                    lower = lower.copy()
+                    lower[:, -1] = matmul_mod(lower[:, :-1], rng.integers(0, p, size=d - 2), p)
+                zs, lower, upper = ([m + p * rng.integers(0, 3, size=m.shape) for m in zs],
+                                    lower + p * rng.integers(0, 3, size=lower.shape),
+                                    upper + p * rng.integers(0, 3, size=upper.shape))
+                try:
+                    outcome = str(cross_ratio(zs, lower, upper, p))
+                except (BadRange, Degenerate, NotAPencil) as e:
+                    outcome = f"{type(e).__name__}: {e}"
+                outcomes.append(f"{p} {seed} {outcome}")
+        # each corruption is refused, by the first check that it fails, and
+        # each intact pencil has a value
+        refusals = collections.Counter(o.split(" ", 2)[2].split(":")[0] for o in outcomes if ":" in o)
+        assert refusals == {"Degenerate": 100, "NotAPencil": 200}
+        failed = collections.Counter(o.split(": ")[1].split(" ", 2)[2] for o in outcomes if "NotAPencil" in o)
+        assert failed == {"is not (d-1)-dimensional": 100, "is not inside the upper flag": 52,
+                          "does not contain the lower flag": 48}
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "87d3e261046d95334ad8ea4873ab43ee0b47e02e2297dff8b80f39c17928e9e9"
 
     def test_more_than_two_axes_is_refused(self):
         with pytest.raises(NotAPencil):

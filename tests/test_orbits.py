@@ -5,6 +5,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -245,7 +246,7 @@ class TestSmallConfigurations:
         assert report.orbit_count == burnside_line_orbits(4, q)
 
     def test_report_serialization(self):
-        record = enumerate_orbits(parse_tree_dsl("1>2"), q=2).to_json_dict()
+        record = asdict(enumerate_orbits(parse_tree_dsl("1>2"), q=2))
         assert record == {
             "q": 2,
             "cap": 200_000,
