@@ -9,7 +9,10 @@
 
 At entry and after every rewrite a product is put in one canonical form,
 the smaller of its sorted factors and its dual's (k -> n - k), so no
-verdict depends on factor order or dualizing.  At the fixpoint, rule R9
+verdict depends on factor order or dualizing; only the side kept is built.
+The dimension check R1 runs on the input at entry and is rescanned only
+after a rewrite: reading a tree as a product, sorting and dualizing keep
+the dimension, so R1 cannot fire on the first scan.  At the fixpoint, rule R9
 tries every single-vertex surjective deletion and propagates sparseness
 back from the image (a surjective equivariant map sends a dense orbit onto
 a dense orbit).  If nothing fires the verdict is Unknown: the procedure
@@ -248,7 +251,10 @@ def _match_r1(x: Instance):
 
 # (rule id, matcher) in scan order; the order only shapes the trace.  R1, R5
 # and R0 take either kind of instance, the others read factors, so a tree
-# is scanned with the first three alone.  A product is scanned on its
+# is scanned with the first three alone.  R1 comes first so that a scan can
+# skip it: _decide checks R1 on the input at entry, and the first scan sees
+# the same variety (read as a product, sorted, maybe dualized), so only a
+# scan after a rewrite tries R1 again.  A product is scanned on its
 # canonical side L only.  On the other side H, R1 fails only at the root, as
 # on L; and as L's least first entry a_1 <= n - (largest last entry), R5 on H
 # (sum n - a_j <= n) leaves one factor or L = G(a)*G(n-a), where R5 holds on L;
@@ -270,10 +276,11 @@ _SCAN = (
 _TREE_SCAN = tuple(s for s in _SCAN if s[0] in ("R1", "R5", "R0"))
 
 
-def _terminal(inst: Instance, trace: _Trace) -> str | None:
-    """Scan the catalog on ``inst``.  Returns the status of the first rule
-    that fires, its step added to ``trace``, or None."""
-    for rid, match in _SCAN if isinstance(inst, FlagProduct) else _TREE_SCAN:
+def _terminal(inst: Instance, trace: _Trace, r1: bool) -> str | None:
+    """Scan the catalog on ``inst``, R1 only when ``r1`` is set.  Returns the
+    status of the first rule that fires, its step added to ``trace``, or None."""
+    scan = _SCAN if isinstance(inst, FlagProduct) else _TREE_SCAN
+    for rid, match in scan if r1 else scan[1:]:
         hit = match(inst)
         if hit:
             trace.add(rid, note=hit[1])
@@ -289,14 +296,20 @@ def _sorted(p: FlagProduct) -> FlagProduct:
 def _canonical(p: FlagProduct, trace: _Trace) -> FlagProduct:
     """The smaller of ``p`` and its dual, factors sorted.
 
-    Records one dualize-normalize step when the result is not ``p`` itself.
+    The two sides are compared on their sorted factors and only the side kept
+    is built.  Records one dualize-normalize step when the result is not ``p``
+    itself.
     """
-    low, dual = _sorted(p), _sorted(dualize(p))
-    if dual.factors < low.factors:
-        low = dual
-    if low is not p:
-        trace.add("dualize-normalize", low.spec_string(), note=(
-            "the dual is smaller once both sides are sorted" if low is dual else "factors sorted"))
+    dual = dualize(p)
+    own, other = tuple(sorted(p.factors)), tuple(sorted(dual.factors))
+    if other < own:
+        low = dual if other == dual.factors else FlagProduct(other, p.ambient)
+        note = "the dual is smaller once both sides are sorted"
+    elif own == p.factors:
+        return p
+    else:
+        low, note = FlagProduct(own, p.ambient), "factors sorted"
+    trace.add("dualize-normalize", low.spec_string(), note=note)
     return low
 
 
@@ -344,11 +357,12 @@ def _decide(x: Instance, depth: int, memo: dict, start: str | None = None) -> Ve
     if inst is not x or start is not None:
         inst = _sorted(inst)
         trace.add("as-product", inst.spec_string())
+    rewritten = False  # until a rewrite changes the dimension, the entry check stands for R1
     for _ in range(inst.ambient + 16):
         if isinstance(inst, FlagProduct):
             inst = _canonical(inst, trace)
         final = trace.shown  # R9 moves the chain on to its image
-        status = _terminal(inst, trace)
+        status = _terminal(inst, trace, rewritten)
         if status is not None:
             break
         nxt = _rewrite_once(inst)
@@ -358,6 +372,7 @@ def _decide(x: Instance, depth: int, memo: dict, start: str | None = None) -> Ve
         rule_id, new_inst = nxt
         inst = _sorted(new_inst)  # every rewrite yields a product
         trace.add(rule_id, inst.spec_string())
+        rewritten = True
     else:
         raise IterationLimit(f"rewriting did not reach a fixpoint from {trace.start}")
     return Verdict(status, tuple(trace), trace.start, final)
@@ -369,13 +384,14 @@ def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
 
     ``memo`` maps (image, depth) to the image's verdict for the length of one
     top-level ``decide`` call, so an image reached twice is decided once; a
-    product image is keyed by its sorted factors, whatever its vertex names.
-    A hit is read only for its status: a sparse verdict ends every R9 above it.
+    product image is keyed by its sorted factors and ambient, whatever its
+    vertex names.  A hit is read only for its status: a sparse verdict ends
+    every R9 above it.
     """
     images = forget_entries(inst) if isinstance(inst, FlagProduct) else _tree_images(inst)
     for v, image, start in images:
         p = image if isinstance(image, FlagProduct) else as_flag_product(image)
-        key = (image if p is None else _sorted(p), depth - 1)
+        key = (image, depth - 1) if p is None else (tuple(sorted(p.factors)), p.ambient, depth - 1)
         sub = memo.get(key)
         if sub is None:
             sub = memo[key] = _decide(image, depth - 1, memo, start)

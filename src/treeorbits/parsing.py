@@ -8,7 +8,7 @@ JSON trees: ``{"labels": {...}, "edges": [[src, dst], ...]}`` with an
 optional ``"root"`` that must match the inferred root.
 
 Products: ``F(k1,...,kr;n)``, Grassmannian sugar ``G(k;n)``, joined with
-``*`` and powered with ``^m``.
+``*`` and powered with ``^m``, at most ``trees.MAX_LABEL`` factors in all.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 
 from .errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError
 from .products import FlagProduct
-from .trees import LabeledTree
+from .trees import MAX_LABEL, LabeledTree
 
 _TOKEN_RE = re.compile(r"^([A-Za-z0-9_.\-]+?)(?::(\d+))?$")
 
@@ -170,6 +170,8 @@ def parse_product(text: str) -> FlagProduct:
             count, pos = take("int")
             if count < 1:
                 raise BoundsError(f"exponent must be at least 1, got {count}")
+        if len(factors) + count > MAX_LABEL:  # refused before the list grows
+            raise BoundsError(f"{len(factors) + count} factors exceed the cap {MAX_LABEL}")
         factors.extend([ks] * count)
         if peek() == "*":
             take("*")

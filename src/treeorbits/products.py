@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import lt
 
 from .errors import BadRange, BoundsError
 from .trees import LabeledTree
@@ -41,18 +42,20 @@ class FlagProduct:
     ambient: int
 
     def __post_init__(self):
-        if isinstance(self.ambient, bool) or not isinstance(self.ambient, int) or self.ambient < 1:
-            raise BoundsError(f"ambient dimension must be a positive integer, got {self.ambient!r}")
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
-        for f in self.factors:
+        n = self.ambient
+        if n.__class__ is bool or not isinstance(n, int) or n < 1:
+            raise BoundsError(f"ambient dimension must be a positive integer, got {n!r}")
+        factors = tuple(map(tuple, self.factors))
+        object.__setattr__(self, "factors", factors)
+        # plain loops and map: a product is built for every instance the
+        # engine visits, and generator expressions cost more than the checks
+        for f in factors:
             if not f:
                 raise BoundsError("empty factor; drop it instead")
             for k in f:
-                if isinstance(k, bool) or not isinstance(k, int) or not 0 < k < self.ambient:
-                    raise BoundsError(
-                        f"flag dimension {k!r} out of range (0, {self.ambient})"
-                    )
-            if any(a >= b for a, b in zip(f, f[1:])):
+                if k.__class__ is bool or not isinstance(k, int) or not 0 < k < n:
+                    raise BoundsError(f"flag dimension {k!r} out of range (0, {n})")
+            if len(f) > 1 and not all(map(lt, f, f[1:])):
                 raise BoundsError(f"factor {f} is not strictly increasing")
 
     @property

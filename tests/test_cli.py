@@ -18,6 +18,7 @@ import treeorbits
 
 from treeorbits.cli import main
 from treeorbits.oracle import DEFAULT_PRIME
+from treeorbits.trees import MAX_LABEL
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 # ROADMAP item 1: R9 reaches G(1;7)^3*G(3;7)*G(4;7) from here, which the
@@ -28,6 +29,11 @@ R8_TREE = "v1:1>v0:2>r:7 | v2:4>r:7 | v3:3>r:7 | v4:1>v0:2>r:7 | v6:1>v5:2>r:7"
 CASE_2C_TREE = "t:2>j:8>r:9 | s1:1>s2:3>j | c1:1>c2:2>c3:3>c4:4>c5:5>c6:7>j"
 # sha256 of the bytes of `decide --rules --json`, newline included
 RULES_JSON_SHA256 = "8b2d9bd89f8298eb0653115f7363103255ad65d2520bbda35617e63efd0f1c55"
+# a dualize-normalize step, then R9 whose image is cut by reduce_span until
+# R1 fires, so the dimension check runs after a rewrite
+R1_AFTER_REWRITE = "F(3,4;5)*F(1,3;5)*F(1;5)*F(1;5)"
+# sha256 of the bytes of `decide R1_AFTER_REWRITE --json`, newline included
+R1_AFTER_REWRITE_SHA256 = "43942c501a20a8f364e66b30391f9a466a41c421789a238e13a8351a5e82c332"
 
 
 def run(capsys, *argv):
@@ -218,6 +224,18 @@ class TestDecide:
         record = json.loads(out1)
         assert record["status"] == "Dense"
         assert [s["rule_id"] for s in record["trace"]][-1] == "R3"
+
+    def test_r1_after_a_rewrite_json(self, capsys):
+        code, out, _ = run(capsys, "decide", R1_AFTER_REWRITE, "--json")
+        assert code == 0
+        assert [s["rule_id"] for s in json.loads(out)["trace"][-1]["subtrace"]] == [
+            "as-product", "reduce_span", "R1"]
+        assert hashlib.sha256(out.encode()).hexdigest() == R1_AFTER_REWRITE_SHA256
+
+    def test_too_many_factors_exit_2(self, capsys):
+        code, out, err = run(capsys, "decide", f"F(1;3)^{MAX_LABEL + 1}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {MAX_LABEL + 1} factors exceed the cap {MAX_LABEL}\n"
 
     def test_r9_subtrace_is_printed(self, capsys):
         # the derivation of the image that R9 proves sparse, indented under the R9 step

@@ -1,5 +1,6 @@
 """Decision engine: frozen verdicts, trace shape, and the theorem invariants."""
 
+import hashlib
 import json
 import random
 from itertools import combinations, combinations_with_replacement, permutations
@@ -33,6 +34,14 @@ from .helpers import random_product, random_tree
 RULE_IDS = {r.rule_id for r in RULES}
 TERMINAL_IDS = {r.rule_id for r in RULES if r.kind == "terminal"}
 SPARSE_CLASS = {SPARSE, TRIVIALLY_SPARSE}
+# five-Grassmannian multisets on which R8 once answered Sparse in some factor
+# order; the benchmark's decide_sweep decides every order of each
+FIVE_GRASSMANNIANS = [(7, (1, 1, 1, 3, 4)), (7, (3, 4, 6, 6, 6)), (8, (1, 1, 1, 3, 5)),
+                      (8, (3, 5, 7, 7, 7)), (6, (1, 1, 1, 3, 3)), (6, (3, 3, 5, 5, 5)),
+                      (8, (1, 1, 2, 4, 4)), (8, (4, 4, 6, 7, 7))]
+# TestTraceBytes.test_records_pinned, read off the engine before _canonical
+# built only the side it keeps and R1 was rescanned only after a rewrite
+TRACE_DIGEST = "b0c1a0cfea4a495a55580f91d39153e4c7067c0a1ec7f9f0b8b664f762d55f25"
 
 
 def rule_ids(verdict):
@@ -155,6 +164,32 @@ class TestFrozenVerdicts:
         v = decide(FlagProduct(((3, 4), (3, 4), (3, 4)), 5))
         assert rule_ids(v)[0] == "dualize-normalize"
         assert v.status == decide(triple((1, 2), 5)).status
+
+
+class TestTraceBytes:
+    """Every byte of every record, on the kinds of input of the benchmark's
+    decide_sweep: rewrites, R9 subtraces and R1 after a rewrite included."""
+
+    @staticmethod
+    def inputs():
+        for n in range(2, 6):
+            for m in range(1, 5):
+                for combo in multisets(n, m):
+                    yield FlagProduct(combo, n), 1
+                    yield FlagProduct(combo[::-1], n), 1
+        for n, ks in FIVE_GRASSMANNIANS:
+            for order in sorted(set(permutations(ks))):
+                yield five_grassmannians(order, n), 1
+        rng = random.Random(23)
+        for _ in range(600):
+            yield random_tree(rng, max_vertices=8, max_label=6), 3
+
+    def test_records_pinned(self):
+        h = hashlib.sha256()
+        for x, depth in self.inputs():
+            record = decide(x, depth=depth).to_json_dict()
+            h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == TRACE_DIGEST
 
 
 class TestTwoStepTriples:
@@ -312,9 +347,6 @@ class TestProductsOnFactors:
     """decide reads a product on its factors; these are the facts it read on
     product_to_tree(p) before, R9's deletions in the order it tried them."""
 
-    FIVE_GRASSMANNIANS = [(7, (1, 1, 1, 3, 4)), (7, (3, 4, 6, 6, 6)), (8, (1, 1, 1, 3, 5)),
-                          (8, (3, 5, 7, 7, 7)), (6, (1, 1, 1, 3, 3)), (6, (3, 3, 5, 5, 5)),
-                          (8, (1, 1, 2, 4, 4)), (8, (4, 4, 6, 7, 7))]
     # factor indices and entries past 9 sort as strings: f10.1 < f2.1, f0.10 < f0.2
     LONG = ["F(1;12)^9*F(10;12)^2", "G(2;13)^11*F(1,12;13)", "G(1;5)^12",
             "F(1,2,3,4,5,6,7,8,9,10,11;12)*G(3;12)^10", "F(2,5;7)^6*G(4;7)^7"]
@@ -324,9 +356,9 @@ class TestProductsOnFactors:
             for m in range(1, 5):
                 for combo in multisets(n, m):
                     yield FlagProduct(combo, n)
-        for n, ks in self.FIVE_GRASSMANNIANS:
+        for n, ks in FIVE_GRASSMANNIANS:
             for order in sorted(set(permutations(ks))):
-                yield FlagProduct(tuple((k,) for k in order), n)
+                yield five_grassmannians(order, n)
         for text in self.LONG:
             yield parse_product(text)
 

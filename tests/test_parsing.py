@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from treeorbits import Error, FlagProduct, LabeledTree, parse_instance
 from treeorbits.errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError
 from treeorbits.parsing import parse_product, parse_tree_dsl, parse_tree_json
-from treeorbits.trees import to_dsl
+from treeorbits.trees import MAX_LABEL, to_dsl
 
 from .helpers import random_tree
 
@@ -124,6 +124,13 @@ class TestProductGrammar:
     )
     def test_bounds_violations(self, text):
         with pytest.raises(BoundsError):
+            parse_product(text)
+
+    @pytest.mark.parametrize("text", [f"F(1;3)^{MAX_LABEL + 1}", f"F(1;3)^{MAX_LABEL}*G(2;3)"],
+                             ids=["one-power", "two-atoms"])
+    def test_factor_count_capped(self, text):
+        # refused before the factor list grows past the cap, whatever the exponent
+        with pytest.raises(BoundsError, match=f"^{MAX_LABEL + 1} factors exceed the cap {MAX_LABEL}$"):
             parse_product(text)
 
     @pytest.mark.parametrize(

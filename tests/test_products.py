@@ -1,6 +1,7 @@
 """Flag products, derived sequences, and the density-preserving rewrites."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -27,32 +28,43 @@ class TestFlagProduct:
         assert p.num_factors == 0
         assert p.spec_string() == "trivial(3)"
 
-    @pytest.mark.parametrize(
-        "factors,n",
-        [
-            (((0,),), 3),
-            (((3,),), 3),
-            (((4,),), 3),
-            (((2, 2),), 5),
-            (((3, 2),), 5),
-            (((),), 4),
-        ],
-    )
+    # the message of each refusal; the first bad factor is the one named, and
+    # a factor's range is checked before its order
+    INVALID = {
+        (((0,),), 3): "flag dimension 0 out of range (0, 3)",
+        (((3,),), 3): "flag dimension 3 out of range (0, 3)",
+        (((4,),), 3): "flag dimension 4 out of range (0, 3)",
+        (((2, 2),), 5): "factor (2, 2) is not strictly increasing",
+        (((3, 2),), 5): "factor (3, 2) is not strictly increasing",
+        (((),), 4): "empty factor; drop it instead",
+        (((1,), (2.0,)), 4): "flag dimension 2.0 out of range (0, 4)",
+        (((1,),), 4.5): "ambient dimension must be a positive integer, got 4.5",
+        (((1, 9), (3, 2)), 5): "flag dimension 9 out of range (0, 5)",
+        (((3, 2), (1, 9)), 5): "factor (3, 2) is not strictly increasing",
+        (((1, 2), (), (0,)), 5): "empty factor; drop it instead",
+        (((2, 2, 7),), 5): "flag dimension 7 out of range (0, 5)",
+    }
+
+    @pytest.mark.parametrize("factors,n", list(INVALID))
     def test_invalid(self, factors, n):
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match=f"^{re.escape(self.INVALID[factors, n])}$"):
             FlagProduct(factors, n)
 
     def test_bad_ambient(self):
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match="^ambient dimension must be a positive integer, got 0$"):
             FlagProduct(((1,),), 0)
 
-    @pytest.mark.parametrize(
-        "factors,n",
-        [(((True, 2),) * 3, 4), (((1, False),), 4), (((1,),), True), ((), True)],
-    )
+    BOOLEANS = {
+        (((True, 2),) * 3, 4): "flag dimension True out of range (0, 4)",
+        (((1, False),), 4): "flag dimension False out of range (0, 4)",
+        (((1,),), True): "ambient dimension must be a positive integer, got True",
+        ((), True): "ambient dimension must be a positive integer, got True",
+    }
+
+    @pytest.mark.parametrize("factors,n", list(BOOLEANS))
     def test_booleans_refused(self, factors, n):
         # True == 1, so a bool would pass every range check as an integer
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match=f"^{re.escape(self.BOOLEANS[factors, n])}$"):
             FlagProduct(factors, n)
 
     def test_slotted_and_frozen(self):
