@@ -22,7 +22,7 @@ from dataclasses import asdict
 from . import engine
 from .classify import orbit_class, trivially_sparse
 from .errors import CapExceeded, Error, IterationLimit, ParseError
-from .parsing import parse_instance, parse_product, parse_tree_spec
+from .parsing import load_json, parse_instance, parse_product, parse_tree_spec
 from .products import FlagProduct, as_tree
 from .trees import LabeledTree, dimension
 
@@ -166,13 +166,7 @@ def _cmd_crossratio(args):
 
     from .oracle import cross_ratio
 
-    text = _read(args.pencil_file)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON in {args.pencil_file}: {e.msg}", e.pos) from None
-    except RecursionError:
-        raise ParseError(f"bad JSON in {args.pencil_file}: nested too deeply") from None
+    data = load_json(_read(args.pencil_file), f"JSON in {args.pencil_file}")
 
     def matrix(rows) -> np.ndarray:
         entries = np.array(rows, dtype=object)

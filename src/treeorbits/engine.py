@@ -10,13 +10,18 @@
 At entry and after every rewrite a product is put in one canonical form,
 the smaller of its sorted factors and its dual's (k -> n - k), so no
 verdict depends on factor order or dualizing; only the side kept is built.
-The dimension check R1 runs on the input at entry and is rescanned only
-after a rewrite: reading a tree as a product, sorting and dualizing keep
-the dimension, so R1 cannot fire on the first scan.  At the fixpoint, rule R9
-tries every single-vertex surjective deletion and propagates sparseness
-back from the image (a surjective equivariant map sends a dense orbit onto
-a dense orbit).  If nothing fires the verdict is Unknown: the procedure
-never guesses.
+At the fixpoint, rule R9 tries every single-vertex surjective deletion and
+propagates sparseness back from the image (a surjective equivariant map
+sends a dense orbit onto a dense orbit).  If nothing fires the verdict is
+Unknown: the procedure never guesses.
+
+The dimension check R1 runs once, where ``decide`` takes the instance in,
+and again only after a rewrite: reading a tree as a product, sorting and
+dualizing keep the dimension.  An R9 image is not checked either: R9 runs
+on an instance that passed R1, and a surjective deletion never raises a
+subtree dimension.  Deleting v with parent u adds (phi(u) - phi(v))(sum of
+phi over the sources of v - phi(v)) <= 0 to each ancestor's; dropping an
+entry k between a and b from a factor adds -(k - a)(b - k).
 
 A product is matched on its factors from entry to verdict, R9 included
 (``products.forget_entries``); only a tree input and the R9 images of a
@@ -252,11 +257,12 @@ def _match_r1(x: Instance):
 # (rule id, matcher) in scan order; the order only shapes the trace.  R1, R5
 # and R0 take either kind of instance, the others read factors, so a tree
 # is scanned with the first three alone.  R1 comes first so that a scan can
-# skip it: _decide checks R1 on the input at entry, and the first scan sees
-# the same variety (read as a product, sorted, maybe dualized), so only a
-# scan after a rewrite tries R1 again.  A product is scanned on its
-# canonical side L only.  On the other side H, R1 fails only at the root, as
-# on L; and as L's least first entry a_1 <= n - (largest last entry), R5 on H
+# skip it: an instance reaches _decide having passed R1 (see the module
+# docstring), and the first scan sees the same variety (read as a product,
+# sorted, maybe dualized), so only a scan after a rewrite tries R1 again.  A
+# product is scanned on its canonical side L only.  On the other side H, R1
+# fails only at the root, as on L; and as L's least first entry
+# a_1 <= n - (largest last entry), R5 on H
 # (sum n - a_j <= n) leaves one factor or L = G(a)*G(n-a), where R5 holds on L;
 # R6 on H needs L's k_1 >= n/2, so L = H; R7 on H forces m <= 3, holds on L
 # for m = 2 and for m = 3 forces L = (k, n-k, n-k), so H < L unless L = H; R8
@@ -333,31 +339,32 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
     deletion is decided recursively with depth - 1, and depth 0 disables
     R9 entirely.  Each level forgets a vertex and no rewrite adds one, so a
     depth past (vertices - 1) changes nothing.  Raises BadRange unless
-    ``depth`` is a non-negative int.
+    ``depth`` is a non-negative int.  This is the engine's one entry: R1
+    is checked here, and a chain union is read as its sorted product.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise BadRange(f"depth must be a non-negative integer, got {depth!r}")
-    return _decide(x, depth, {})
-
-
-def _decide(x: Instance, depth: int, memo: dict, start: str | None = None) -> Verdict:
-    """``decide`` within one memo.  ``start`` is given for a product that R9
-    reached as the image of a product: the text of its tree, vertex names
-    kept, where the trace starts before its as-product step."""
-    trace = _Trace(display(x) if start is None else start)
     hit = _match_r1(x)
     if hit:
+        trace = _Trace(display(x))
         trace.add("R1", note=hit[1])
         return Verdict(TRIVIALLY_SPARSE, tuple(trace), trace.start, trace.start)
-    inst: Instance = x
-    if isinstance(x, LabeledTree):
-        p = as_flag_product(x)
-        if p is not None:
-            inst = p
-    if inst is not x or start is not None:
-        inst = _sorted(inst)
+    if isinstance(x, FlagProduct):
+        return _decide(x, None, depth, {})
+    p = as_flag_product(x)
+    return _decide(x if p is None else _sorted(p), to_dsl(x), depth, {})
+
+
+def _decide(inst: Instance, text: str | None, depth: int, memo: dict) -> Verdict:
+    """``decide`` within one memo, on an instance that passes R1 and has been
+    read: a tree that is not a chain union, or a product, sorted when it was
+    read from a tree.  ``text`` is that tree's text, vertex names kept,
+    where the trace starts, with an as-product step when ``inst`` is a
+    product; it is None for a product given as a product."""
+    trace = _Trace(inst.spec_string() if text is None else text)
+    if text is not None and isinstance(inst, FlagProduct):
         trace.add("as-product", inst.spec_string())
-    rewritten = False  # until a rewrite changes the dimension, the entry check stands for R1
+    rewritten = False  # until a rewrite changes the dimension, R1 holds
     for _ in range(inst.ambient + 16):
         if isinstance(inst, FlagProduct):
             inst = _canonical(inst, trace)
@@ -382,21 +389,23 @@ def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
     """Rule R9 on ``inst``: whether some surjective deletion has a sparse
     image, its step appended to ``trace``.
 
-    ``memo`` maps (image, depth) to the image's verdict for the length of one
-    top-level ``decide`` call, so an image reached twice is decided once; a
-    product image is keyed by its sorted factors and ambient, whatever its
-    vertex names.  A hit is read only for its status: a sparse verdict ends
-    every R9 above it.
+    Each image is read once (a product image is sorted) and decided with no
+    R1 check, as ``inst`` passed R1 (see the module docstring).  ``memo``
+    maps (image, depth) to the image's verdict for the length of one
+    top-level ``decide`` call, so an image reached twice is decided once, a
+    product image whatever its vertex names.  A hit is read only for its
+    status: a sparse verdict ends every R9 above it.
     """
     images = forget_entries(inst) if isinstance(inst, FlagProduct) else _tree_images(inst)
-    for v, image, start in images:
-        p = image if isinstance(image, FlagProduct) else as_flag_product(image)
-        key = (image, depth - 1) if p is None else (tuple(sorted(p.factors)), p.ambient, depth - 1)
+    for v, image, text in images:
+        if isinstance(image, FlagProduct):
+            image = _sorted(image)
+        key = (image, depth - 1)
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = _decide(image, depth - 1, memo, start)
-        if sub.status in (SPARSE, TRIVIALLY_SPARSE):
-            trace.add("R9", start or display(image),
+            sub = memo[key] = _decide(image, text, depth - 1, memo)
+        if sub.status == SPARSE:
+            trace.add("R9", text,
                       note=f"forgetting vertex {v} is surjective and the image is sparse",
                       subtrace=sub.trace)
             return True
@@ -404,11 +413,12 @@ def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
 
 
 def _tree_images(tree: LabeledTree):
-    """(vertex, image, None) for every surjective deletion, in vertex-name
-    order, as ``forget_entries`` gives them for a product; a tree image is
-    rendered only when R9 fires on it."""
-    for v in sorted(tree.labels):
-        if v != tree.root:
-            image, surjective = forget_vertex(tree, v)
-            if surjective:
-                yield v, image, None
+    """(vertex, image, text) for every surjective deletion, in vertex-name
+    order, as ``forget_entries`` gives them for a product.  A chain-union
+    image is read as its product, in factor order, and ``text`` is the
+    image tree's ``to_dsl``."""
+    for v in sorted(tree.parent):  # the non-root vertices
+        image, surjective = forget_vertex(tree, v)
+        if surjective:
+            p = as_flag_product(image)
+            yield v, image if p is None else p, to_dsl(image)

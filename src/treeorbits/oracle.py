@@ -55,7 +55,7 @@ from .modp import (
     ranks_mod,
 )
 from .products import as_tree
-from .trees import LabeledTree, dimension, heaviest_chain, top_down
+from .trees import LabeledTree, dimension, heaviest_chains, top_down
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -217,10 +217,7 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     ``stabilizer_dim``).
     """
     n = tree.ambient
-    chain, _ = heaviest_chain(tree, _flag_weight)
-    second, _ = heaviest_chain(
-        tree, _flag_weight, [c for c in tree.children[tree.root] if c not in chain]
-    )
+    (chain, _), (second, _) = heaviest_chains(tree, _flag_weight)
     chains = (chain[::-1], second[::-1])
     rest = sorted(v for v in bases if v not in chain and v not in second)
     order = chains[0] + chains[1] + rest

@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
 from .products import as_tree
-from .trees import heaviest_chain, top_down
+from .trees import heaviest_chains, top_down
 
 
 DEFAULT_CAP = 200_000
@@ -392,8 +392,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     # the chain whose flag variety has the most F_q points, then the same
     # under the other root children
     weight = partial(gaussian_binomial, q=q)
-    chain, x1 = heaviest_chain(tree, weight)
-    second, x2 = heaviest_chain(tree, weight, [c for c in tree.children[tree.root] if c not in chain])
+    (chain, x1), (second, x2) = heaviest_chains(tree, weight)
     flags = {1: sorted(tree.labels[v] for v in chain), 2: sorted(tree.labels[v] for v in second)}
     rows, cols = _blocks(flags[1], n), _blocks(flags[2], n)
     (level1,) = _double_cosets((n,), rows)

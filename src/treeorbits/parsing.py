@@ -23,16 +23,24 @@ from .trees import MAX_LABEL, LabeledTree
 _TOKEN_RE = re.compile(r"^([A-Za-z0-9_.\-]+?)(?::(\d+))?$")
 
 
+def _integer(digits: str, pos: int) -> int:
+    """``int(digits)``; a literal past Python's int_max_str_digits is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 def parse_tree_dsl(text: str) -> LabeledTree:
     """Parse chain notation; raises ParseError with a character position."""
     if not text.strip():
         raise EmptyInput("empty tree text")
-    chains: list[list[tuple[str, int | None, int]]] = []
+    chains: list[list[tuple[str, int]]] = []
     labels: dict[str, int] = {}
     first_seen: dict[str, int] = {}
     offset = 0
     for chain_text in text.split("|"):
-        chain: list[tuple[str, int | None, int]] = []
+        chain: list[tuple[str, int]] = []
         token_pos = offset
         for raw in chain_text.split(">"):
             tok = raw.strip()
@@ -44,17 +52,17 @@ def parse_tree_dsl(text: str) -> LabeledTree:
             if not m:
                 raise ParseError(f"bad vertex token {tok!r}", pos)
             name, lab_text = m.groups()
-            lab = int(lab_text) if lab_text is not None else (
-                int(name) if name.isdigit() else None
-            )
-            if lab is not None:
+            if lab_text is None and name.isdigit():
+                lab_text = name
+            if lab_text is not None:
+                lab = _integer(lab_text, pos + len(tok) - len(lab_text))
                 if name in labels and labels[name] != lab:
                     raise ParseError(
                         f"vertex {name!r} relabeled from {labels[name]} to {lab}", pos
                     )
                 labels[name] = lab
             first_seen.setdefault(name, pos)
-            chain.append((name, lab, pos))
+            chain.append((name, pos))
         offset += len(chain_text) + 1
         chains.append(chain)
     for name, pos in first_seen.items():
@@ -62,7 +70,7 @@ def parse_tree_dsl(text: str) -> LabeledTree:
             raise ParseError(f"vertex {name!r} never gets a label, like {name}:3", pos)
     edges: list[tuple[str, str]] = []
     for chain in chains:
-        for (prev, _, _), (name, _, pos) in zip(chain, chain[1:]):
+        for (prev, _), (name, pos) in zip(chain, chain[1:]):
             if labels[prev] >= labels[name]:
                 raise LabelViolation(
                     f"label must increase along {prev!r}>{name!r} "
@@ -72,14 +80,21 @@ def parse_tree_dsl(text: str) -> LabeledTree:
     return LabeledTree(labels, edges)
 
 
+def load_json(text: str, what: str = "JSON") -> object:
+    """``json.loads``, any failure raised as a ParseError about ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad {what}: {e.msg}", e.pos) from None
+    except RecursionError:
+        raise ParseError(f"bad {what}: nested too deeply") from None
+    except ValueError:  # an integer literal past Python's int_max_str_digits
+        raise ParseError(f"bad {what}: an integer has too many digits") from None
+
+
 def parse_tree_json(text: str) -> LabeledTree:
     """Parse the JSON tree form, checking any declared root against the inferred one."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e.msg}", e.pos) from None
-    except RecursionError:
-        raise ParseError("bad JSON: nested too deeply") from None
+    data = load_json(text)
     if not isinstance(data, dict) or "labels" not in data or "edges" not in data:
         raise ParseError('JSON tree needs "labels" and "edges" keys')
     if not isinstance(data["labels"], dict):
@@ -115,7 +130,7 @@ def _tokenize_product(text: str):
         if m.group(3) is not None:
             raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
         if m.group(1) is not None:
-            out.append(("int", int(m.group(1)), m.start(1)))
+            out.append(("int", _integer(m.group(1), m.start(1)), m.start(1)))
         elif m.group(2) is not None:
             out.append((m.group(2), None, m.start(2)))
         i = m.end()

@@ -7,7 +7,7 @@ subspaces of an ambient space (one subspace per vertex, of dimension equal
 to the label, the root carrying the full space) nested according to the
 edges.  This module provides the tree type, validation, and the purely
 combinatorial operations: dimension, the top-down vertex order, the
-heaviest chain, subtrees, vertex deletion, and truncation by distance.
+two heaviest chains, subtrees, vertex deletion, and truncation by distance.
 A tree's branches and their widths are read where they are used, in
 ``classify.orbit_class``.
 """
@@ -131,14 +131,14 @@ def top_down(tree: LabeledTree) -> list[str]:
     return sorted((v for v in tree.labels if v != tree.root), key=lambda v: (tree.distance(v), v))
 
 
-def heaviest_chain(tree: LabeledTree, weight, tops=None) -> tuple[list[str], int]:
-    """The chain from a root child down to a leaf with the largest product of edge weights.
+def heaviest_chains(tree: LabeledTree, weight) -> tuple[tuple[list[str], int], tuple[list[str], int]]:
+    """The two chains with the largest products of edge weights, each with its product.
 
-    ``weight(phi(t), phi(s))`` weighs the edge from s up to t.  ``tops``
-    are the root children the chain may start from, all of them by
-    default.  Ties go to the first child in name order.  Returns the chain,
-    top first, and its product; with no child to start from the chain is
-    empty, of product 1.
+    ``weight(phi(t), phi(s))`` weighs the edge from s up to t.  The first
+    chain runs from a root child down to a leaf, the second likewise from
+    one of the other root children.  Ties go to the first child in name
+    order.  Chains are listed top first; with no child to start from a
+    chain is empty, of product 1.
     """
     # most[v] = the largest product of a chain from v down to a leaf, the
     # edge above v included; children are filled in before their parents
@@ -146,12 +146,16 @@ def heaviest_chain(tree: LabeledTree, weight, tops=None) -> tuple[list[str], int
     for v in reversed(top_down(tree)):
         below = max((most[c] for c in tree.children[v]), default=1)
         most[v] = weight(tree.labels[tree.parent[v]], tree.labels[v]) * below
-    chain = []
-    below = tree.children[tree.root] if tops is None else tops
-    while below:
-        chain.append(max(below, key=most.__getitem__))
-        below = tree.children[chain[-1]]
-    return chain, most[chain[0]] if chain else 1
+
+    def heaviest(below):
+        chain = []
+        while below:
+            chain.append(max(below, key=most.__getitem__))
+            below = tree.children[chain[-1]]
+        return chain, most[chain[0]] if chain else 1
+
+    first = heaviest(tree.children[tree.root])
+    return first, heaviest([c for c in tree.children[tree.root] if c not in first[0]])
 
 
 def subtree_at(tree: LabeledTree, v: str) -> LabeledTree:

@@ -237,6 +237,21 @@ class TestDecide:
         assert (code, out) == (2, "")
         assert err == f"error: {MAX_LABEL + 1} factors exceed the cap {MAX_LABEL}\n"
 
+    # Python converts at most 4,300 digits of an integer literal
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("F(1;3)^" + "9" * 5000, "integer of 5000 digits is too long (at position 7)"),
+            ("a:" + "9" * 5000, "integer of 5000 digits is too long (at position 2)"),
+            ('{"labels": {"a": ' + "9" * 5000 + '}, "edges": []}',
+             "bad JSON: an integer has too many digits"),
+        ],
+        ids=["product", "chains", "json-tree"],
+    )
+    def test_long_integer_exits_2(self, capsys, text, err):
+        code, out, got = run(capsys, "decide", text)
+        assert (code, out, got) == (2, "", f"error: {err}\n")
+
     def test_r9_subtrace_is_printed(self, capsys):
         # the derivation of the image that R9 proves sparse, indented under the R9 step
         image = "f0.1:1>f0.3:4>r:5 | f1.1:1>f1.2:4>r:5 | f2.1:1>f2.2:4>r:5"
@@ -533,6 +548,13 @@ class TestCrossRatio:
         code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
         assert code == 2
         assert "bad JSON" in err
+
+    def test_long_integer_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pencil.json"
+        path.write_text('{"p": ' + "9" * 5000 + ', "subspaces": [], "lower": [], "upper": []}')
+        code, out, err = run(capsys, "crossratio", "--pencil-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad JSON in {path}: an integer has too many digits\n"
 
     @pytest.mark.parametrize(
         "content",

@@ -457,6 +457,55 @@ class TestR9Memo:
         assert huge.to_json_dict() == bounded.to_json_dict()
         assert calls == bounded_calls
 
+    def test_each_image_read_once(self, monkeypatch):
+        # decide checks R1 and reads a chain union once; R9 reads each
+        # surjective tree image once, and no _decide scans R1 before a rewrite
+        product = parse_product("G(1;6)^3*G(3;6)^2")
+        for x, depth, reads in ((parse_tree_dsl(self.TREE), 3, 1), (product, 1, 0)):
+            monkeypatch.undo()
+            count = {"read": 0, "image": 0, "entry": 0}
+            rewritten = []  # one flag per running _decide
+
+            def wrap(name, wrapper):
+                inner = getattr(engine, name)
+                monkeypatch.setattr(engine, name, lambda *args: wrapper(inner, *args))
+
+            def read(inner, tree):
+                count["read"] += 1
+                return inner(tree)
+
+            def forget(inner, tree, v):
+                image, surjective = inner(tree, v)
+                count["image"] += surjective
+                return image, surjective
+
+            def sub_decide(inner, *args):
+                rewritten.append(False)
+                try:
+                    return inner(*args)
+                finally:
+                    rewritten.pop()
+
+            def rewrite(inner, inst):
+                nxt = inner(inst)
+                if nxt is not None:
+                    rewritten[-1] = True
+                return nxt
+
+            def check(inner, inst):
+                assert not rewritten or rewritten[-1], inst
+                count["entry"] += not rewritten
+                return inner(inst)
+
+            for name, wrapper in (("as_flag_product", read), ("forget_vertex", forget),
+                                  ("_decide", sub_decide), ("_rewrite_once", rewrite),
+                                  ("trivially_sparse", check)):
+                wrap(name, wrapper)
+            assert decide(x, depth=depth).status == UNKNOWN
+            assert count["entry"] == 1
+            assert count["read"] == reads + count["image"]
+            assert (count["image"] > 0) == (reads > 0)
+
     def test_depth_past_the_vertex_count_changes_nothing(self):
         # each R9 level forgets a vertex and no rewrite adds one; some of
         # these trees need depth 2 or more (nine, three of them depth 5)
@@ -468,6 +517,39 @@ class TestR9Memo:
             deep += decide(t, depth=1).to_json_dict() != record
         assert deep > 0
 
+
+
+class TestSurjectiveImagesPassR1:
+    """R9 decides its images with no R1 check, because a surjective deletion
+    never raises a subtree dimension (the engine docstring has the formulas):
+    every such image of an instance that passes R1 passes R1."""
+
+    def test_every_small_product(self):
+        images = 0
+        for n in range(2, 7):
+            for m in range(1, 5):
+                for combo in multisets(n, m):
+                    p = FlagProduct(combo, n)
+                    if not trivially_sparse(p).violated:
+                        for v, image, _ in forget_entries(p):
+                            assert not trivially_sparse(image).violated, (p, v)
+                            images += 1
+        assert images > 40_000
+
+    def test_random_trees(self):
+        rng = random.Random(24)
+        images = 0
+        for _ in range(2000):
+            tree = random_tree(rng, max_vertices=10, max_label=10)
+            if trivially_sparse(tree).violated:
+                continue
+            for v in sorted(tree.labels):
+                if v != tree.root:
+                    image, surjective = forget_vertex(tree, v)
+                    if surjective:
+                        assert not trivially_sparse(image).violated, (to_dsl(tree), v)
+                        images += 1
+        assert images > 4_000
 
 def five_grassmannians(ks, n):
     return FlagProduct(tuple((k,) for k in ks), n)
