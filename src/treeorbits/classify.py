@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .products import FlagProduct
+from .products import FlagProduct, not_an_instance
 from .trees import LabeledTree
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
@@ -80,7 +80,7 @@ def orbit_class(x: LabeledTree | FlagProduct) -> OrbitClass:
         n = x.ambient
         shapes = [(len(f), min(f[0], n - f[-1], *(b - a for a, b in zip(f, f[1:]))))
                   for f in x.factors]
-    else:
+    elif isinstance(x, LabeledTree):
         lab, parent, children = x.labels, x.parent, x.children
         shapes = []
         for v in lab:
@@ -94,6 +94,8 @@ def orbit_class(x: LabeledTree | FlagProduct) -> OrbitClass:
                     break
                 v = up
             shapes.append((length, width))
+    else:
+        raise not_an_instance(x)
     # (length, width) of every branch: one per leaf, none for a lone root
     if len(shapes) <= 1:
         return OrbitClass("Homogeneous", None, "single chain: the variety is one orbit")
@@ -149,6 +151,8 @@ def trivially_sparse(x: LabeledTree | FlagProduct) -> SparsenessCheck:
         if dim > n * n - 1:
             return SparsenessCheck(True, "r", dim, n * n - 1)
         return SparsenessCheck(False)
+    if not isinstance(x, LabeledTree):
+        raise not_an_instance(x)
     lab, children = x.labels, x.children
     sub: dict[str, int] = {}
     for v in sorted(lab, key=lab.__getitem__):

@@ -28,6 +28,9 @@ A product is matched on its factors from entry to verdict, R9 included
 tree are read as trees.
 
 Every verdict carries a trace of the rules and rewrites that produced it.
+The engine records it raw, as the instances themselves, and ``decide``
+renders text only for the one verdict it returns: R9 decides many images
+per call and reads all but a sparse one for its status alone.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import BadRange, IterationLimit
 from .products import (
     FlagProduct,
     as_flag_product,
-    dualize,
     forget_entries,
     reduce_half,
     reduce_span,
@@ -148,20 +150,41 @@ def display(inst: Instance) -> str:
 
 
 class _Trace(list):
-    """Steps from the rendered input ``start``, a chain by construction: each
-    starts at ``shown``, where the one before ended, and renders only its ``after``."""
+    """Raw steps ``(rule_id, after, note, sub)`` from the instance ``start``.
 
-    __slots__ = ("start", "shown")
+    The trace is a chain: each step starts where the one before ended, and
+    ``after`` is None when the step keeps the instance.  An instance is held
+    as itself, or as the text ``forget_entries`` already made for it;
+    ``sub`` is the trace of the image behind an R9 step.  Nothing is
+    rendered here: ``decide`` renders the trace it returns (``_render``).
+    """
 
-    def __init__(self, start: str):
-        self.start = self.shown = start
+    __slots__ = ("start",)
 
-    def add(self, rule_id: str, after: str | None = None, note: str = "",
-            subtrace: tuple[Step, ...] = ()) -> None:
-        before = self.shown
+    def __init__(self, start):
+        self.start = start
+
+    def add(self, rule_id: str, after=None, note: str = "", sub: _Trace | None = None) -> None:
+        self.append((rule_id, after, note, sub))
+
+
+def _text(x) -> str:
+    return x if isinstance(x, str) else display(x)
+
+
+def _render(trace: _Trace, start: str | None = None) -> tuple[str, tuple[Step, ...]]:
+    """The text of ``trace.start`` (``start`` when already rendered) and the
+    public steps of ``trace``, R9 subtraces included.  Each instance is
+    rendered once, as a step's ``before`` is the ``after`` of the one before."""
+    shown = start = _text(trace.start) if start is None else start
+    steps = []
+    for rule_id, after, note, sub in trace:
+        before = shown
         if after is not None:
-            self.shown = after
-        self.append(Step(rule_id, _RULES_BY_ID[rule_id].citation, before, self.shown, note, subtrace))
+            shown = _text(after)
+        subtrace = () if sub is None else _render(sub, shown if sub.start == after else None)[1]
+        steps.append(Step(rule_id, _RULES_BY_ID[rule_id].citation, before, shown, note, subtrace))
+    return start, tuple(steps)
 
 
 def _match_r2(p: FlagProduct):
@@ -302,20 +325,20 @@ def _sorted(p: FlagProduct) -> FlagProduct:
 def _canonical(p: FlagProduct, trace: _Trace) -> FlagProduct:
     """The smaller of ``p`` and its dual, factors sorted.
 
-    The two sides are compared on their sorted factors and only the side kept
-    is built.  Records one dualize-normalize step when the result is not ``p``
-    itself.
+    The two sides are compared as sorted factor tuples and a product is
+    built only for the side kept, and only when it is not ``p`` itself.
+    Records one dualize-normalize step when the result is not ``p``.
     """
-    dual = dualize(p)
-    own, other = tuple(sorted(p.factors)), tuple(sorted(dual.factors))
+    n = p.ambient
+    own = tuple(sorted(p.factors))
+    other = tuple(sorted([tuple([n - k for k in reversed(f)]) for f in p.factors]))
     if other < own:
-        low = dual if other == dual.factors else FlagProduct(other, p.ambient)
-        note = "the dual is smaller once both sides are sorted"
+        low, note = FlagProduct(other, n), "the dual is smaller once both sides are sorted"
     elif own == p.factors:
         return p
     else:
-        low, note = FlagProduct(own, p.ambient), "factors sorted"
-    trace.add("dualize-normalize", low.spec_string(), note=note)
+        low, note = FlagProduct(own, n), "factors sorted"
+    trace.add("dualize-normalize", low, note)
     return low
 
 
@@ -339,36 +362,44 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
     deletion is decided recursively with depth - 1, and depth 0 disables
     R9 entirely.  Each level forgets a vertex and no rewrite adds one, so a
     depth past (vertices - 1) changes nothing.  Raises BadRange unless
-    ``depth`` is a non-negative int.  This is the engine's one entry: R1
-    is checked here, and a chain union is read as its sorted product.
+    ``depth`` is a non-negative int, and TypeError (from R1) unless ``x``
+    is a tree or a product.  This is the engine's one entry: R1
+    is checked here, a chain union is read as its sorted product, and the
+    raw trace of the verdict returned is rendered here, once.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise BadRange(f"depth must be a non-negative integer, got {depth!r}")
     hit = _match_r1(x)
     if hit:
-        trace = _Trace(display(x))
-        trace.add("R1", note=hit[1])
-        return Verdict(TRIVIALLY_SPARSE, tuple(trace), trace.start, trace.start)
+        text = display(x)
+        step = Step("R1", _RULES_BY_ID["R1"].citation, text, text, hit[1])
+        return Verdict(TRIVIALLY_SPARSE, (step,), text, text)
     if isinstance(x, FlagProduct):
-        return _decide(x, None, depth, {})
-    p = as_flag_product(x)
-    return _decide(x if p is None else _sorted(p), to_dsl(x), depth, {})
+        status, trace, final = _decide(x, None, depth, {})
+    else:
+        p = as_flag_product(x)
+        status, trace, final = _decide(x if p is None else _sorted(p), x, depth, {})
+    start, steps = _render(trace)
+    return Verdict(status, steps, start, steps[final - 1].after if final else start)
 
 
-def _decide(inst: Instance, text: str | None, depth: int, memo: dict) -> Verdict:
+def _decide(inst: Instance, source, depth: int, memo: dict) -> tuple[str, _Trace, int]:
     """``decide`` within one memo, on an instance that passes R1 and has been
     read: a tree that is not a chain union, or a product, sorted when it was
-    read from a tree.  ``text`` is that tree's text, vertex names kept,
-    where the trace starts, with an as-product step when ``inst`` is a
-    product; it is None for a product given as a product."""
-    trace = _Trace(inst.spec_string() if text is None else text)
-    if text is not None and isinstance(inst, FlagProduct):
-        trace.add("as-product", inst.spec_string())
+    read from a tree.  ``source`` is where the trace starts: the tree that
+    ``inst`` is or was read from, or the text ``forget_entries`` made for
+    it, with an as-product step when ``inst`` is a product; it is None for
+    a product given as a product.  Returns the raw ``(status, trace, final)``, where
+    the verdict was reached on the instance after the first ``final`` steps;
+    nothing is rendered, as an R9 image is read for its status alone."""
+    trace = _Trace(inst if source is None else source)
+    if source is not None and isinstance(inst, FlagProduct):
+        trace.add("as-product", inst)
     rewritten = False  # until a rewrite changes the dimension, R1 holds
     for _ in range(inst.ambient + 16):
         if isinstance(inst, FlagProduct):
             inst = _canonical(inst, trace)
-        final = trace.shown  # R9 moves the chain on to its image
+        final = len(trace)  # R9 moves the chain on to its image
         status = _terminal(inst, trace, rewritten)
         if status is not None:
             break
@@ -378,47 +409,47 @@ def _decide(inst: Instance, text: str | None, depth: int, memo: dict) -> Verdict
             break
         rule_id, new_inst = nxt
         inst = _sorted(new_inst)  # every rewrite yields a product
-        trace.add(rule_id, inst.spec_string())
+        trace.add(rule_id, inst)
         rewritten = True
     else:
-        raise IterationLimit(f"rewriting did not reach a fixpoint from {trace.start}")
-    return Verdict(status, tuple(trace), trace.start, final)
+        raise IterationLimit(f"rewriting did not reach a fixpoint from {_text(trace.start)}")
+    return status, trace, final
 
 
 def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
     """Rule R9 on ``inst``: whether some surjective deletion has a sparse
-    image, its step appended to ``trace``.
+    image, its step appended to ``trace`` with the image's raw trace.
 
     Each image is read once (a product image is sorted) and decided with no
     R1 check, as ``inst`` passed R1 (see the module docstring).  ``memo``
-    maps (image, depth) to the image's verdict for the length of one
-    top-level ``decide`` call, so an image reached twice is decided once, a
-    product image whatever its vertex names.  A hit is read only for its
-    status: a sparse verdict ends every R9 above it.
+    maps (image, depth) to the image's raw ``_decide`` result for the
+    length of one top-level ``decide`` call, so an image reached twice is
+    decided once, a product image whatever its vertex names.  A result is
+    read only for its status, and none is rendered here: a sparse one ends
+    every R9 above it, and ``decide`` renders its trace at the end.
     """
     images = forget_entries(inst) if isinstance(inst, FlagProduct) else _tree_images(inst)
-    for v, image, text in images:
+    for v, image, source in images:
         if isinstance(image, FlagProduct):
             image = _sorted(image)
         key = (image, depth - 1)
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = _decide(image, text, depth - 1, memo)
-        if sub.status == SPARSE:
-            trace.add("R9", text,
-                      note=f"forgetting vertex {v} is surjective and the image is sparse",
-                      subtrace=sub.trace)
+            sub = memo[key] = _decide(image, source, depth - 1, memo)
+        if sub[0] == SPARSE:
+            trace.add("R9", source, f"forgetting vertex {v} is surjective and the image is sparse",
+                      sub[1])
             return True
     return False
 
 
 def _tree_images(tree: LabeledTree):
-    """(vertex, image, text) for every surjective deletion, in vertex-name
-    order, as ``forget_entries`` gives them for a product.  A chain-union
-    image is read as its product, in factor order, and ``text`` is the
-    image tree's ``to_dsl``."""
+    """(vertex, image, tree) for every surjective deletion, in vertex-name
+    order, as ``forget_entries`` gives them for a product but with the image
+    tree in place of its text.  A chain-union image is read as its product,
+    in factor order."""
     for v in sorted(tree.parent):  # the non-root vertices
         image, surjective = forget_vertex(tree, v)
         if surjective:
             p = as_flag_product(image)
-            yield v, image if p is None else p, to_dsl(image)
+            yield v, image if p is None else p, image

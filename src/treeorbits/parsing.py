@@ -20,7 +20,10 @@ from .errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseErro
 from .products import FlagProduct
 from .trees import MAX_LABEL, LabeledTree
 
-_TOKEN_RE = re.compile(r"^([A-Za-z0-9_.\-]+?)(?::(\d+))?$")
+# a vertex name, the only characters chain notation can carry in one
+_NAME = r"[A-Za-z0-9_.\-]+"
+_TOKEN_RE = re.compile(rf"^({_NAME}?)(?::(\d+))?$")
+_NAME_RE = re.compile(_NAME)
 
 
 def _integer(digits: str, pos: int) -> int:
@@ -93,12 +96,21 @@ def load_json(text: str, what: str = "JSON") -> object:
 
 
 def parse_tree_json(text: str) -> LabeledTree:
-    """Parse the JSON tree form, checking any declared root against the inferred one."""
+    """Parse the JSON tree form, checking any declared root against the inferred one.
+
+    A vertex name must be one chain notation can carry (letters, digits,
+    ``_``, ``.`` and ``-``): every record echoes the tree as chain text,
+    which must read back as the same tree.
+    """
     data = load_json(text)
     if not isinstance(data, dict) or "labels" not in data or "edges" not in data:
         raise ParseError('JSON tree needs "labels" and "edges" keys')
     if not isinstance(data["labels"], dict):
         raise ParseError('"labels" must map vertex names to integers')
+    for name in data["labels"]:
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(f"vertex name {name!r} cannot be written in chain notation; "
+                             "use letters, digits, '_', '.' and '-'")
     edges = data["edges"]
     if not isinstance(edges, list) or any(
         not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges

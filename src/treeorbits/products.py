@@ -207,8 +207,21 @@ def forget_entries(p: FlagProduct):
 
 
 def as_tree(x: LabeledTree | FlagProduct) -> LabeledTree:
-    """The tree indexing the variety of a tree or product instance."""
-    return product_to_tree(x) if isinstance(x, FlagProduct) else x
+    """The tree indexing the variety of a tree or product instance.
+
+    Raises TypeError for anything else, such as unparsed text.
+    """
+    if isinstance(x, FlagProduct):
+        return product_to_tree(x)
+    if isinstance(x, LabeledTree):
+        return x
+    raise not_an_instance(x)
+
+
+def not_an_instance(x) -> TypeError:
+    """The error for an argument that is neither a tree nor a product."""
+    return TypeError(f"expected a LabeledTree or FlagProduct, got {type(x).__name__}; "
+                     "read text with parse_instance")
 
 
 def _meet(tree: LabeledTree, a: str, b: str) -> str:

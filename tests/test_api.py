@@ -4,7 +4,10 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import treeorbits
+from treeorbits.classify import trivially_sparse
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +46,15 @@ def test_star_import():
     namespace = {}
     exec("from treeorbits import *", namespace)
     assert set(PUBLIC) <= set(namespace)
+
+
+@pytest.mark.parametrize("value", ["F(1;3)", 3, None], ids=["text", "int", "none"])
+@pytest.mark.parametrize("entry", ["decide", "orbit_class", "trivially_sparse",
+                                   "certify_density", "enumerate_orbits"])
+def test_an_unparsed_instance_raises_type_error(entry, value):
+    fn = trivially_sparse if entry == "trivially_sparse" else getattr(treeorbits, entry)
+    with pytest.raises(TypeError, match=f"got {type(value).__name__}; .*parse_instance"):
+        fn(value)
 
 
 def _defined_names(module: ast.Module) -> list[str]:

@@ -625,6 +625,14 @@ class TestInputHandling:
         assert code == 0
         assert out == "dimension 4 (ambient 4)\n"
 
+    def test_tree_file_name_chain_notation_cannot_carry_exits_2(self, capsys, tmp_path):
+        # read as chain text, a:1>b:2>r:3 would be F(1,2;3), of dimension 3, not 2
+        path = tmp_path / "tree.json"
+        path.write_text('{"labels": {"a:1>b": 2, "r": 3}, "edges": [["a:1>b", "r"]]}')
+        code, out, err = run(capsys, "decide", "--tree-file", str(path), "--json")
+        assert (code, out) == (2, "")
+        assert "vertex name 'a:1>b'" in err
+
     def test_missing_tree_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "dim", "--tree-file", str(tmp_path / "absent.txt"))
         assert code == 2

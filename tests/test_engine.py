@@ -317,6 +317,21 @@ class TestCanonicalProduct:
                     assert not ts.violated or ts.vertex == "r", (combo, n)
                     assert ts.violated == trivially_sparse(product_to_tree(dualize(p))).violated
 
+    def test_builds_only_the_side_kept(self, monkeypatch):
+        # a sorted product smaller than its dual, and one whose dual is
+        # smaller but not sorted as dualizing leaves it
+        own, dual = FlagProduct(((1,), (1, 2)), 4), FlagProduct(((2, 3), (3,)), 4)
+        built = []
+        inner = FlagProduct.__post_init__
+        monkeypatch.setattr(FlagProduct, "__post_init__", lambda p: built.append(inner(p)))
+        trace = engine._Trace(own)
+        assert engine._canonical(own, trace) is own
+        assert (len(built), trace) == (0, [])
+        low = engine._canonical(dual, trace)
+        assert low.factors == ((1,), (1, 2))
+        assert len(built) == 1
+        assert [(s[0], s[1]) for s in trace] == [("dualize-normalize", low)]
+
     @staticmethod
     def assert_one_side_suffices(p):
         # why the scan tries R5-R8 on the canonical side only
@@ -505,6 +520,35 @@ class TestR9Memo:
             assert count["entry"] == 1
             assert count["read"] == reads + count["image"]
             assert (count["image"] > 0) == (reads > 0)
+
+    def test_renders_only_what_the_record_shows(self, monkeypatch):
+        # decide renders the trace it returns, each instance once; an R9
+        # image decided for its status alone renders nothing
+        nested = parse_tree_dsl("v3:1>v2:2>v0:4 | v4:2>v1:3>v0:4 | v5:3>v0:4 | v6:1>v2:2>v0:4")
+        cases = ((parse_tree_dsl(self.TREE), 3), (parse_product("G(1;6)^3*G(3;6)^2"), 1),
+                 (nested, 3))
+        renders = 0
+
+        def counted(inner):
+            def render(*args):
+                nonlocal renders
+                renders += 1
+                return inner(*args)
+            return render
+
+        monkeypatch.setattr(engine, "to_dsl", counted(engine.to_dsl))
+        monkeypatch.setattr(FlagProduct, "spec_string", counted(FlagProduct.spec_string))
+        for x, depth in cases:
+            renders = 0
+            v = decide(x, depth=depth)
+            shown = {v.input, v.final}
+            steps = list(v.trace)
+            while steps:
+                step = steps.pop()
+                shown.update((step.before, step.after))
+                steps.extend(step.subtrace)
+            assert renders <= len(shown), (to_dsl(x) if isinstance(x, LabeledTree) else x)
+        assert v.status == SPARSE and len(v.trace[0].subtrace) == 2
 
     def test_depth_past_the_vertex_count_changes_nothing(self):
         # each R9 level forgets a vertex and no rewrite adds one; some of

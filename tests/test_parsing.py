@@ -1,5 +1,8 @@
 """Tree DSL, JSON, and product grammar parsing."""
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +94,15 @@ class TestTreeJson:
     def test_explicit_root_checked(self):
         text = '{"labels": {"a": 1, "b": 2}, "edges": [["a", "b"]], "root": "a"}'
         with pytest.raises(NotATree):
+            parse_tree_json(text)
+
+    @pytest.mark.parametrize("name", ["a:1>b", "a|b", "a:1", "a b", ""],
+                             ids=["arrow", "bar", "colon", "space", "empty"])
+    def test_name_chain_notation_cannot_carry(self, name):
+        # every record echoes the tree as chain text, which must read back as it
+        v = json.dumps(name)
+        text = f'{{"labels": {{"a": 1, {v}: 2, "r": 3}}, "edges": [["a", {v}], [{v}, "r"]]}}'
+        with pytest.raises(ParseError, match=f"vertex name {re.escape(repr(name))}"):
             parse_tree_json(text)
 
     def test_malformed_json(self):
