@@ -2,7 +2,12 @@
 
 ``random_config`` draws a random point of the configuration variety over
 F_p with a counter-based generator keyed by (seed, trial, vertex index),
-so results are reproducible and independent of evaluation order.
+so results are reproducible and independent of evaluation order.  Each
+stream's Philox key is derived from (seed, trial, vertex index) once per
+process, in a small memo (``_stream_key``), and a draw re-keys one
+generator per stream: Philox is counter-based (Salmon et al., SC 2011),
+so a key with counter 0 starts its stream afresh.  A redrawn factor
+replays its stream from the key.
 ``certify_density`` draws its trials together, a fixed number at a time:
 the factors of all of them are rank-checked in one stacked elimination,
 and because every stream is keyed, this gives the same configurations as
@@ -11,8 +16,11 @@ chunk's stabilizer systems in one pipeline over the stacked bases
 (``_system_ranks``): one pick of the chains, one chain elimination with
 a Python iteration per column for all trials, one stacked elimination
 for every annihilator, and one stacked rank of the systems unless they
-are large.  The pipeline assumes that every trial is a point of the
-variety, as every draw is.  ``stabilizer_dim`` is that pipeline on a
+are large.  The chain elimination leaves a chain vertex's remaining
+columns once every trial has as many pivots as its label, so generic
+draws move only each chain's top label's worth of columns.  The
+pipeline assumes that every trial is a point of the variety, as every
+draw is.  ``stabilizer_dim`` is that pipeline on a
 chunk of one, and the one place where bases arrive from outside, so it
 refuses a configuration that is not a point before ranking it.
 
@@ -43,12 +51,14 @@ a two-dimensional quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadRange, Degenerate, NotAPencil
 from .modp import (
     _left_annihilators,
+    _reduce,
     check_prime,
     matmul_mod,
     rank_mod,
@@ -71,10 +81,14 @@ class Configuration:
     bases: dict[str, np.ndarray]
 
 
-def _keyed_rng(seed: int, trial: int, vertex_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([seed, trial, vertex_index]))
-    )
+@lru_cache(maxsize=128)
+def _stream_key(seed: int, trial: int, vertex_index: int) -> bytes:
+    """The two-word Philox key of the stream (seed, trial, vertex index), as 16 bytes.
+
+    It is the key that ``Philox(SeedSequence([seed, trial, vertex_index]))``
+    holds; bytes, so a cached key cannot be changed by a caller.
+    """
+    return np.random.SeedSequence([seed, trial, vertex_index]).generate_state(2, np.uint64).tobytes()
 
 
 def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> Configuration:
@@ -84,7 +98,8 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     rank n x phi(v) matrix, and any deeper vertex gets B_parent R for a
     random full-rank phi(parent) x phi(v) matrix R, which keeps the
     containments exact.  Draws retry until full rank, continuing the
-    keyed stream, so every configuration is a genuine variety point.
+    keyed stream (replayed from its key), so every configuration is a
+    genuine variety point.
     This is ``certify_density``'s draw with one trial: that draws its
     trials together, and because every stream is keyed by (seed, trial,
     vertex) its configurations equal these, trial by trial.
@@ -115,6 +130,12 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
     only the failures are redrawn from their own streams and checked
     again; each vertex is lifted for all trials by one stacked
     ``matmul_mod``.
+
+    One generator draws every candidate: before each, its Philox is
+    re-keyed to the stream's key (``_stream_key``, derived once per
+    process) at counter 0 by assigning its state.  A redraw replays its
+    stream from the key, so the candidates are those of a generator held
+    per stream.
     """
     for name, value in (("seed", seed), ("trial", first)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -126,15 +147,28 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
     # the root's label is n
     shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in order}
     trials = range(first, first + count)
-    streams = {(t, v): _keyed_rng(seed, t, index[v]) for t in trials for v in order}
-    drawn = {key: rng.integers(0, p, size=shape[key[1]], dtype=np.int64)
-             for key, rng in streams.items()}
+    rng = np.random.Generator(np.random.Philox(key=0))
+    # a fresh Philox stream: counter 0, empty buffer
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def candidate(t: int, v: str, tries: int) -> np.ndarray:
+        # the stream's first tries candidates in one draw; every entry, below
+        # p < 2^32, is drawn from the stream's next 32-bit words, so these
+        # are the values of drawing them one after another.  The last is kept
+        state["state"]["key"] = np.frombuffer(_stream_key(seed, t, index[v]), dtype=np.uint64)
+        rng.bit_generator.state = state
+        return rng.integers(0, p, size=(tries, *shape[v]), dtype=np.int64)[-1]
+
+    tries = {(t, v): 1 for t in trials for v in order}
+    drawn = {key: candidate(*key, 1) for key in tries}
     pending = list(drawn)
     while pending:
         ranks = ranks_mod(_padded([drawn[key] for key in pending], n), p)
         pending = [key for key, r in zip(pending, ranks) if r < shape[key[1]][1]]
         for key in pending:
-            drawn[key] = streams[key].integers(0, p, size=shape[key[1]], dtype=np.int64)
+            tries[key] += 1
+            drawn[key] = candidate(*key, tries[key])
     bases: dict[str, np.ndarray] = {}
     for v in order:
         factors = np.stack([drawn[t, v] for t in trials])
@@ -198,8 +232,7 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
         mj = np.take_along_axis(m.transpose(0, 2, 1), j[:, None, :], axis=2)
         system[:, top : top + size] = (ci[:, :, None, :] * mj[:, None, :, :]).reshape(count, size, width)
         top += size
-    system %= p
-    return system
+    return _reduce(system, p)
 
 
 # the largest short side of a chunk's systems that are ranked in one
@@ -221,8 +254,8 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     chains = (chain[::-1], second[::-1])
     rest = sorted(v for v in bases if v not in chain and v not in second)
     order = chains[0] + chains[1] + rest
-    moved = np.asarray(np.concatenate([np.zeros((count, n, 0), dtype=np.int64)]
-                                      + [bases[v] for v in order], axis=2), dtype=np.int64) % p
+    moved = np.concatenate([np.zeros((count, n, 0), dtype=np.int64)] + [bases[v] for v in order], axis=2)
+    moved = _reduce(np.asarray(moved, dtype=np.int64), p)
     starts = dict(zip(order, np.cumsum([0] + [tree.labels[v] for v in order]).tolist()))
     # views, so they see the row operations
     off = [moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in rest]
@@ -232,18 +265,23 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     for links in chains:
         position = np.full((count, n), n)
         taken = np.zeros(count, dtype=np.intp)
-        for c in (starts[v] + k for v in links for k in range(tree.labels[v])):
-            col = np.where(position < n, 0, moved[:, :, c])
-            r = np.where(col != 0, level, -1).argmax(axis=1)
-            pivot = col[at, r].tolist()
-            f = col * np.array([pow(x, -1, p) if x else 0 for x in pivot])[:, None] % p
-            f[at, r] = 0
-            # whole rows: this keeps an earlier chain's coordinate flag
-            moved -= f[:, :, None] * moved[at, r, None, :]
-            moved %= p
-            found = np.flatnonzero(pivot)
-            position[found, r[found]] = taken[found]
-            taken[found] += 1
+        for v in links:
+            for c in range(starts[v], starts[v] + tree.labels[v]):
+                # v's pivot columns span its subspace once there are as many
+                # as its label, in every trial: its other columns find no pivot
+                if taken.min() >= tree.labels[v]:
+                    break
+                col = np.where(position < n, 0, moved[:, :, c])
+                r = np.where(col != 0, level, -1).argmax(axis=1)
+                pivot = col[at, r].tolist()
+                f = _reduce(col * np.array([pow(x, -1, p) if x else 0 for x in pivot])[:, None], p)
+                f[at, r] = 0
+                # whole rows: this keeps an earlier chain's coordinate flag
+                moved -= f[:, :, None] * moved[at, r, None, :]
+                _reduce(moved, p)
+                found = np.flatnonzero(pivot)
+                position[found, r[found]] = taken[found]
+                taken[found] += 1
         level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
         allowed &= level[:, :, None] <= level[:, None, :]
     kernels = []
@@ -282,7 +320,10 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     column operation inside its flag), and a nonzero row of the deepest
     level under the previous chain (for chain 1, the first nonzero row)
     clears the others, each of an equal or shallower level, so h keeps
-    that chain's coordinate flag.  A trial whose column is zero skips it.
+    that chain's coordinate flag.  A trial whose column is zero skips it,
+    and once every trial has as many of the chain's pivots as a chain
+    vertex's label, the vertex's remaining columns are left: they lie in
+    the span of the pivot columns, so none would find a pivot.
     A chain's subspace of label d is then spanned by e_i for its first d
     pivots i, and its level of i counts its subspaces that do not hold
     e_i.  Y = h X h^-1 stabilizes the moved configuration exactly when X

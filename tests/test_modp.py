@@ -9,6 +9,7 @@ from treeorbits.errors import BadRange, NotPrime
 from treeorbits.modp import (
     MAX_PRIME,
     _left_annihilators,
+    _reduce,
     check_prime,
     is_prime,
     matmul_mod,
@@ -62,6 +63,24 @@ class TestMatmulMod:
         a = [[1, 2], [3, 4]]
         b = [[5, 6], [7, 8]]
         assert np.array_equal(matmul_mod(a, b, 11), np.array([[8, 0], [10, 6]]))
+
+
+class TestReduction:
+    @pytest.mark.parametrize("p", [2, 3, 101, 65537, MAX_PRIME])
+    def test_reduction_equals_remainder(self, p):
+        # the extremes of the eliminations' updates, which lie in (-p^2, p^2)
+        values = np.array([0, 1, -1, p, -p, p - 1, 1 - p, (p - 1) ** 2, -((p - 1) ** 2)], dtype=np.int64)
+        x = values.copy()
+        assert _reduce(x, p) is x
+        assert np.array_equal(x, values % p)
+        # strided slices are reduced in place, and nothing around them
+        a = np.tile(values, (4, 3))
+        expected = a.copy()
+        expected[1::2, ::3] %= p
+        expected[:, -1] %= p
+        _reduce(a[1::2, ::3], p)
+        _reduce(a[:, -1], p)
+        assert np.array_equal(a, expected)
 
 
 class TestElimination:

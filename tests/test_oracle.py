@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import json
 import random
 import tracemalloc
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_tree
-from treeorbits.trees import dimension
+from treeorbits.trees import dimension, heaviest_chains
 
 from .helpers import full_system_rank, rand_gl, random_product, random_tree
 
@@ -135,6 +136,39 @@ class TestDraws:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_stream_key_is_the_key_of_the_seeded_generator(self):
+        for seed, trial, vertex in [(0, 0, 0), (5, 17, 3), (2**40, 1, 9)]:
+            philox = np.random.Philox(np.random.SeedSequence([seed, trial, vertex]))
+            key = np.frombuffer(oracle._stream_key(seed, trial, vertex), dtype=np.uint64)
+            assert np.array_equal(key, philox.state["state"]["key"])
+
+    def test_cold_and_warm_keys_give_the_same_draws(self):
+        cases = [("F(1,2;4)^3", 2, 9), ("F(1,2;4)^3", 3, 9), (HONEST_TREE, 101, 3),
+                 ("F(2,5;8)^3", DEFAULT_PRIME, 3)]
+
+        def run():
+            out = []
+            for text, p, trials in cases:
+                x = parse_instance(text)
+                out.append(certify_density(x, p=p, trials=trials, seed=4))
+                out.append(bases_digest([random_config(x, p=p, seed=4, trial=t) for t in range(trials)]))
+            return out
+
+        oracle._stream_key.cache_clear()
+        cold = run()
+        misses = oracle._stream_key.cache_info().misses
+        warm = run()
+        # every key of the second run was derived in the first
+        assert oracle._stream_key.cache_info().misses == misses
+        assert cold == warm
+
+    def test_key_memo_stays_within_its_bound(self):
+        x = parse_instance("F(1;2)^3")
+        for seed in range(50):
+            certify_density(x, trials=64, seed=seed)
+        info = oracle._stream_key.cache_info()
+        assert info.currsize <= info.maxsize == 128
 
 
 class TestStabilizerDim:
@@ -496,6 +530,95 @@ class TestChunkRanking:
         assert [_left_annihilators(c.bases["e"][None], 101)[0].shape[0] for c in configs] == [3, 2]
 
 
+def child_first(config) -> Configuration:
+    """The same point, each basis of a vertex with children rebuilt to begin with a child's basis.
+
+    The child is the first in name order; it is followed by those of the
+    vertex's own columns that raise the rank, so the span is unchanged and
+    the chain moves find the vertex's last pivot only in its last column.
+    """
+    tree, p = config.tree, config.p
+    bases = dict(config.bases)
+    for v in bases:
+        if tree.children[v]:
+            cols = list(config.bases[min(tree.children[v])].T)
+            for col in config.bases[v].T:
+                if rank_mod(np.array(cols + [col]).T, p) > len(cols):
+                    cols.append(col)
+            bases[v] = np.array(cols).T
+    return Configuration(tree, p, config.seed, config.trial, bases)
+
+
+def stacked(configs) -> dict[str, np.ndarray]:
+    return {v: np.stack([c.bases[v] for c in configs]) for v in configs[0].bases}
+
+
+def chain_stops(config) -> dict[str, int]:
+    """For each vertex on the two chains, how many of its columns give all its pivots.
+
+    That is the least k for which the first k columns of its basis and the
+    basis of the chain vertex below it span its subspace.
+    """
+    tree, p = config.tree, config.p
+    stops = {}
+    for chain, _ in heaviest_chains(tree, oracle._flag_weight):
+        for v, below in zip(chain, chain[1:] + [None]):
+            b = config.bases[v]
+            known = config.bases[below] if below else b[:, :0]
+            stops[v] = next(k for k in range(b.shape[1] + 1)
+                            if rank_mod(np.hstack([known, b[:, :k]]), p) == b.shape[1])
+    return stops
+
+
+class TestChainStop:
+    # the chain moves skip a vertex's remaining columns once every trial of a
+    # chunk has as many of the chain's pivots as the vertex's label; the full
+    # system is the reference
+
+    @pytest.mark.parametrize("b", [[0, 1], [1, 0]], ids=["child first", "child last"])
+    def test_hand_built_chain_top(self, b):
+        # b's basis begins (child first) or ends with a's column e0, so with
+        # child last every trial leaves b's second column; d's basis begins
+        # with c's column e1 in trial 0 and ends with it in trial 1, so trial
+        # 1 alone would leave d's second column, but the chunk moves it
+        configs = [hand_built(TWO_CHAINS, a=[0], b=b, c=[1], d=d, e=[2]) for d in ([1, 0], [0, 1])]
+        chunk = oracle._system_ranks(configs[0].tree, 101, stacked(configs), 2).tolist()
+        assert chunk == [full_system_rank(c) for c in configs]
+        assert chunk == [stabilizer_dim(c).system_rank for c in configs]
+
+    @pytest.mark.parametrize(
+        "text", ["F(2,5;8)^3", "F(1,3,4;6)^3", HONEST_TREE, "a:1>b:3>r:6 | c:2>d:4>r | e:3>r"]
+    )
+    @pytest.mark.parametrize("p", [3, 101, DEFAULT_PRIME])
+    def test_child_first_bases_stop_late(self, text, p):
+        x = parse_instance(text)
+        drawn = [random_config(x, p=p, seed=2, trial=t) for t in range(4)]
+        # in a chunk with trials 0 and 2 no chain vertex stops before its
+        # last column; trials 1 and 3 would stop early
+        configs = [child_first(c) if t % 2 == 0 else c for t, c in enumerate(drawn)]
+        assert any(k < c.tree.labels[v] for c in drawn[1::2] for v, k in chain_stops(c).items())
+        for c in configs[::2]:
+            assert all(k == c.tree.labels[v] for v, k in chain_stops(c).items())
+        chunk = oracle._system_ranks(configs[0].tree, p, stacked(configs), len(configs)).tolist()
+        assert chunk == [full_system_rank(c) for c in configs]
+        assert chunk == [stabilizer_dim(c).system_rank for c in configs]
+
+    # over F_2 and F_3 some draws are not generic, and trials of one chunk
+    # need different numbers of a chain vertex's columns
+    @pytest.mark.parametrize(
+        "text,p", [("F(2,5;8)^3", 3), ("F(1,2;4)^3", 2), ("F(1,3;5)^3", 3), (HONEST_TREE, 3)]
+    )
+    def test_trials_of_one_chunk_stop_at_different_columns(self, text, p):
+        x = parse_instance(text)
+        report = certify_density(x, p=p, trials=9, seed=7)
+        drawn = [random_config(x, p=p, seed=7, trial=t) for t in range(9)]
+        assert list(report.ranks) == [full_system_rank(c) for c in drawn]
+        stops = [chain_stops(c) for c in drawn[: oracle._TRIAL_CHUNK]]
+        labels = drawn[0].tree.labels
+        assert any(len({s[v] for s in stops}) > 1 and min(s[v] for s in stops) < labels[v]
+                   for v in stops[0])
+
+
 class TestCertifyDensity:
     def test_homogeneous_certifies_immediately(self):
         report = certify_density(parse_tree_dsl("1>2>4"), trials=1)
@@ -555,6 +678,28 @@ class TestCertifyDensity:
     def test_sparse_side_of_theorem_pinned(self):
         report = certify_density(FlagProduct(((5, 7),) * 3, 12))
         assert (report.status, report.ranks, report.variety_dim) == ("Inconclusive", (133,) * 3, 135)
+
+    # every F(k1,k2;n)^3 with 4 <= n <= 10 and five larger products at the
+    # default arguments; then n <= 7 over F_3 with nine trials, which redraws,
+    # ranks a partial chunk and stops the chain moves of its trials apart
+    @pytest.mark.parametrize(
+        "top,large,kwargs,digest",
+        [
+            (10, [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)], {},
+             "442af3a725505ef945060eb04e8425e55bd51b7a83d5c1a8a75d38db44ab86a8"),
+            (7, [], {"p": 3, "trials": 9},
+             "f441052d4dc59f05da6cd12bce2692094db1bda966b3a632f3a3754fe75f70e8"),
+        ],
+        ids=["default", "F_3"],
+    )
+    def test_ladder_records_pinned(self, top, large, kwargs, digest):
+        products = [FlagProduct(((k1, k2),) * 3, n)
+                    for n in range(4, top + 1) for k1, k2 in combinations(range(1, n), 2)]
+        products += [FlagProduct((flag,) * 3, n) for flag, n in large]
+        h = hashlib.sha256()
+        for x in products:
+            h.update(json.dumps(certify_density(x, **kwargs).to_json_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == digest
 
 
 def line_points(params, p):
