@@ -10,15 +10,20 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   the other root children, with flag variety X2 (a point when the root
   has one child).  GL(n, q) is transitive on X1, and the orbits of the
   stabilizer P1 of the standard flag x1 = span(e_0..e_{d-1}) on X2 are
-  the double cosets P1 w P2 (Bruhat), one per nonnegative integer matrix
-  whose row and column sums are the two flags' quotient sizes.  Each has
-  a coordinate flag w.x2 as representative, which gives each basis
-  vector a level on each chain.  So the GL-orbits on the variety X are,
-  summed over the double cosets, the orbits of H_w, the stabilizer of
-  both x1 and w.x2, on the fibre over (x1, w.x2).
-  Subspaces are row spans acted on by right multiplication, so H_w holds
-  the invertible g with g[i, j] = 0 unless j's levels are at most i's on
-  both chains.  It is generated, modulo the scalars, which act trivially,
+  the double cosets P1 w P2 (Bruhat), one per contingency matrix: a
+  nonnegative integer matrix M whose row and column sums are the two
+  flags' quotient sizes.  Each double coset is listed once, as the
+  nonzero entries (a, b, M[a, b]) of M row by row, and every later step
+  reads that record.  Entry (a, b, m) is a class of m consecutive basis
+  vectors with level a on chain 1 and level b on chain 2, which places
+  the coordinate flag w.x2 that represents the double coset.  So the
+  GL-orbits on the variety X are, summed over the double cosets, the
+  orbits of H_w, the stabilizer of both x1 and w.x2, on the fibre over
+  (x1, w.x2).  Subspaces are row spans acted on by right multiplication,
+  so H_w holds the invertible g with g[i, j] = 0 unless j's levels are
+  at most i's on both chains.  Its order is a product over the record's
+  entries of |GL(m, q)|, times q for each allowed entry that links two
+  classes.  It is generated, modulo the scalars, which act trivially,
   by generators of GL on each class of basis vectors with equal levels (a
   cycle, a transvection and a primitive scalar in one slot) and one
   elementary matrix per covering pair of classes; the scalar of one 1 x 1
@@ -52,24 +57,29 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   sorted children; a fixed span is its own image.  The moves are then
   sums of gathers from these tables over the grid, a (G, N) int64 array
   with one row per generator slot, which keeps every point in its double
-  coset.  Every generator must fix both flags, every lookup must hit and
-  every move must permute the points.
+  coset.
 * Orbits.  They are the connected components of the Schreier graph of the
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
 
-The projected point count of X (a product of Gaussian binomials, one per
-edge) is checked against the cap before anything is enumerated.  The
-orbit sizes |P1| / |H_w| must add up to |X2|, and a fibre's size times
-|X1| |X2| must equal the projected count.  Every subspace table is an
-image of X, so it fits under the cap too.
+The checks run in this order on every call.  One table of per-edge
+Gaussian binomials gives the projected point count of X, checked against
+the cap before anything else is done, and the weights of the chains.  The
+fibre's size, the product over the edges off both chains, times |X1| |X2|
+must equal the projected count, and the orbit sizes |P1| / |H_w| must add
+up to |X2|.  Only then, and only when a vertex is off both chains, are
+the subspace tables built: their sizes must give the same fibre, each
+generator's entries off the identity must fix both flags before any
+matrix is built, every lookup must hit and every move must permute the
+points.  Every subspace table is an image of X, so it fits under the cap
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import combinations, groupby
+from functools import cache
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -220,131 +230,105 @@ class _Subspaces:
         return self.offsets[at] + (m * self.weights[at]).sum(axis=(1, 2))
 
 
-def _gl_order(n: int, q: int) -> int:
-    return prod(q**n - q**i for i in range(n))
-
-
 def _blocks(flag: list[int], n: int) -> list[int]:
     """Sizes of the successive quotients of a flag of the given dimensions in F_q^n."""
     cuts = [0, *sorted(flag), n]
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def _double_cosets(rows: list[int], cols: list[int]) -> list[tuple[int, ...]]:
-    """One coordinate flag per double coset P1 w P2, as the level of each basis vector.
+def _double_cosets(rows: list[int], cols: list[int]) -> list[tuple[tuple[int, int, int], ...]]:
+    """The double cosets P1 w P2, each as the entries (a, b, M[a, b] > 0) of its matrix M, row by row.
 
-    P1 and P2 stabilize flags with the quotient sizes ``rows`` and ``cols``;
-    P1's flag is the standard one, whose block a is a run of basis vectors.
-    A double coset is a nonnegative integer matrix M with these row and
-    column sums (Bruhat), and its flag puts M[a, b] vectors of block a at
-    level b, in increasing order: the flag's subspace of quotient b is
-    spanned by the vectors at level b or lower.  The vectors take their
-    levels one at a time, never lower than the one before within a block.
+    P1 and P2 stabilize flags with the quotient sizes ``rows`` and ``cols``,
+    and M has these row and column sums.  Entry (a, b, m) is a class of m
+    consecutive basis vectors at level a on the first flag (the standard
+    one) and b on the second: the second flag's subspace of quotient b is
+    spanned by the vectors at level b or lower.  A class's levels are both
+    at most a later class's exactly when its second level is.  The list is
+    in lexicographic order of the vectors' second levels.
     """
-    flags = [((), tuple(cols))]
-    for size in rows:
+    done = [((), tuple(cols))]
+    for a, size in enumerate(rows):
         for k in range(size):
-            flags = [(levels + (b,), room[:b] + (room[b] - 1,) + room[b + 1:])
-                     for levels, room in flags
-                     for b in range(levels[-1] if k else 0, len(room)) if room[b]]
-    return [levels for levels, _ in flags]
+            # vector k of block a takes a level b with room left, no lower
+            # than vector k - 1's, and joins that vector's entry at its level
+            done = [(entries[:-1] + ((a, b, entries[-1][2] + 1),) if k and b == entries[-1][1]
+                     else entries + ((a, b, 1),), room[:b] + (room[b] - 1,) + room[b + 1:])
+                    for entries, room in done
+                    for b in range(entries[-1][1] if k else 0, len(room)) if room[b]]
+    return [entries for entries, _ in done]
 
 
-def _classes(level1: tuple[int, ...], level2: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """The classes of basis vectors with equal level pairs, as (second level, start, stop) runs.
+def _pattern_order(coset: tuple[tuple[int, int, int], ...], q: int, gl: list[int]) -> int:
+    """Order of H_w, the invertible g with g[i, j] = 0 unless j's levels are at most i's.
 
-    The levels are those of ``_double_cosets``: the pairs never decrease
-    along the basis, so each class is one run, the runs come in order, and
-    a class's levels are both at most another's exactly when it comes
-    first and its second level is at most the other's.
-    """
-    runs, start = [], 0
-    for (_, level), run in groupby(zip(level1, level2)):
-        stop = start + sum(1 for _ in run)
-        runs.append((level, start, stop))
-        start = stop
-    return runs
-
-
-def _pattern_order(level1: tuple[int, ...], level2: tuple[int, ...], q: int) -> int:
-    """Order of H, the invertible matrices g with g[i, j] = 0 unless j's levels are at most i's.
-
-    H is the product of its classes' GL, times one F_q per allowed entry
+    ``coset`` is a record of ``_double_cosets`` and ``gl[m]`` is |GL(m, q)|.
+    H_w is the product of its classes' GL, times one F_q per allowed entry
     that links two classes.
     """
-    runs = _classes(level1, level2)
-    links = sum((b - a) * (d - c) for i, (lo, a, b) in enumerate(runs)
-                for hi, c, d in runs[i + 1:] if lo <= hi)
-    return prod(_gl_order(b - a, q) for _, a, b in runs) * q**links
+    links = sum(m * k for i, (_, lo, m) in enumerate(coset) for _, hi, k in coset[i + 1:] if lo <= hi)
+    return prod(gl[m] for _, _, m in coset) * q**links
 
 
-def _stabilizer_generators(level1: tuple[int, ...], level2: tuple[int, ...], field: _Field) -> np.ndarray:
-    """Matrices generating, modulo scalars, the group H of ``_pattern_order``.
+def _stabilizer_generators(coset: tuple[tuple[int, int, int], ...], field: _Field) -> list[tuple]:
+    """Matrices generating, modulo scalars, the group H_w of ``_pattern_order``.
 
-    H fixes both coordinate flags.  It is generated by generators of GL on
-    each class (the cycle of its basis vectors, a transvection and a
+    H_w fixes both coordinate flags.  It is generated by generators of GL
+    on each class (the cycle of its basis vectors, a transvection and a
     primitive scalar in one slot) and one elementary matrix per covering
     pair of classes, from the last vector of the lower class to the first
     of the upper one: the classes' GL spread it over the whole block of
     entries linking the two, and commutators reach every allowed entry
     beyond.  The scalar of the first 1 x 1 class is left out: it is a
     scalar matrix times the other classes' scalars.  With no second flag
-    the classes are the first flag's blocks.  Returns them stacked, of
-    shape (G, n, n).
+    the classes are the first flag's blocks.  Each matrix is given by its
+    (row, column, value) entries off the identity, a tuple that is the same
+    for equal matrices.
     """
-    n = len(level1)
-    runs = _classes(level1, level2)
-    # (generator, row, column, value) for each entry off the identity
-    entries = []
-    g = 0
+    gens, runs, start = [], [], 0
     dropped = False
-    for _, a, b in runs:
-        if b - a > 1:
-            entries += [(g, i, i, 0) for i in range(a, b)]
-            entries += [(g, i, a + (i + 1 - a) % (b - a), 1) for i in range(a, b)]
-            entries.append((g + 1, a, a + 1, 1))
-            g += 2
+    for _, level, m in coset:
+        a, b = start, start + m
+        if m > 1:
+            cycle = tuple((i, a + (i + 1 - a) % m, 1) for i in range(a, b))
+            gens += [tuple((i, i, 0) for i in range(a, b)) + cycle, ((a, a + 1, 1),)]
         if field.q > 2:
-            if b - a == 1 and not dropped:
+            if m == 1 and not dropped:
                 dropped = True
             else:
-                entries.append((g, a, a, field.primitive))
-                g += 1
+                gens.append(((a, a, field.primitive),))
+        runs.append((level, a, b))
+        start = b
     for i, (lo, _, b) in enumerate(runs):
         for j, (hi, c, _) in enumerate(runs[i + 1:], i + 1):
             if lo <= hi and not any(lo <= mid <= hi for mid, _, _ in runs[i + 1:j]):
-                entries.append((g, c, b - 1, 1))
-                g += 1
-    gens = np.zeros((g, n, n), np.uint8)
-    gens[:, range(n), range(n)] = 1
-    if entries:
-        h, row, col, value = zip(*entries)
-        gens[h, row, col] = value
+                gens.append(((c, b - 1, 1),))
     return gens
 
 
-def _stabilizer_stack(level1: tuple[int, ...], cosets: list[tuple[int, ...]],
+def _stabilizer_stack(cosets: list[tuple[tuple[int, int, int], ...]],
                       field: _Field) -> tuple[np.ndarray, np.ndarray]:
     """The generators of every double coset's H_w, each distinct matrix once.
 
     Returns ``distinct`` and ``which``: generator h of H_w is
     ``distinct[which[h, w]]``, the identity where H_w has fewer than h + 1
     generators.  Raises RuntimeError when a generator moves one of its two
-    coordinate flags.
+    coordinate flags, before any array is built.
     """
-    n = len(level1)
-    gens = [_stabilizer_generators(level1, w, field) for w in cosets]
-    level1, level2 = np.array(level1), np.array(cosets)
-    allowed = (level1 <= level1[:, None]) & (level2[:, None, :] <= level2[:, :, None])
-    if (np.concatenate(gens).astype(bool) & ~np.repeat(allowed, list(map(len, gens)), axis=0)).any():
-        raise RuntimeError("a generator moves a fixed flag")
-    eye = np.eye(n, dtype=np.uint8)
+    gens = [_stabilizer_generators(w, field) for w in cosets]
+    for w, stack in zip(cosets, gens):
+        # each basis vector's (first, second) level
+        pairs = [(a, b) for a, b, m in w for _ in range(m)]
+        if any(pairs[j][0] > pairs[i][0] or pairs[j][1] > pairs[i][1] for g in stack for i, j, _ in g):
+            raise RuntimeError("a generator moves a fixed flag")
     ids = {}
-    which = np.empty((max(1, *map(len, gens)), len(cosets)), np.intp)
-    for w, stack in enumerate(gens):
-        for h in range(len(which)):
-            which[h, w] = ids.setdefault((stack[h] if h < len(stack) else eye).tobytes(), len(ids))
-    return np.frombuffer(b"".join(ids), np.uint8).reshape(-1, n, n), which
+    which = np.array([[ids.setdefault(stack[h] if h < len(stack) else (), len(ids)) for stack in gens]
+                      for h in range(max(1, *map(len, gens)))], np.intp)
+    n = sum(m for _, _, m in cosets[0])
+    distinct = np.tile(np.eye(n, dtype=np.uint8), (len(ids), 1, 1))
+    u, row, col, value = np.array([(k, *entry) for g, k in ids.items() for entry in g], np.intp).reshape(-1, 4).T
+    distinct[u, row, col] = value
+    return distinct, which
 
 
 def _spans(levels: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -363,14 +347,15 @@ class OrbitReport:
     orbit_count: int
 
 
+def _edge_counts(tree, q: int) -> dict[str, int]:
+    """The F_q points of each edge's Grassmannian, keyed by the edge's source."""
+    _check_field(q)
+    return {s: gaussian_binomial(tree.labels[t], tree.labels[s], q) for s, t in tree.parent.items()}
+
+
 def projected_point_count(x, q: int) -> int:
     """Exact number of F_q points: product of one Gaussian binomial per edge."""
-    tree = as_tree(x)
-    _check_field(q)
-    total = 1
-    for s, t in tree.parent.items():
-        total *= gaussian_binomial(tree.labels[t], tree.labels[s], q)
-    return total
+    return prod(_edge_counts(as_tree(x), q).values())
 
 
 def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
@@ -385,22 +370,29 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
     tree = as_tree(x)
     n = tree.ambient
-    projected = projected_point_count(tree, q)
+    counts = _edge_counts(tree, q)
+    projected = prod(counts.values())
     if projected > cap:
         raise CapExceeded(projected, cap)
-    field = _field(q)
     # the chain whose flag variety has the most F_q points, then the same
     # under the other root children
-    weight = partial(gaussian_binomial, q=q)
-    (chain, x1), (second, x2) = heaviest_chains(tree, weight)
+    weight = {(tree.labels[tree.parent[s]], tree.labels[s]): c for s, c in counts.items()}
+    (chain, x1), (second, x2) = heaviest_chains(tree, lambda t, s: weight[t, s])
+    free = [v for v in tree.parent if v not in chain and v not in second]
+    count = prod(counts[v] for v in free)
+    if count * x1 * x2 != projected:
+        raise RuntimeError("the fibre over the fixed flags has the wrong number of points")
     flags = {1: sorted(tree.labels[v] for v in chain), 2: sorted(tree.labels[v] for v in second)}
     rows, cols = _blocks(flags[1], n), _blocks(flags[2], n)
-    (level1,) = _double_cosets((n,), rows)
     cosets = _double_cosets(rows, cols)
-    p1 = _pattern_order(level1, (0,) * n, q)
-    if sum(p1 // _pattern_order(level1, w, q) for w in cosets) != x2:
+    gl = [prod(q**m - q**i for i in range(m)) for m in range(n + 1)]
+    p1 = _pattern_order(tuple((a, 0, m) for a, m in enumerate(rows)), q, gl)
+    if sum(p1 // _pattern_order(w, q, gl) for w in cosets) != x2:
         raise RuntimeError("the double cosets do not cover the second flag variety")
+    if not free:
+        return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=len(cosets))
 
+    field = _field(q)
     order = top_down(tree)
     pos = {v: i for i, v in enumerate(order)}
     # up[k] is the position of the parent of order[k], None where that is the root
@@ -411,7 +403,8 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     spaces = {d: _Subspaces(n, d, field) for d in sorted({d for d, f in zip(vdim, on) if not f})}
     # the fixed spans of a chain's vertices, as each basis vector's level:
     # one row for the first chain, one per double coset for the second
-    levels = {1: np.array([level1]), 2: np.array(cosets)}
+    levels = {1: np.repeat(np.arange(len(rows)), rows)[None],
+              2: np.array([[b for _, b, m in w for _ in range(m)] for w in cosets])}
 
     # children[dt, ds, f][p] = indices in spaces[ds] of the ds-subspaces inside
     # subspace p of a free parent (f = 0), or inside the fixed span of a
@@ -426,13 +419,9 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
         children[dt, ds, f] = spaces[ds].index(inside.reshape(-1, ds, n)).reshape(inside.shape[:2])
     radix = [1 if f else len(spaces[d]) if t is None else children[t].shape[1]
              for d, f, t in zip(vdim, on, pair)]
-    count = prod(radix)
-    if count * x1 * x2 != projected:
+    if prod(radix) != count:
         raise RuntimeError("the fibre over the fixed flags has the wrong number of points")
-    if all(on):
-        return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=len(cosets))
-
-    distinct, which = _stabilizer_stack(level1, cosets, field)
+    distinct, which = _stabilizer_stack(cosets, field)
     moves = _moves(field, distinct, which, spaces, children, up, vdim, on, pair, radix)
     return OrbitReport(q=q, cap=cap, point_count=projected,
                        orbit_count=_components(moves, len(cosets) * count))

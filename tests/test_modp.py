@@ -43,6 +43,19 @@ class TestPrimality:
         with pytest.raises(BadRange):
             check_prime(2**31 + 11)  # prime, but past the int64-safe cap
 
+    @pytest.mark.parametrize(
+        "p,error",
+        [(10008, NotPrime), (561, NotPrime), (True, NotPrime), (False, NotPrime), (7.0, NotPrime),
+         ("7", NotPrime), (None, NotPrime), (2**31 + 11, BadRange)],
+    )
+    def test_check_prime_refuses_on_every_call(self, p, error):
+        # is_prime keeps its answers between calls; the refusals must not
+        for _ in range(2):
+            with pytest.raises(error):
+                check_prime(p)
+        for _ in range(2):
+            assert check_prime(MAX_PRIME) == MAX_PRIME
+
     def test_cap_is_mersenne(self):
         assert MAX_PRIME == 2**31 - 1
 

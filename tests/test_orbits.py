@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import CapExceeded, FlagProduct, dualize, enumerate_orbits, orbit_class, parse_instance
+from treeorbits import CapExceeded, FlagProduct, dualize, enumerate_orbits, orbit_class, orbits, parse_instance
 from treeorbits.errors import BadRange, UnsupportedField
 from treeorbits.orbits import (
     DEFAULT_CAP,
@@ -23,7 +23,7 @@ from treeorbits.orbits import (
     _double_cosets,
     _Field,
     _pattern_order,
-    _stabilizer_generators,
+    _stabilizer_stack,
     gaussian_binomial,
     projected_point_count,
 )
@@ -155,6 +155,55 @@ def _closure_order(gens, field):
     return len(seen)
 
 
+def _flag_types(n: int) -> list[tuple[int, ...]]:
+    """Every flag type in F^n, the empty one first."""
+    return [c for r in range(n) for c in combinations(range(1, n), r)]
+
+
+def _levels(coset) -> list[tuple[int, int]]:
+    """Each basis vector's (first, second) level under a double coset's record."""
+    return [(a, b) for a, b, m in coset for _ in range(m)]
+
+
+def _entry_order(pairs, q: int) -> int:
+    """Order of the pattern group of the level pairs, counted entry by entry."""
+    sizes = Counter(pairs).values()
+    linking = sum(s <= t and u <= v and (s, u) != (t, v) for s, u in pairs for t, v in pairs)
+    return prod(_gl_order(m, q) for m in sizes) * q**linking
+
+
+class TestDoubleCosets:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cover_the_second_flag_variety(self, n, q):
+        # for every pair of flag types the records are the distinct integer
+        # matrices with the two block sizes as margins, each |H_w| is the
+        # entry-by-entry count, and the orbits |P1| / |H_w| of P1 on the
+        # second flag variety add up to its size, a Gaussian multinomial
+        gl = [_gl_order(m, q) for m in range(n + 1)]
+        checked = 0
+        for a in _flag_types(n):
+            rows = _blocks(list(a), n)
+            # P1 is the pattern group of the first flag alone
+            first = tuple((i, 0, m) for i, m in enumerate(rows))
+            p1 = _pattern_order(first, q, gl)
+            assert p1 == _entry_order(_levels(first), q)
+            for b in _flag_types(n):
+                cols = _blocks(list(b), n)
+                cosets = _double_cosets(rows, cols)
+                assert len(cosets) == len(set(cosets)) == contingency_count(rows, cols), (a, b)
+                for w in cosets:
+                    assert all(m > 0 for _, _, m in w), (a, b, w)
+                    assert [sum(m for i, _, m in w if i == r) for r in range(len(rows))] == rows
+                    assert [sum(m for _, j, m in w if j == c) for c in range(len(cols))] == cols
+                orders = [_pattern_order(w, q, gl) for w in cosets]
+                assert orders == [_entry_order(_levels(w), q) for w in cosets], (a, b)
+                x2 = prod(gaussian_binomial(sum(cols[:i + 1]), c, q) for i, c in enumerate(cols))
+                assert sum(p1 // h for h in orders) == x2, (a, b)
+                checked += len(cosets)
+        assert checked == {1: 1, 2: 5, 3: 33, 4: 281, 5: 2_961}[n]
+
+
 class TestStabilizerGenerators:
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
     def test_generate_the_stabilizer_of_both_flags(self, n, q):
@@ -163,34 +212,48 @@ class TestStabilizerGenerators:
         # the pattern group, of order prod |GL(class)| * q^(allowed entries
         # linking two classes), and each of them fixes both coordinate flags
         field = _Field(q)
+        gl = [_gl_order(m, q) for m in range(n + 1)]
         scalars = np.array([np.eye(n, dtype=np.uint8) * c for c in range(1, q)])
-        types = [c for r in range(n) for c in combinations(range(1, n), r)]
+        types = _flag_types(n)
         checked = 0
         for a in types[1:]:
             rows = _blocks(list(a), n)
-            (level1,) = _double_cosets((n,), rows)
             for b in types:
                 cosets = _double_cosets(rows, _blocks(list(b), n))
                 assert len(cosets) == contingency_count(rows, _blocks(list(b), n))
-                for level2 in cosets:
-                    gens = _stabilizer_generators(level1, level2, field)
+                for coset in cosets:
+                    distinct, which = _stabilizer_stack([coset], field)
+                    gens = distinct[which[:, 0]]
+                    pairs = _levels(coset)
+                    level1, level2 = zip(*pairs)
+                    # the first flag's levels are its blocks, read off the rows
+                    assert list(level1) == [i for i, m in enumerate(rows) for _ in range(m)]
                     spans = [[i for i in range(n) if i < d] for d in a]
                     spans += [[i for i in range(n) if level2[i] <= k] for k in range(len(b))]
                     for g in gens:
                         for span in spans:
                             rest = [j for j in range(n) if j not in span]
-                            assert not g[np.ix_(span, rest)].any(), (a, b, level2)
+                            assert not g[np.ix_(span, rest)].any(), (a, b, coset)
                     # the pattern group's order, counted entry by entry
-                    pairs = list(zip(level1, level2))
-                    sizes = Counter(pairs).values()
-                    linking = sum(s <= t and u <= v and (s, u) != (t, v)
-                                  for s, u in pairs for t, v in pairs)
-                    expected = prod(_gl_order(m, q) for m in sizes) * q**linking
-                    assert _pattern_order(level1, level2, q) == expected, (a, b, level2)
+                    expected = _entry_order(pairs, q)
+                    assert _pattern_order(coset, q, gl) == expected, (a, b, coset)
                     order = _closure_order(np.concatenate([gens, scalars]), field)
-                    assert order == expected, (a, b, level2)
+                    assert order == expected, (a, b, coset)
                     checked += 1
         assert checked == {2: 3, 3: 29, 4: 273}[n]
+
+
+class TestChecksRun:
+    @pytest.mark.parametrize("spec", ["F(1;3)*F(1,2;3)", "a:1>b:2>r:3 | c:2>r"])
+    def test_a_dropped_double_coset_is_caught(self, spec, monkeypatch):
+        # two flags with no free vertex: the answer is the number of double
+        # cosets, and the cover identity still runs before it is returned
+        x = parse_instance(spec)
+        assert enumerate_orbits(x, q=2).orbit_count == 3
+        listed = orbits._double_cosets
+        monkeypatch.setattr(orbits, "_double_cosets", lambda rows, cols: listed(rows, cols)[1:])
+        with pytest.raises(RuntimeError, match="do not cover"):
+            enumerate_orbits(x, q=2)
 
 
 class TestHomogeneousCounts:
