@@ -28,19 +28,24 @@ while b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
 iteration per column for the whole stack, as batched BLAS does for many
 small problems (Dongarra et al., Procedia CS 108, 2017).  Its update
 ``pivot * row - entry * pivot_row`` of residues stays in (-p^2, p^2),
-inside int64, with one reduction.  ``ranks_mod`` reads ranks off it, and
-``_left_annihilators`` runs it on [M | I_n] and reads each left kernel off
-the rows that never pivot.  They serve everything else: the certificate's
-draws, point check, annihilators and smaller systems, and
-``oracle.cross_ratio``, whose rank checks of a pencil are one stack and
-whose quotient by the lower flag is a left kernel in a stack of one.
+inside int64, with one reduction.  ``ranks_mod`` reads ranks off it.
+``_nested_annihilators`` runs it block by block on [M_0 | M_1 | ... |
+I_n] for nested bases M_0 < M_1 < ..., copying the I_n part after each
+block: the copies of the rows that pivot in block i + 1 span ann(M_i)
+modulo ann(M_i+1), and the rows that never pivot the last left kernel.
+A block stops once every matrix of the stack has its own target of
+pivots.  ``_left_annihilators`` is its case of one block.  They serve
+everything else: the certificate's draws, point check, condition rows
+and smaller systems, and ``oracle.cross_ratio``, whose rank checks of a
+pencil are one stack and whose quotient by the lower flag is a left
+kernel in a stack of one.
 Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
 matrix at a time is about 11x slower on stacks of tiny matrices: 18
 matrices of 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms
 against 0.09 ms.
 
 The certificate ranks a chunk of trials (``oracle._TRIAL_CHUNK``) with
-the stacked kernel throughout: the drawn factors, the annihilators of
+the stacked kernel throughout: the drawn factors, the condition rows of
 every vertex on neither chain, and the stabilizer systems whose short
 side is at most 50.  Above that ``rank_mod``'s panels win, one system at
 a time.  Measured on the same host over a chunk of 3 draws (best of 5):
@@ -160,21 +165,25 @@ def rank_mod(a, p: int) -> int:
     return r
 
 
-def _eliminate(a: np.ndarray, p: int, cols: int) -> np.ndarray:
-    """Forward-eliminate the first ``cols`` columns of each matrix of a residue stack, in place.
+def _eliminate(a: np.ndarray, p: int, stop: int, start: int = 0, need=None) -> np.ndarray:
+    """Forward-eliminate columns ``start`` to ``stop`` - 1 of each matrix of a residue stack, in place.
 
     Each matrix takes its own pivot in every column, the first row with a
     nonzero entry there, and every row becomes pivot * row - entry *
     pivot row right of the column.  That needs no inverse, and it zeroes
     the pivot row right of the column, which retires it without a swap: a
     zero row is never a pivot again.  A matrix whose column is zero is
-    left unchanged.  The columns right of ``cols`` take the same row
-    operations.  Returns the number of pivots of each matrix.
+    left unchanged.  The columns right of ``stop`` take the same row
+    operations.  With ``need``, one count per matrix, the elimination
+    stops before a column once every matrix s has ``need[s]`` pivots.
+    Returns the number of pivots of each matrix.
     """
     count = a.shape[0]
     at = np.arange(count)
     ranks = np.zeros(count, dtype=np.intp)
-    for c in range(cols):
+    for c in range(start, stop):
+        if need is not None and not np.count_nonzero(ranks < need):
+            break
         col = a[:, :, c]
         r = (col != 0).argmax(axis=1)
         pivot = col[at, r]
@@ -215,12 +224,47 @@ def _left_annihilators(stack, p: int) -> np.ndarray:
     are moved to the top in row order, zero-padded to the stack's largest
     kernel dimension: a (count, q, n) stack.
     """
-    m = _reduce(np.array(stack, dtype=np.int64), p)
-    count, n, k = m.shape
-    a = np.concatenate([m, np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))], axis=2)
-    _eliminate(a, p, k)
-    kernel = a[:, :, k:]
-    held = kernel.any(axis=2)
-    q = int(held.sum(axis=1).max(initial=0))
-    rows = np.argsort(~held, axis=1, kind="stable")[:, :q]
-    return np.take_along_axis(kernel, rows[:, :, None], axis=1)
+    return _nested_annihilators([stack], p)[0]
+
+
+def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
+    """For nested bases M_0 < M_1 < ... of each matrix of a stack, ann(M_i) modulo ann(M_i+1).
+
+    ``blocks`` holds the (count, n, k_i) stacks of the M_i.  ``_eliminate``
+    runs on [M_0 | M_1 | ... | I_n] block by block, and the I_n part is
+    copied after each block, when the rows that never pivoted span
+    ann(M_i) (see ``_left_annihilators``).  The rows that then pivot in
+    block i + 1 are those whose I_n part goes to zero there; their copies
+    span ann(M_i) modulo ann(M_i+1), because every row that never pivots
+    takes on only multiples of them besides a nonzero multiple of itself.
+    Entry i of the result holds those rows and the last entry ann(M_last)
+    itself, each moved to the top in row order and zero-padded to the
+    stack's largest count: a (count, q_i, n) stack.  So for M_0 < M_1 the
+    first entry has rank(M_1) - rank(M_0) rows, not the n - rank(M_0) of
+    ann(M_0).
+
+    With ``ranks``, a (count, len(blocks)) array, block i stops once every
+    matrix s has ranks[s, i] pivots in all.  When that is the rank of
+    M_i, which holds the earlier blocks, its remaining columns lie in the
+    pivot columns' span and would find no pivot.
+    """
+    blocks = [np.asarray(m, dtype=np.int64) for m in blocks]
+    count, n, _ = blocks[0].shape
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))
+    a = _reduce(np.concatenate([*blocks, eye], axis=2), p)
+    kernels, start = [], 0
+    pivots = np.zeros(count, dtype=np.intp)
+    for i, m in enumerate(blocks):
+        stop = start + m.shape[2]
+        pivots += _eliminate(a, p, stop, start, None if ranks is None else ranks[:, i] - pivots)
+        kernels.append(a[:, :, -n:].copy())
+        start = stop
+    held = [k.any(axis=2) for k in kernels]
+    out = []
+    for i, kernel in enumerate(kernels):
+        rows = held[i] & ~held[i + 1] if i + 1 < len(held) else held[i]
+        kernel[~rows] = 0
+        q = int(rows.sum(axis=1).max(initial=0))
+        order = np.argsort(~rows, axis=1, kind="stable")[:, :q]
+        out.append(kernel[np.arange(count)[:, None], order])
+    return out

@@ -15,14 +15,16 @@ drawing one trial at a time with ``random_config``.  It then ranks each
 chunk's stabilizer systems in one pipeline over the stacked bases
 (``_system_ranks``): one pick of the chains, one chain elimination with
 a Python iteration per column for all trials, one stacked elimination
-for every annihilator, and one stacked rank of the systems unless they
-are large.  The chain elimination leaves a chain vertex's remaining
-columns once every trial has as many pivots as its label, so generic
-draws move only each chain's top label's worth of columns.  The
+for every vertex's conditions, and one stacked rank of the systems
+unless they are large.  The chain elimination leaves a chain vertex's
+remaining columns once every trial has as many pivots as its label, so
+generic draws move only each chain's top label's worth of columns.  The
 pipeline assumes that every trial is a point of the variety, as every
 draw is.  ``stabilizer_dim`` is that pipeline on a
 chunk of one, and the one place where bases arrive from outside, so it
-refuses a configuration that is not a point before ranking it.
+refuses a configuration that is not a point before ranking it.  Both
+refuse with BoundsError, before any draw, an instance whose arrays the
+labels bound above ``_MAX_ENTRIES`` (``_check_size``).
 
 ``stabilizer_dim`` computes the exact rank of the linear system cutting
 out the Lie stabilizer of a configuration: for each non-root vertex v
@@ -41,7 +43,13 @@ the two coordinate parabolic subalgebras, a set of allowed entries, and
                   allowed entries) + n^2 - (number of allowed entries),
 
 exactly over every prime, because conjugation maps the stabilizer
-algebras isomorphically.
+algebras isomorphically.  A vertex v on neither chain, under u, needs
+only the rows c of ann(M_v) modulo ann(M_u), phi(v)(phi(u) - phi(v)) of
+them, the tangent space of its Grassmannian fibre (ann(M_u) = 0 at the
+root): for c in ann(M_u), c Y M_v is a combination of the rows c Y M_u,
+which are u's own conditions when u is on neither chain and vanish on
+the allowed entries when u is on a chain.  So ``F(3,6,9;16)^3`` ranks 90
+rows where the whole annihilators give 162.
 
 ``cross_ratio`` evaluates the projective invariant of four d-dimensional
 subspaces in a pencil, reducing to four points on the projective line of
@@ -55,9 +63,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadRange, Degenerate, NotAPencil
+from .errors import BadRange, BoundsError, Degenerate, NotAPencil
 from .modp import (
     _left_annihilators,
+    _nested_annihilators,
     _reduce,
     check_prime,
     matmul_mod,
@@ -212,7 +221,7 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
     """The stabilizer systems of a run of trials on their allowed entries.
 
     ``blocks`` and ``kernels`` hold, per vertex on neither chain, its moved
-    bases M, (T, n, k), and its left annihilators C, (T, q, n).  The
+    bases M, (T, n, k), and its condition rows C, (T, q, n).  The
     condition C Y M = 0 gives row (a, b) the coefficient C[a, i] M[j, b]
     of Y[i, j].  Each trial's allowed entries (``allowed``, (T, n, n)) are
     compressed into the first columns, in row-major order, and the columns
@@ -240,6 +249,28 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
 _STACKED_SIDE = 50
 
 
+def _off_chain_paths(tree: LabeledTree, rest: list[str]) -> list[list[str]]:
+    """The vertices on neither chain, ``rest``, as upward paths, each leaf first.
+
+    A path starts at a vertex with no child in ``rest`` and climbs while
+    the vertex is its parent's first child in ``rest`` in name order, so
+    every vertex of ``rest`` lies on exactly one path.
+    """
+    first: dict[str, str] = {}
+    for v in rest:
+        if tree.parent[v] in rest:
+            first.setdefault(tree.parent[v], v)
+    paths = []
+    for v in rest:
+        if v in first:
+            continue
+        path = [v]
+        while first.get(tree.parent[path[-1]]) == path[-1]:
+            path.append(tree.parent[path[-1]])
+        paths.append(path)
+    return paths
+
+
 def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) -> np.ndarray:
     """The stabilizer system ranks of ``count`` trials, from their stacked bases.
 
@@ -258,10 +289,11 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     moved = _reduce(np.asarray(moved, dtype=np.int64), p)
     starts = dict(zip(order, np.cumsum([0] + [tree.labels[v] for v in order]).tolist()))
     # views, so they see the row operations
-    off = [moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in rest]
+    moved_bases = {v: moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in rest}
     at = np.arange(count)
     level = np.zeros((count, n), dtype=np.intp)
     allowed = np.ones((count, n, n), dtype=bool)
+    pivots_of = {}
     for links in chains:
         position = np.full((count, n), n)
         taken = np.zeros(count, dtype=np.intp)
@@ -273,23 +305,49 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
                     break
                 col = np.where(position < n, 0, moved[:, :, c])
                 r = np.where(col != 0, level, -1).argmax(axis=1)
-                pivot = col[at, r].tolist()
-                f = _reduce(col * np.array([pow(x, -1, p) if x else 0 for x in pivot])[:, None], p)
-                f[at, r] = 0
-                # whole rows: this keeps an earlier chain's coordinate flag
-                moved -= f[:, :, None] * moved[at, r, None, :]
-                _reduce(moved, p)
-                found = np.flatnonzero(pivot)
+                pivot = col[at, r]
+                found = pivot != 0
+                col[at, r] = 0
+                pivot[~found] = 1
+                # pivot * row - entry * pivot row, right of the column: the
+                # columns left of it are not read again
+                later = moved[:, :, c + 1 :]
+                update = pivot[:, None, None] * later
+                update -= col[:, :, None] * moved[at, r, None, c + 1 :]
+                later[:] = _reduce(update, p)
                 position[found, r[found]] = taken[found]
                 taken[found] += 1
+        pivots_of.update(dict.fromkeys(links, position))
         level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
         allowed &= level[:, :, None] <= level[:, None, :]
+    off = [moved_bases[v] for v in rest]
     kernels = []
     if rest:
-        all_kernels = _left_annihilators(_padded([m[t] for m in off for t in range(count)], n), p)
-        for c in all_kernels.reshape(len(rest), count, all_kernels.shape[1], n):
-            # each vertex keeps as many rows as its largest kernel
-            kernels.append(c[:, : c.any(axis=2).sum(axis=1).max()])
+        # a path's blocks end with its top's parent, unless that is the root,
+        # whose annihilator is 0; every path in one stack, aligned at the top
+        paths = _off_chain_paths(tree, rest)
+        stacks = [path if tree.parent[path[-1]] == tree.root else path + [tree.parent[path[-1]]]
+                  for path in paths]
+        length = max(map(len, stacks))
+        aligned = [[None] * (length - len(stack)) + stack for stack in stacks]
+        blocks, targets = [], np.zeros((len(paths), count, length), dtype=np.intp)
+        for i in range(length):
+            at_i = [(j, stack[i]) for j, stack in enumerate(aligned) if stack[i] is not None]
+            block = np.zeros((len(paths), count, n, max(tree.labels[v] for _, v in at_i)), dtype=np.int64)
+            for j, v in at_i:
+                # a chain vertex of label d spans e_i for its chain's first d pivots i
+                if v in moved_bases:
+                    block[j, :, :, : tree.labels[v]] = moved_bases[v]
+                else:
+                    block[j, :, :, : tree.labels[v]] = pivots_of[v][:, :, None] == np.arange(tree.labels[v])
+                targets[j, :, i] = tree.labels[v]
+            blocks.append(block.reshape(len(paths) * count, n, -1))
+        steps = _nested_annihilators(blocks, p, targets.reshape(len(paths) * count, length))
+        # only a path's own vertices: a parent block's rows are not its conditions
+        rows_of = {v: steps[length - len(stack) + b][j * count : (j + 1) * count]
+                   for j, (path, stack) in enumerate(zip(paths, stacks)) for b, v in enumerate(path)}
+        # each vertex keeps as many rows as its largest kernel
+        kernels = [c[:, : c.any(axis=2).sum(axis=1).max()] for c in map(rows_of.get, rest)]
     entries = allowed.sum(axis=(1, 2))
     rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
     if min(rows, entries.max()) <= _STACKED_SIDE:
@@ -303,6 +361,38 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     ranks = ranks + n * n - entries
     assert (ranks <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
     return ranks
+
+
+# the most int64 entries, 512 MiB, that ``_check_size`` lets one array reach; it
+# bounds F(3,6,9;16)^3, the largest instance the tests and the benchmark
+# certify, by 207,360
+_MAX_ENTRIES = 2**26
+
+
+def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
+    """A bound on the entries of any one array when ``count`` trials are ranked at once.
+
+    BoundsError when it is above ``_MAX_ENTRIES``.  The bound is read off
+    the labels, before any draw, from the three largest arrays.  The systems have at most dim rows, one per tangent
+    direction of a vertex, and at most n^2 allowed entries.  The draw's
+    stack of candidates holds count * V * n * phi_max entries, for V
+    non-root vertices.  The annihilators' stack holds one n-row matrix per
+    trial and path of vertices on neither chain, and a path starts at one
+    of the tree's L leaves; its columns are at most the labels, one
+    parent's label per path, and n.  The allowed mask and the moved bases
+    are smaller than the systems.
+    """
+    n = tree.ambient
+    labels = [tree.labels[v] for v in tree.parent]
+    leaves = sum(not tree.children[v] for v in tree.parent)
+    entries = count * n * max(dim * n, len(labels) * max(labels, default=0),
+                              leaves * (sum(labels) + (leaves + 1) * n))
+    if entries > _MAX_ENTRIES:
+        raise BoundsError(
+            f"ranking {count} trials in ambient dimension {n} takes up to {entries} array "
+            f"entries, over the cap {_MAX_ENTRIES}"
+        )
+    return entries
 
 
 def stabilizer_dim(config: Configuration) -> StabReport:
@@ -329,17 +419,27 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     e_i.  Y = h X h^-1 stabilizes the moved configuration exactly when X
     stabilizes this one, so Y[i, j] may be nonzero only when level(i) <=
     level(j) for each chain.  Only the vertices on neither chain give
-    conditions, from their left annihilators, which one stacked
-    elimination of [M | I_n] finds for all of them; the system rank is
-    the conditions' rank on the allowed entries plus the number of entries
-    left out.  Systems whose short side is at most ``_STACKED_SIDE`` are
-    ranked in one ``ranks_mod`` stack, larger ones one at a time by
-    ``rank_mod``.
+    conditions, each from the rows of its left annihilator modulo its
+    parent's, whose own conditions, or the allowed entries when the
+    parent is on a chain, give the rest.  Those vertices fall into paths
+    (``_off_chain_paths``), and one stacked elimination of [M_leaf | ... |
+    M_top | M_parent | I_n] (``modp._nested_annihilators``), all paths
+    aligned at the top, finds every vertex's rows; a chain parent's basis
+    is its coordinate subspace, and the root gives no block.  The chain
+    moves take the inverse-free step pivot * row - entry * pivot row on
+    the columns right of the current one, which scales each trial by a
+    nonzero constant and leaves every span as it was; the columns left of
+    it are not read again, so a chain vertex is read off its pivots.  The
+    system rank is the conditions' rank on the allowed entries plus the
+    number of entries left out.  Systems whose short side is at most
+    ``_STACKED_SIDE`` are ranked in one ``ranks_mod`` stack, larger ones
+    one at a time by ``rank_mod``.
 
     The configuration must be a point of the variety of its tree, or of
     the tree ``as_tree`` gives a product; this is checked here, once, and
     the pipeline assumes it.  Raises NotPrime or BadRange
-    for ``config.p`` as ``check_prime`` does, and BadRange when a basis is
+    for ``config.p`` as ``check_prime`` does, BoundsError as
+    ``_check_size`` does for one trial, and BadRange when a basis is
     missing, has the wrong shape or an entry that is not an integer
     fitting int64, or, reduced mod p, does not have full column rank or
     leaves the span of its parent's basis.  Every basis is ranked before
@@ -349,6 +449,8 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     tree, p = as_tree(config.tree), config.p
     check_prime(p)
     n = tree.ambient
+    dim = dimension(tree)
+    _check_size(tree, dim, 1)
     if config.bases.keys() != tree.parent.keys():
         raise BadRange("a configuration needs one basis per non-root vertex")
     bases = {}
@@ -369,7 +471,6 @@ def stabilizer_dim(config: Configuration) -> StabReport:
                 f"the basis of vertex {v!r} is not inside that of vertex {tree.parent[v]!r} mod {p}"
             )
     rank = int(_system_ranks(tree, p, {v: b[None] for v, b in bases.items()}, 1)[0])
-    dim = dimension(tree)
     lie = n * n - rank
     return StabReport(
         p=p,
@@ -418,6 +519,7 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
         raise BadRange(f"trials must be a positive integer, got {trials!r}")
     tree = as_tree(x)
     dim = dimension(tree)
+    _check_size(tree, dim, min(trials, _TRIAL_CHUNK))
     ranks: list[int] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - first)

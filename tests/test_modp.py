@@ -9,6 +9,7 @@ from treeorbits.errors import BadRange, NotPrime
 from treeorbits.modp import (
     MAX_PRIME,
     _left_annihilators,
+    _nested_annihilators,
     _reduce,
     check_prime,
     is_prime,
@@ -217,3 +218,81 @@ class TestElimination:
     def test_stacked_annihilators_of_empty_matrices(self):
         assert _left_annihilators(np.zeros((2, 3, 0), dtype=np.int64), 7).tolist() == [np.eye(3).tolist()] * 2
         assert _left_annihilators(np.zeros((0, 3, 2), dtype=np.int64), 7).shape == (0, 0, 3)
+
+
+def nested_pair(rng, n: int, k: int, d: int, p: int, width: int, parent_width: int):
+    """A random n x d basis M_u of full rank mod p and M_v = M_u R of rank k, zero-padded to the widths."""
+    while True:
+        u = rng.integers(0, p, (n, d), dtype=np.int64)
+        r = rng.integers(0, p, (d, k), dtype=np.int64)
+        v = matmul_mod(u, r, p)
+        if reference_rank(u, p) == d and reference_rank(v, p) == k:
+            break
+    return np.pad(v, ((0, 0), (0, width - k))), np.pad(u, ((0, 0), (0, parent_width - d)))
+
+
+class TestNestedAnnihilators:
+    # rows of ann(M_v) modulo ann(M_u) for M_v < M_u, from one elimination of
+    # [M_v | M_u | I_n]; the references are matmul_mod and the Python-int rank
+
+    @pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complement_rows_against_references(self, p, seed):
+        rng = np.random.default_rng(seed)
+        n = 7
+        # (k, d) = (rank of M_v, rank of M_u): the matrices of one padded
+        # stack need different numbers of pivots in each block
+        shapes = [(1, 2), (1, 6), (3, 4), (2, 7), (4, 6), (0, 3)]
+        pairs = [nested_pair(rng, n, k, d, p, 4, 7) for k, d in shapes]
+        vs, us = np.stack([v for v, _ in pairs]), np.stack([u for _, u in pairs])
+        ranks = np.array(shapes)
+        complement, kernel = _nested_annihilators([vs, us], p, ranks)
+        for (k, d), v, u, c, a in zip(shapes, vs, us, complement, kernel):
+            c, a = c[c.any(axis=1)], a[a.any(axis=1)]
+            assert c.shape[0] == d - k
+            assert a.shape[0] == n - d
+            assert not matmul_mod(c, v, p).any()
+            assert not matmul_mod(a, u, p).any()
+            assert reference_rank(np.vstack([c, a]), p) == n - k
+
+    @pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
+    def test_each_matrix_reaches_its_own_target(self, p):
+        # matrix 0 finds its one new pivot in M_u's first column; matrix 1
+        # finds nothing there, because that column lies in M_v, and its two
+        # new pivots come after.  A stop on matrix 0's count, or on the
+        # stack's least target, would leave matrix 1 short of rows
+        n = 5
+        eye = np.eye(n, dtype=np.int64)
+        vs = np.stack([eye[:, [0]], eye[:, [0]]])
+        us = np.stack([eye[:, [1, 0, 0]] * [1, 1, 0], eye[:, [0, 4, 2]]])
+        ranks = np.array([[1, 2], [1, 3]])
+        complement, kernel = _nested_annihilators([vs, us], p, ranks)
+        assert [int(c.any(axis=1).sum()) for c in complement] == [1, 2]
+        assert [int(a.any(axis=1).sum()) for a in kernel] == [3, 2]
+        for v, u, c, a in zip(vs, us, complement, kernel):
+            c, a = c[c.any(axis=1)], a[a.any(axis=1)]
+            assert not matmul_mod(c, v, p).any()
+            assert not matmul_mod(a, u, p).any()
+            assert reference_rank(np.vstack([c, a]), p) == n - 1
+
+    @pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
+    def test_chained_blocks_match_pairs(self, p):
+        # M_0 < M_1 < M_2 in one elimination: entry i spans ann(M_i) modulo
+        # ann(M_i+1), as the pair (M_i, M_i+1) alone gives, and the last ann(M_2)
+        rng = np.random.default_rng(5)
+        n, labels = 8, (2, 3, 6)
+        top = rng.integers(0, p, (n, labels[-1]), dtype=np.int64)
+        while reference_rank(top, p) < labels[-1]:
+            top = rng.integers(0, p, (n, labels[-1]), dtype=np.int64)
+        bases = [top]
+        for k in labels[-2::-1]:
+            r = rng.integers(0, p, (bases[0].shape[1], k), dtype=np.int64)
+            while reference_rank(matmul_mod(bases[0], r, p), p) < k:
+                r = rng.integers(0, p, (bases[0].shape[1], k), dtype=np.int64)
+            bases.insert(0, matmul_mod(bases[0], r, p))
+        steps = _nested_annihilators([b[None] for b in bases], p, np.array([labels]))
+        assert [s.shape[1] for s in steps] == [1, 3, 2]
+        for i, (b, s) in enumerate(zip(bases, steps)):
+            assert not matmul_mod(s[0], b, p).any()
+            upper = np.vstack([t[0] for t in steps[i:]])
+            assert reference_rank(upper, p) == n - labels[i]

@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio, oracle, parse_instance
-from treeorbits.errors import BadRange, Degenerate, NotAPencil, NotPrime
+from treeorbits.errors import BadRange, BoundsError, Degenerate, NotAPencil, NotPrime
 from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_tree
 from treeorbits.trees import dimension, heaviest_chains
 
-from .helpers import full_system_rank, rand_gl, random_product, random_tree
+from .helpers import full_system_rank, rand_gl, random_product, random_tree, rooted_trees
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 
@@ -617,6 +617,128 @@ class TestChainStop:
         labels = drawn[0].tree.labels
         assert any(len({s[v] for s in stops}) > 1 and min(s[v] for s in stops) < labels[v]
                    for v in stops[0])
+
+
+# two full flags as the chains, and x < w < c and y < w on neither chain
+TWO_FLAGS_AND_A_FORK = "a1:1>a2:2>a3:3>a4:4>a5:5>r:6 | b1:1>b2:2>b3:3>b4:4>b5:5>r | x:1>w:2>c:4>r | y:1>w"
+
+
+def tangent_rows(tree) -> int:
+    """Rows of the tangent system: phi(v)(phi(u) - phi(v)) for each vertex v on neither chain, u its parent."""
+    on_chains = {v for chain, _ in heaviest_chains(tree, oracle._flag_weight) for v in chain}
+    return sum(tree.labels[v] * (tree.labels[u] - tree.labels[v])
+               for v, u in tree.parent.items() if v not in on_chains)
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """The shapes of the systems that ``oracle._conditions`` builds, as they are built."""
+    shapes = []
+    conditions = oracle._conditions
+
+    def spy(blocks, kernels, allowed, q):
+        system = conditions(blocks, kernels, allowed, q)
+        shapes.append(system.shape)
+        return system
+
+    monkeypatch.setattr(oracle, "_conditions", spy)
+    return shapes
+
+
+class TestTangentRows:
+    # each vertex on neither chain gives the rows of ann(M_v) modulo
+    # ann(M_parent) only, the tangent space of its Grassmannian fibre
+
+    def test_ladder_systems_have_the_tangent_rows(self, systems):
+        products = [FlagProduct(((k1, k2),) * 3, n)
+                    for n in range(4, 11) for k1, k2 in combinations(range(1, n), 2)]
+        products += [FlagProduct((flag,) * 3, n)
+                     for flag, n in [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)]]
+        for x in products:
+            systems.clear()
+            certify_density(x)
+            assert {rows for _, rows, _ in systems} == {tangent_rows(as_tree(x))}, x
+
+    @pytest.mark.parametrize(
+        "text,rows",
+        [("F(4,6;10)^3", 32), ("F(3,6,9;16)^3", 90), ("G(5;20)^5", 225), (HONEST_TREE, 6),
+         ("a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d", 7), (TWO_FLAGS_AND_A_FORK, 14)],
+    )
+    def test_pinned_row_counts(self, systems, text, rows):
+        # HONEST_TREE: three vertices on neither chain under the chain vertex m;
+        # then the path e < f on neither chain hangs from chain vertex d; and
+        # w, on neither chain, has two such children, so the path of y ends
+        # in w's block and that of x runs through w
+        x = parse_instance(text)
+        assert tangent_rows(as_tree(x)) == rows
+        certify_density(x, p=3, trials=2)
+        assert {r for _, r, _ in systems} == {rows}
+
+
+class TestRootedTreeFamily:
+    # every label-decreasing rooted tree with root label <= 5 and at most 6
+    # vertices, up to isomorphism
+
+    def test_family_size(self):
+        assert len(rooted_trees(5, 6)) == 1271
+
+    def test_every_tree_matches_the_full_system(self, systems):
+        for tree in rooted_trees(5, 6):
+            systems.clear()
+            config = random_config(tree, p=3, seed=0)
+            assert stabilizer_dim(config).system_rank == full_system_rank(config), tree.labels
+            assert [rows for _, rows, _ in systems] == [tangent_rows(tree)], tree.labels
+
+
+class TestSizeGuard:
+    # the pipeline's arrays are bounded from the labels before any draw
+
+    @pytest.mark.parametrize("text", ["G(1;100000)^3", "G(1;2000)^3", "F(1;300)^2"])
+    def test_large_instances_are_refused_before_any_draw(self, monkeypatch, text):
+        def draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(oracle, "_draw", draw)
+        with pytest.raises(BoundsError, match="over the cap"):
+            certify_density(parse_instance(text))
+
+    def test_stabilizer_dim_refuses_before_ranking(self, monkeypatch):
+        config = random_config(parse_instance("G(1;2000)^3"))
+
+        def ranks(*args):
+            raise AssertionError("ranked")
+
+        monkeypatch.setattr(oracle, "ranks_mod", ranks)
+        with pytest.raises(BoundsError, match="over the cap"):
+            stabilizer_dim(config)
+
+    def test_the_bound_holds_the_largest_arrays(self, monkeypatch):
+        # the draw's stack, the annihilators' stack and the systems of one
+        # certificate, against the bound read off the labels
+        sizes, bounds = [], []
+        for name, size in [("_padded", lambda out, *a: out.size),
+                           ("_nested_annihilators", lambda out, blocks, *a: sum(b.size for b in blocks)
+                            + blocks[0].shape[0] * blocks[0].shape[1] ** 2),
+                           ("_conditions", lambda out, *a: out.size)]:
+            def spy(*args, f=getattr(oracle, name), size=size):
+                out = f(*args)
+                sizes.append(size(out, *args))
+                return out
+            monkeypatch.setattr(oracle, name, spy)
+        check = oracle._check_size
+
+        def guard(tree, dim, count):
+            bounds.append(check(tree, dim, count))
+            return bounds[-1]
+
+        monkeypatch.setattr(oracle, "_check_size", guard)
+        full_flag = "F(" + ",".join(map(str, range(1, 12))) + ";12)^3"
+        for text in ["F(3,6,9;16)^3", "G(5;20)^5", "a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d",
+                     full_flag, "G(1;2)^40", HONEST_TREE]:
+            sizes.clear()
+            bounds.clear()
+            certify_density(parse_instance(text), trials=8)
+            assert max(sizes) <= bounds[0] <= oracle._MAX_ENTRIES, text
 
 
 class TestCertifyDensity:
