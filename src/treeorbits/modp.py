@@ -16,13 +16,16 @@ the reduction's three ufunc calls bring it to 3.6-4.9 ns, against
 
 ``rank_mod`` ranks one large matrix: forward elimination with the shorter
 side in the columns, in panels of ``_PANEL`` columns whose trailing update
-is one ``matmul_mod`` (the blocked, delayed reduction of FFLAS-FFPACK;
+is one product of residues (the blocked, delayed reduction of FFLAS-FFPACK;
 Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  It serves the stabilizer
 systems whose short side is above ``oracle._STACKED_SIDE``.  Its int64
 bounds: an update ``(a + g * row) % p`` of residues stays below p^2 <
 2^62, so one reduction suffices; ``matmul_mod`` splits its right factor
 into 16-bit halves, so inner dimension b sums b terms below 2^47 and fits
 while b <= 2^16, and a panel's trailing update has b <= ``_PANEL``.
+``matmul_mod`` copies and reduces its arguments, then multiplies them as
+``_matmul_residues``, which takes residues as they are; the panel update
+and the certificate's lift call that directly.
 
 ``_eliminate`` forward-eliminates a stack of small matrices, one Python
 iteration per column for the whole stack, as batched BLAS does for many
@@ -34,26 +37,31 @@ I_n] for nested bases M_0 < M_1 < ..., copying the I_n part after each
 block: the copies of the rows that pivot in block i + 1 span ann(M_i)
 modulo ann(M_i+1), and the rows that never pivot the last left kernel.
 A block stops once every matrix of the stack has its own target of
-pivots.  ``_left_annihilators`` is its case of one block.  They serve
-everything else: the certificate's draws, point check, condition rows
-and smaller systems, and ``oracle.cross_ratio``, whose rank checks of a
-pencil are one stack and whose quotient by the lower flag is a left
-kernel in a stack of one.
+pivots.  Its output also gives every block's rank: the rows of its
+entries i, i + 1, ... span ann(M_i), n - rank(M_i) of them.
+``_left_annihilators`` is its case of one block.  They serve everything
+else: the certificate's condition rows, smaller systems, point check and
+factor check (run only in a chunk where some lifted basis falls short),
+and ``oracle.cross_ratio``, whose rank checks of a pencil are one stack
+and whose quotient by the lower flag is a left kernel in a stack of one.
 Measured with numpy 2.4 on one thread of a Xeon host, ``rank_mod`` one
 matrix at a time is about 11x slower on stacks of tiny matrices: 18
 matrices of 10 x 9 take 2.5 ms against 0.22 ms, 12 of 6 x 6 take 1.0 ms
 against 0.09 ms.
 
 The certificate ranks a chunk of trials (``oracle._TRIAL_CHUNK``) with
-the stacked kernel throughout: the drawn factors, the condition rows of
-every vertex on neither chain, and the stabilizer systems whose short
-side is at most 50.  Above that ``rank_mod``'s panels win, one system at
-a time.  Measured on the same host over a chunk of 3 draws (best of 5):
-a 50 x 67 system takes 2.9 ms stacked against 3.2 ms one at a time,
-54 x 70 3.5 ms against 3.2 ms,
-76 x 96 10.1 ms against 6.8 ms, and 225 x 250 169 ms against 72 ms;
-over a chunk of 8 the crossover is the same, 7.5 against 8.2 ms at
-50 x 67 and 8.8 against 8.1 ms at 54 x 70.
+the stacked kernel: the condition rows of every vertex on neither chain,
+and the stabilizer systems whose short side is at most
+``oracle._STACKED_SIDE``, 50.  Above that ``rank_mod``'s panels rank one
+system at a time.  Measured with numpy 2.4.6 on the same host, the system
+rank alone at p = 2^31 - 1 over a chunk of 3 draws (best of 10): a
+55 x 86 system (F(6,7;14)^3) takes 2.8 ms stacked against 3.5 ms one at
+a time, 60 x 76 (F(6,8;14)^3) 2.6 against 3.8 ms, 90 x 76
+(F(3,6,9;16)^3) 4.5 against 6.6 ms, 96 x 80 (G(4;12)^5) 5.2 against
+7.3 ms, and 225 x 250 (G(5;20)^5, best of 3) 87 against 44 ms.  Over a
+chunk of 8 stacking gains more, 6.5 against 9.6 ms at 55 x 86 and 11.6
+against 18.9 ms at 96 x 80; the cut stays at 50 for memory, not time
+(see ``oracle._STACKED_SIDE``).
 """
 
 from __future__ import annotations
@@ -115,7 +123,11 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """a @ b mod p without int64 overflow (split b into 16-bit halves)."""
     a = _reduce(np.array(a, dtype=np.int64), p)
-    b = _reduce(np.array(b, dtype=np.int64), p)
+    return _matmul_residues(a, _reduce(np.array(b, dtype=np.int64), p), p)
+
+
+def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``matmul_mod`` of int64 arrays of residues in [0, p), which are read as they are."""
     product = _reduce(a @ (b >> 16), p)
     product <<= 16
     product += a @ (b & 0xFFFF)
@@ -159,7 +171,7 @@ def rank_mod(a, p: int) -> int:
             update = mult[j + 1 :, j : j + 1] * top[j]
             update += top[j + 1 :]
             top[j + 1 :] = _reduce(update, p)
-        update = matmul_mod(a[r:, pivots], top, p)
+        update = _matmul_residues(a[r:, pivots], top, p)
         update += a[r:, c1:]
         a[r:, c1:] = _reduce(update, p)
     return r
@@ -241,7 +253,8 @@ def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
     itself, each moved to the top in row order and zero-padded to the
     stack's largest count: a (count, q_i, n) stack.  So for M_0 < M_1 the
     first entry has rank(M_1) - rank(M_0) rows, not the n - rank(M_0) of
-    ann(M_0).
+    ann(M_0), and entries i, i + 1, ... hold n - rank(M_i) nonzero rows of
+    each matrix in all.
 
     With ``ranks``, a (count, len(blocks)) array, block i stops once every
     matrix s has ranks[s, i] pivots in all.  When that is the rank of

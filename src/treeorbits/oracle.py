@@ -8,23 +8,36 @@ process, in a small memo (``_stream_key``), and a draw re-keys one
 generator per stream: Philox is counter-based (Salmon et al., SC 2011),
 so a key with counter 0 starts its stream afresh.  A redrawn factor
 replays its stream from the key.
-``certify_density`` draws its trials together, a fixed number at a time:
-the factors of all of them are rank-checked in one stacked elimination,
-and because every stream is keyed, this gives the same configurations as
-drawing one trial at a time with ``random_config``.  It then ranks each
-chunk's stabilizer systems in one pipeline over the stacked bases
-(``_system_ranks``): one pick of the chains, one chain elimination with
-a Python iteration per column for all trials, one stacked elimination
-for every vertex's conditions, and one stacked rank of the systems
-unless they are large.  The chain elimination leaves a chain vertex's
-remaining columns once every trial has as many pivots as its label, so
-generic draws move only each chain's top label's worth of columns.  The
-pipeline assumes that every trial is a point of the variety, as every
-draw is.  ``stabilizer_dim`` is that pipeline on a
-chunk of one, and the one place where bases arrive from outside, so it
-refuses a configuration that is not a point before ranking it.  Both
-refuse with BoundsError, before any draw, an instance whose arrays the
-labels bound above ``_MAX_ENTRIES`` (``_check_size``).
+``certify_density`` draws its trials together, a fixed number at a time,
+and ranks each chunk in two stages over the stacked bases.  The arrow
+draw (``_arrows``) gives the first candidate factor of every (trial,
+vertex) stream, unchecked, and the lift (``_lift``) multiplies them down
+the tree, on residues.  Stage 1 (``_moved``) picks both chains once,
+moves them with one Python iteration per column for all trials, and finds
+the condition rows of every vertex on neither chain in one stacked
+elimination (``modp._nested_annihilators``).  The chain moves leave a
+chain vertex's remaining columns once every trial has as many pivots as
+its label, so generic draws move only each chain's top label's worth of
+columns.  On the way stage 1 counts every basis's pivots, so it reports
+per trial whether every basis has full rank; B_v = B_u R_v has full rank
+exactly when R_v has, given B_u has, so that holds exactly when every
+factor has full rank.  Only in a chunk where some trial falls short are
+the factors checked, in one zero-padded ``ranks_mod`` stack, and the
+singular ones redrawn from their own streams (``_redraw_singular``);
+stage 1 then runs again.  Over a small field most chunks fall short, so
+the check runs first, before stage 1, whenever the chance that the chunk
+needs it, bounded from the labels and p (``_singular_risk``), is above
+``_STAGE_FIRST_RISK``; the points are the same in either order.  Stage 2 (``_ranked``) builds the systems of
+the points and ranks them, in one stack unless they are large.  Because
+every stream is keyed, the chunk's points are those that ``random_config``
+draws one trial at a time (``_draw``: the arrow draw, the redraw, the
+lift).  ``stabilizer_dim`` is the two stages on a chunk of one
+(``_system_ranks``), and the one place where bases arrive from outside,
+so it refuses a configuration that is not a point before ranking it.
+``certify_density`` and ``stabilizer_dim`` refuse with BoundsError, before
+any draw, an instance whose arrays the labels bound above
+``_MAX_ENTRIES`` (``_check_size``), and ``random_config`` one whose draw
+alone would be.
 
 ``stabilizer_dim`` computes the exact rank of the linear system cutting
 out the Lie stabilizer of a configuration: for each non-root vertex v
@@ -66,6 +79,7 @@ import numpy as np
 from .errors import BadRange, BoundsError, Degenerate, NotAPencil
 from .modp import (
     _left_annihilators,
+    _matmul_residues,
     _nested_annihilators,
     _reduce,
     check_prime,
@@ -112,14 +126,29 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     This is ``certify_density``'s draw with one trial: that draws its
     trials together, and because every stream is keyed by (seed, trial,
     vertex) its configurations equal these, trial by trial.
+
+    Raises BoundsError, before any draw, when the draw's own largest
+    array, the stack of one trial's candidates, V * n * phi_max entries
+    for V non-root vertices, is above ``_MAX_ENTRIES``.
     """
     tree = as_tree(x)
+    n, labels = tree.ambient, [tree.labels[v] for v in tree.parent]
+    entries = n * len(labels) * max(labels, default=0)
+    if entries > _MAX_ENTRIES:
+        raise BoundsError(f"drawing a point in ambient dimension {n} takes up to {entries} array "
+                          f"entries, over the cap {_MAX_ENTRIES}")
     bases = _draw(tree, p, seed, trial, 1)
     return Configuration(tree, p, seed, trial, {v: b[0] for v, b in bases.items()})
 
 
 # trials drawn and held at once, so memory does not grow with ``trials``
 _TRIAL_CHUNK = 8
+
+# the most risk that a chunk needs the factor check at which ``certify_density``
+# runs stage 1 before it: with stage 1 costing S and the check C, stage 1 first
+# saves work while the risk stays below C / (S + C).  Over the certificate
+# ladder's 124 products S is 68 ms and C 20 ms a pass
+_STAGE_FIRST_RISK = 0.25
 
 
 def _padded(mats: list[np.ndarray], n: int) -> np.ndarray:
@@ -130,32 +159,28 @@ def _padded(mats: list[np.ndarray], n: int) -> np.ndarray:
     return stack
 
 
-def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[str, np.ndarray]:
-    """The bases of trials first, ..., first + count - 1, drawn together.
+def _arrows(tree: LabeledTree, p: int, seed: int, first: int, count: int):
+    """The arrow draw of trials first, ..., first + count - 1: each stream's first candidate, unchecked.
 
-    Returns each non-root vertex's bases stacked over the trials, a
-    (count, n, phi(v)) array.  The first candidate of every (trial,
-    vertex) is checked in one zero-padded stack of ``ranks_mod``, then
-    only the failures are redrawn from their own streams and checked
-    again; each vertex is lifted for all trials by one stacked
-    ``matmul_mod``.
+    Returns the factors, a dict from (trial, vertex) to a phi(parent) x
+    phi(v) matrix of residues, trials first and then vertices top-down,
+    and the stream draw ``candidate(trial, vertex, tries)``, which gives a
+    stream's tries-th candidate.
 
     One generator draws every candidate: before each, its Philox is
     re-keyed to the stream's key (``_stream_key``, derived once per
-    process) at counter 0 by assigning its state.  A redraw replays its
-    stream from the key, so the candidates are those of a generator held
-    per stream.
+    process) at counter 0 by assigning its state.  A later candidate
+    replays its stream from the key, so the candidates are those of a
+    generator held per stream.
     """
     for name, value in (("seed", seed), ("trial", first)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise BadRange(f"{name} must be a non-negative integer, got {value!r}")
     check_prime(p)
-    n = tree.ambient
     index = {v: i for i, v in enumerate(sorted(tree.labels))}
     order = top_down(tree)
     # the root's label is n
     shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in order}
-    trials = range(first, first + count)
     rng = np.random.Generator(np.random.Philox(key=0))
     # a fresh Philox stream: counter 0, empty buffer
     state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64)},
@@ -169,21 +194,61 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
         rng.bit_generator.state = state
         return rng.integers(0, p, size=(tries, *shape[v]), dtype=np.int64)[-1]
 
-    tries = {(t, v): 1 for t in trials for v in order}
-    drawn = {key: candidate(*key, 1) for key in tries}
-    pending = list(drawn)
+    return {(t, v): candidate(t, v, 1) for t in range(first, first + count) for v in order}, candidate
+
+
+def _redraw_singular(tree: LabeledTree, p: int, factors: dict, candidate) -> None:
+    """Replace, in place, each factor without full column rank by its stream's first one of full rank.
+
+    Every factor is checked in one zero-padded stack of ``ranks_mod``,
+    then only the failures are redrawn from their own streams and checked
+    again.
+    """
+    tries = dict.fromkeys(factors, 1)
+    pending = list(factors)
     while pending:
-        ranks = ranks_mod(_padded([drawn[key] for key in pending], n), p)
-        pending = [key for key, r in zip(pending, ranks) if r < shape[key[1]][1]]
+        ranks = ranks_mod(_padded([factors[key] for key in pending], tree.ambient), p)
+        pending = [key for key, r in zip(pending, ranks) if r < tree.labels[key[1]]]
         for key in pending:
             tries[key] += 1
-            drawn[key] = candidate(*key, tries[key])
+            factors[key] = candidate(*key, tries[key])
+
+
+def _singular_risk(tree: LabeledTree, p: int) -> float:
+    """A bound on the chance that some first candidate of one trial lacks full column rank.
+
+    A uniform a x b matrix over F_p, a >= b, lacks it with probability at
+    most sum_{i < b} p^(i - a) < p^(b - a) / (p - 1); summed over the
+    factors.
+    """
+    return sum(float(p) ** (tree.labels[v] - tree.labels[u]) for v, u in tree.parent.items()) / (p - 1)
+
+
+def _lift(tree: LabeledTree, p: int, factors: dict, trials: range) -> dict[str, np.ndarray]:
+    """Each non-root vertex's bases stacked over the trials, a (len(trials), n, phi(v)) array.
+
+    A root child's basis is its factor, and a deeper vertex's is its
+    parent's basis times its factor, for all trials in one product of
+    residues (``_matmul_residues``).
+    """
     bases: dict[str, np.ndarray] = {}
-    for v in order:
-        factors = np.stack([drawn[t, v] for t in trials])
+    for v in top_down(tree):
+        stack = np.stack([factors[t, v] for t in trials])
         up = tree.parent[v]
-        bases[v] = factors if up == tree.root else matmul_mod(bases[up], factors, p)
+        bases[v] = stack if up == tree.root else _matmul_residues(bases[up], stack, p)
     return bases
+
+
+def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[str, np.ndarray]:
+    """The bases of trials first, ..., first + count - 1, drawn together, every factor of full rank.
+
+    Returns each non-root vertex's bases stacked over the trials, a
+    (count, n, phi(v)) array: the arrow draw (``_arrows``), its singular
+    factors redrawn (``_redraw_singular``), lifted (``_lift``).
+    """
+    factors, candidate = _arrows(tree, p, seed, first, count)
+    _redraw_singular(tree, p, factors, candidate)
+    return _lift(tree, p, factors, range(first, first + count))
 
 
 def _int64_matrix(a, what: str) -> np.ndarray:
@@ -245,7 +310,12 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
 
 
 # the largest short side of a chunk's systems that are ranked in one
-# ``ranks_mod`` stack; above it ``rank_mod``'s panels win, one system at a time
+# ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``'s panels.
+# Stacking is faster up to at least 96 x 80 and slower at 225 x 250 (see
+# ``modp``), but a stack holds a chunk's systems at once: a cut of 79
+# raises the certificate ladder's peak RSS by 0.5 MB, and one of 80 more
+# than doubles the traced peak of G(4;12)^5, whose chunks then stack
+# eight 96 x 80 systems
 _STACKED_SIDE = 50
 
 
@@ -271,14 +341,19 @@ def _off_chain_paths(tree: LabeledTree, rest: list[str]) -> list[list[str]]:
     return paths
 
 
-def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) -> np.ndarray:
-    """The stabilizer system ranks of ``count`` trials, from their stacked bases.
+def _moved(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) -> tuple:
+    """The chain moves and the condition rows of ``count`` trials, from their stacked bases.
 
     ``bases`` maps each non-root vertex to its bases over the trials, a
-    (count, n, phi(v)) array, and every trial must be a point of the
-    variety.  Both chains are picked once; their elimination, the
-    annihilators and the systems then run over all trials together (see
-    ``stabilizer_dim``).
+    (count, n, phi(v)) array of int64 residues.  Both chains are picked
+    once; their elimination and the annihilators then run over all trials
+    together (see ``stabilizer_dim``).  Returns ``(full, off, kernels, allowed)``:
+    per trial whether every basis has as many pivots as its label, which
+    for bases that hold their children's is full column rank; then
+    ``_conditions``' arguments.  A chain vertex's count is its chain's
+    pivots after its columns, and that of a vertex on neither chain is
+    n minus the rows of its annihilator, the rows of its block and of the
+    blocks after it in ``_nested_annihilators``.
     """
     n = tree.ambient
     (chain, _), (second, _) = heaviest_chains(tree, _flag_weight)
@@ -286,7 +361,6 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     rest = sorted(v for v in bases if v not in chain and v not in second)
     order = chains[0] + chains[1] + rest
     moved = np.concatenate([np.zeros((count, n, 0), dtype=np.int64)] + [bases[v] for v in order], axis=2)
-    moved = _reduce(np.asarray(moved, dtype=np.int64), p)
     starts = dict(zip(order, np.cumsum([0] + [tree.labels[v] for v in order]).tolist()))
     # views, so they see the row operations
     moved_bases = {v: moved[:, :, starts[v] : starts[v] + tree.labels[v]] for v in rest}
@@ -294,6 +368,7 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     level = np.zeros((count, n), dtype=np.intp)
     allowed = np.ones((count, n, n), dtype=bool)
     pivots_of = {}
+    full = np.ones(count, dtype=bool)
     for links in chains:
         position = np.full((count, n), n)
         taken = np.zeros(count, dtype=np.intp)
@@ -317,6 +392,7 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
                 later[:] = _reduce(update, p)
                 position[found, r[found]] = taken[found]
                 taken[found] += 1
+            full &= taken >= tree.labels[v]
         pivots_of.update(dict.fromkeys(links, position))
         level = np.searchsorted([tree.labels[v] for v in links], position, side="right")
         allowed &= level[:, :, None] <= level[:, None, :]
@@ -343,11 +419,29 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
                 targets[j, :, i] = tree.labels[v]
             blocks.append(block.reshape(len(paths) * count, n, -1))
         steps = _nested_annihilators(blocks, p, targets.reshape(len(paths) * count, length))
+        held = np.stack([s.any(axis=2).sum(axis=1) for s in steps]).reshape(length, len(paths), count)
+        # the rows of ann(M) for each block's M, n - rank(M)
+        kernel_rows = held[::-1].cumsum(axis=0)[::-1]
+        rows_of = {}
         # only a path's own vertices: a parent block's rows are not its conditions
-        rows_of = {v: steps[length - len(stack) + b][j * count : (j + 1) * count]
-                   for j, (path, stack) in enumerate(zip(paths, stacks)) for b, v in enumerate(path)}
-        # each vertex keeps as many rows as its largest kernel
-        kernels = [c[:, : c.any(axis=2).sum(axis=1).max()] for c in map(rows_of.get, rest)]
+        for j, (path, stack) in enumerate(zip(paths, stacks)):
+            for i, v in enumerate(path, length - len(stack)):
+                # each vertex keeps as many rows as its largest kernel
+                rows_of[v] = steps[i][j * count : (j + 1) * count, : held[i, j].max()]
+                full &= kernel_rows[i, j] <= n - tree.labels[v]
+        kernels = [rows_of[v] for v in rest]
+    return full, off, kernels, allowed
+
+
+def _ranked(tree: LabeledTree, p: int, full: np.ndarray, off: list, kernels: list,
+            allowed: np.ndarray) -> np.ndarray:
+    """The stabilizer system ranks of the trials that ``_moved`` returned, from its return value.
+
+    Systems whose short side is at most ``_STACKED_SIDE`` are ranked in one
+    ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``.  Only
+    the trials with ``full`` are checked against the variety's dimension.
+    """
+    n, count = tree.ambient, len(full)
     entries = allowed.sum(axis=(1, 2))
     rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
     if min(rows, entries.max()) <= _STACKED_SIDE:
@@ -359,13 +453,22 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
             for t in range(count)
         ])
     ranks = ranks + n * n - entries
-    assert (ranks <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
+    assert (ranks[full] <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
     return ranks
 
 
-# the most int64 entries, 512 MiB, that ``_check_size`` lets one array reach; it
-# bounds F(3,6,9;16)^3, the largest instance the tests and the benchmark
-# certify, by 207,360
+def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) -> np.ndarray:
+    """The stabilizer system ranks of ``count`` trials, from their stacked bases.
+
+    It is ``_moved`` and then ``_ranked``, which ranks exactly also the
+    trials that are not points of the variety.
+    """
+    return _ranked(tree, p, *_moved(tree, p, bases, count))
+
+
+# the most int64 entries, 512 MiB, that ``_check_size`` and ``random_config``
+# let one array reach; it bounds F(3,6,9;16)^3, the largest instance the
+# tests and the benchmark certify, by 207,360
 _MAX_ENTRIES = 2**26
 
 
@@ -398,9 +501,10 @@ def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
 def stabilizer_dim(config: Configuration) -> StabReport:
     """Rank of the stabilizer system at the configuration; rank = dim certifies density.
 
-    This is the certificate's ranking of a ``_draw`` chunk, run on a chunk
-    of one.  Over a chunk every step below is one stacked computation over
-    the trials, with one Python iteration per column, not per trial.
+    This is the certificate's ranking of a chunk, its stages ``_moved``
+    and ``_ranked``, run on a chunk of one.  Over a chunk every step below
+    is one stacked computation over the trials, with one Python iteration
+    per column, not per trial.
 
     Chain 1 runs from a root child down to a leaf and has the flag variety
     of the largest dimension; chain 2 is picked the same way under the
@@ -523,7 +627,20 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     ranks: list[int] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - first)
-        ranks += _system_ranks(tree, p, _draw(tree, p, seed, first, count), count).tolist()
+        chunk = range(first, first + count)
+        factors, candidate = _arrows(tree, p, seed, first, count)
+        # stage 1 costs about three factor checks, so it goes first only when
+        # it is likely to pass; the points are the same either way
+        if count * _singular_risk(tree, p) > _STAGE_FIRST_RISK:
+            _redraw_singular(tree, p, factors, candidate)
+        moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+        # moved[0] holds, per trial, whether every basis has full rank.  B_v
+        # = B_u R_v has full rank exactly when R_v has, given B_u has, so all
+        # trials hold it exactly when every factor has full rank
+        if not moved[0].all():
+            _redraw_singular(tree, p, factors, candidate)
+            moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+        ranks += _ranked(tree, p, *moved).tolist()
     certified = dim in ranks
     return CertifyReport(
         p=p,

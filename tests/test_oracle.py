@@ -101,14 +101,20 @@ class TestDraws:
     @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
     def test_certificate_ranks_the_draws_of_random_config(self, monkeypatch, text, p):
         x = parse_instance(text)
-        chunks = []
-        draw = oracle._draw
+        lifted, chunks = [], []
+        lift, rank = oracle._lift, oracle._ranked
 
-        def spy(tree, p, seed, first, count):
-            chunks.append((first, draw(tree, p, seed, first, count)))
-            return chunks[-1][1]
+        def lift_spy(tree, p, factors, trials):
+            lifted.append((trials.start, lift(tree, p, factors, trials)))
+            return lifted[-1][1]
 
-        monkeypatch.setattr(oracle, "_draw", spy)
+        def ranked_spy(tree, p, *moved):
+            # the bases ranked are those of the chunk's last lift
+            chunks.append(lifted[-1])
+            return rank(tree, p, *moved)
+
+        monkeypatch.setattr(oracle, "_lift", lift_spy)
+        monkeypatch.setattr(oracle, "_ranked", ranked_spy)
         trials = 2 * oracle._TRIAL_CHUNK + 3
         report = certify_density(x, p=p, trials=trials, seed=5)
         ranked = [
@@ -675,6 +681,97 @@ class TestTangentRows:
         assert {r for _, r, _ in systems} == {rows}
 
 
+class TestPointFlags:
+    # the certificate's chain moves and annihilators report, per trial,
+    # whether every lifted basis has as many pivots as its label; that is
+    # the check of every drawn factor for full rank, which they replace
+
+    @staticmethod
+    def factor_check(tree, p, factors, trials):
+        ranks = oracle.ranks_mod(oracle._padded(list(factors.values()), tree.ambient), p).tolist()
+        full = {key: r == tree.labels[key[1]] for key, r in zip(factors, ranks)}
+        return [all(full[t, v] for v in tree.parent) for t in trials]
+
+    @pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
+    def test_hand_made_short_factors(self, p):
+        # HONEST_TREE has one chain, m > a; m is a root child, a a deeper
+        # chain vertex, and b, c, d hang from m on neither chain
+        tree = parse_tree_dsl(HONEST_TREE)
+        (chain, _), (second, _) = heaviest_chains(tree, oracle._flag_weight)
+        assert (chain, second) == (["m", "a"], [])
+        short = [None, "m", "a", "b", "d"]
+        trials = range(len(short))
+        factors, candidate = oracle._arrows(tree, p, 0, 0, len(short))
+        oracle._redraw_singular(tree, p, factors, candidate)
+        for t, v in enumerate(short):
+            if v is not None:
+                factor = factors[t, v]
+                # its last column a multiple of its first, or zero
+                factor[:, -1] = 2 * factor[:, 0] % p if factor.shape[1] > 1 else 0
+        full = oracle._moved(tree, p, oracle._lift(tree, p, factors, trials), len(short))[0]
+        assert full.tolist() == self.factor_check(tree, p, factors, trials)
+        assert full.tolist() == [True, False, False, False, False]
+
+    @pytest.mark.parametrize(
+        "text", ["F(1,2;4)^3", HONEST_TREE, "a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d", TWO_FLAGS_AND_A_FORK]
+    )
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_first_draws(self, text, p):
+        # the unchecked first candidates of 64 trials over fields where many
+        # are singular; over F_2 every trial of the last tree has one
+        tree = as_tree(parse_instance(text))
+        flags = []
+        for first in range(0, 64, oracle._TRIAL_CHUNK):
+            count, trials = oracle._TRIAL_CHUNK, range(first, first + oracle._TRIAL_CHUNK)
+            factors, _ = oracle._arrows(tree, p, 1, first, count)
+            full = oracle._moved(tree, p, oracle._lift(tree, p, factors, trials), count)[0]
+            assert full.tolist() == self.factor_check(tree, p, factors, trials), first
+            flags += full.tolist()
+        assert not all(flags)
+
+    @pytest.mark.parametrize("text", ["F(1,2;4)^3", HONEST_TREE, "a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d"])
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_either_order_ranks_the_points_of_random_config(self, monkeypatch, text, p):
+        # the factor check before stage 1, or stage 1 first and the check
+        # only in a chunk that falls short
+        x = parse_instance(text)
+        reports, counts = [], []
+        check = oracle._redraw_singular
+
+        def spy(*args):
+            counts[-1] += 1
+            return check(*args)
+
+        monkeypatch.setattr(oracle, "_redraw_singular", spy)
+        for risk in (0, float("inf")):
+            monkeypatch.setattr(oracle, "_STAGE_FIRST_RISK", risk)
+            counts.append(0)
+            reports.append(certify_density(x, p=p, trials=19, seed=3))
+        # three chunks, each checked first; then some short chunk checked after stage 1
+        assert counts[0] == 3 and (counts[1] > 0 or p > 5)
+        drawn = [random_config(x, p=p, seed=3, trial=t) for t in range(19)]
+        assert reports[0] == reports[1]
+        assert list(reports[0].ranks) == [stabilizer_dim(c).system_rank for c in drawn]
+
+    def test_ladder_skips_the_factor_check(self, monkeypatch):
+        # at p = 2^31 - 1 no first draw of the 124 ladder products is
+        # singular, so each of their chunks is moved and ranked once
+        calls = collections.Counter()
+        for name in ("_redraw_singular", "_moved", "_ranked"):
+            def spy(*args, f=getattr(oracle, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(oracle, name, spy)
+        products = [FlagProduct(((k1, k2),) * 3, n)
+                    for n in range(4, 11) for k1, k2 in combinations(range(1, n), 2)]
+        products += [FlagProduct((flag,) * 3, n)
+                     for flag, n in [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)]]
+        assert len(products) == 124
+        for x in products:
+            assert len(certify_density(x).ranks) == 3 <= oracle._TRIAL_CHUNK
+        assert calls == {"_moved": 124, "_ranked": 124}
+
+
 class TestRootedTreeFamily:
     # every label-decreasing rooted tree with root label <= 5 and at most 6
     # vertices, up to isomorphism
@@ -711,6 +808,29 @@ class TestSizeGuard:
         monkeypatch.setattr(oracle, "ranks_mod", ranks)
         with pytest.raises(BoundsError, match="over the cap"):
             stabilizer_dim(config)
+
+    def test_random_config_refuses_before_any_draw(self, monkeypatch):
+        # one trial's candidates of G(5000;10000)^2 would hold 10^8 entries
+        def draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(oracle, "_draw", draw)
+        monkeypatch.setattr(oracle, "_arrows", draw)
+        with pytest.raises(BoundsError, match="over the cap"):
+            random_config(parse_instance("G(5000;10000)^2"))
+
+    def test_random_config_draws_a_long_thin_instance(self):
+        # 3 * 100,000 * 1 candidate entries: below the cap, unlike its certificate
+        config = random_config(parse_instance("G(1;100000)^3"))
+        assert [b.shape for b in config.bases.values()] == [(100000, 1)] * 3
+
+    def test_certificate_refuses_before_the_arrow_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(oracle, "_arrows", draw)
+        with pytest.raises(BoundsError, match="over the cap"):
+            certify_density(parse_instance("G(1;2000)^3"))
 
     def test_the_bound_holds_the_largest_arrays(self, monkeypatch):
         # the draw's stack, the annihilators' stack and the systems of one
