@@ -24,10 +24,7 @@ exactly when R_v has, given B_u has, so that holds exactly when every
 factor has full rank.  Only in a chunk where some trial falls short are
 the factors checked, in one zero-padded ``ranks_mod`` stack, and the
 singular ones redrawn from their own streams (``_redraw_singular``);
-stage 1 then runs again.  Over a small field most chunks fall short, so
-the check runs first, before stage 1, whenever the chance that the chunk
-needs it, bounded from the labels and p (``_singular_risk``), is above
-``_STAGE_FIRST_RISK``; the points are the same in either order.  Stage 2 (``_ranked``) builds the systems of
+stage 1 then runs again.  Stage 2 (``_ranked``) builds the systems of
 the points and ranks them, in one stack unless they are large.  Because
 every stream is keyed, the chunk's points are those that ``random_config``
 draws one trial at a time (``_draw``: the arrow draw, the redraw, the
@@ -128,28 +125,17 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     vertex) its configurations equal these, trial by trial.
 
     Raises BoundsError, before any draw, when the draw's own largest
-    array, the stack of one trial's candidates, V * n * phi_max entries
-    for V non-root vertices, is above ``_MAX_ENTRIES``.
+    array, the stack of one trial's candidates (``_candidates``), is above
+    ``_MAX_ENTRIES``.
     """
     tree = as_tree(x)
-    n, labels = tree.ambient, [tree.labels[v] for v in tree.parent]
-    entries = n * len(labels) * max(labels, default=0)
-    if entries > _MAX_ENTRIES:
-        raise BoundsError(f"drawing a point in ambient dimension {n} takes up to {entries} array "
-                          f"entries, over the cap {_MAX_ENTRIES}")
+    _capped(_candidates(tree), f"drawing a point in ambient dimension {tree.ambient}")
     bases = _draw(tree, p, seed, trial, 1)
     return Configuration(tree, p, seed, trial, {v: b[0] for v, b in bases.items()})
 
 
 # trials drawn and held at once, so memory does not grow with ``trials``
 _TRIAL_CHUNK = 8
-
-# the most risk that a chunk needs the factor check at which ``certify_density``
-# runs stage 1 before it: with stage 1 costing S and the check C, stage 1 first
-# saves work while the risk stays below C / (S + C).  Over the certificate
-# ladder's 124 products S is 68 ms and C 20 ms a pass
-_STAGE_FIRST_RISK = 0.25
-
 
 def _padded(mats: list[np.ndarray], n: int) -> np.ndarray:
     """Matrices of at most n rows, zero-padded to one (len, n, widest) int64 stack."""
@@ -212,16 +198,6 @@ def _redraw_singular(tree: LabeledTree, p: int, factors: dict, candidate) -> Non
         for key in pending:
             tries[key] += 1
             factors[key] = candidate(*key, tries[key])
-
-
-def _singular_risk(tree: LabeledTree, p: int) -> float:
-    """A bound on the chance that some first candidate of one trial lacks full column rank.
-
-    A uniform a x b matrix over F_p, a >= b, lacks it with probability at
-    most sum_{i < b} p^(i - a) < p^(b - a) / (p - 1); summed over the
-    factors.
-    """
-    return sum(float(p) ** (tree.labels[v] - tree.labels[u]) for v, u in tree.parent.items()) / (p - 1)
 
 
 def _lift(tree: LabeledTree, p: int, factors: dict, trials: range) -> dict[str, np.ndarray]:
@@ -433,15 +409,13 @@ def _moved(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) 
     return full, off, kernels, allowed
 
 
-def _ranked(tree: LabeledTree, p: int, full: np.ndarray, off: list, kernels: list,
-            allowed: np.ndarray) -> np.ndarray:
-    """The stabilizer system ranks of the trials that ``_moved`` returned, from its return value.
+def _ranked(tree: LabeledTree, p: int, off: list, kernels: list, allowed: np.ndarray) -> np.ndarray:
+    """The stabilizer system ranks of the trials that ``_moved`` returned, from its return after ``full``.
 
     Systems whose short side is at most ``_STACKED_SIDE`` are ranked in one
-    ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``.  Only
-    the trials with ``full`` are checked against the variety's dimension.
+    ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``.
     """
-    n, count = tree.ambient, len(full)
+    n, count = tree.ambient, len(allowed)
     entries = allowed.sum(axis=(1, 2))
     rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
     if min(rows, entries.max()) <= _STACKED_SIDE:
@@ -453,7 +427,7 @@ def _ranked(tree: LabeledTree, p: int, full: np.ndarray, off: list, kernels: lis
             for t in range(count)
         ])
     ranks = ranks + n * n - entries
-    assert (ranks[full] <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
+    assert (ranks <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
     return ranks
 
 
@@ -463,7 +437,7 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
     It is ``_moved`` and then ``_ranked``, which ranks exactly also the
     trials that are not points of the variety.
     """
-    return _ranked(tree, p, *_moved(tree, p, bases, count))
+    return _ranked(tree, p, *_moved(tree, p, bases, count)[1:])
 
 
 # the most int64 entries, 512 MiB, that ``_check_size`` and ``random_config``
@@ -472,30 +446,37 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
 _MAX_ENTRIES = 2**26
 
 
+def _candidates(tree: LabeledTree) -> int:
+    """The entries of one trial's stack of candidate factors: V * n * phi_max for V non-root vertices."""
+    labels = [tree.labels[v] for v in tree.parent]
+    return tree.ambient * len(labels) * max(labels, default=0)
+
+
+def _capped(entries: int, what: str) -> int:
+    """``entries``, or BoundsError when it is above ``_MAX_ENTRIES``."""
+    if entries > _MAX_ENTRIES:
+        raise BoundsError(f"{what} takes up to {entries} array entries, over the cap {_MAX_ENTRIES}")
+    return entries
+
+
 def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
     """A bound on the entries of any one array when ``count`` trials are ranked at once.
 
     BoundsError when it is above ``_MAX_ENTRIES``.  The bound is read off
-    the labels, before any draw, from the three largest arrays.  The systems have at most dim rows, one per tangent
-    direction of a vertex, and at most n^2 allowed entries.  The draw's
-    stack of candidates holds count * V * n * phi_max entries, for V
-    non-root vertices.  The annihilators' stack holds one n-row matrix per
-    trial and path of vertices on neither chain, and a path starts at one
-    of the tree's L leaves; its columns are at most the labels, one
-    parent's label per path, and n.  The allowed mask and the moved bases
-    are smaller than the systems.
+    the labels, before any draw, from the three largest arrays.  The
+    systems have at most dim rows, one per tangent direction of a vertex,
+    and at most n^2 allowed entries.  The draw's stack of candidates holds
+    count * ``_candidates`` entries.  The annihilators' stack holds one
+    n-row matrix per trial and path of vertices on neither chain, and a
+    path starts at one of the tree's L leaves; its columns are at most the
+    labels, one parent's label per path, and n.  The allowed mask and the
+    moved bases are smaller than the systems.
     """
     n = tree.ambient
     labels = [tree.labels[v] for v in tree.parent]
     leaves = sum(not tree.children[v] for v in tree.parent)
-    entries = count * n * max(dim * n, len(labels) * max(labels, default=0),
-                              leaves * (sum(labels) + (leaves + 1) * n))
-    if entries > _MAX_ENTRIES:
-        raise BoundsError(
-            f"ranking {count} trials in ambient dimension {n} takes up to {entries} array "
-            f"entries, over the cap {_MAX_ENTRIES}"
-        )
-    return entries
+    entries = count * max(n * dim * n, _candidates(tree), n * leaves * (sum(labels) + (leaves + 1) * n))
+    return _capped(entries, f"ranking {count} trials in ambient dimension {n}")
 
 
 def stabilizer_dim(config: Configuration) -> StabReport:
@@ -629,17 +610,13 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
         count = min(_TRIAL_CHUNK, trials - first)
         chunk = range(first, first + count)
         factors, candidate = _arrows(tree, p, seed, first, count)
-        # stage 1 costs about three factor checks, so it goes first only when
-        # it is likely to pass; the points are the same either way
-        if count * _singular_risk(tree, p) > _STAGE_FIRST_RISK:
-            _redraw_singular(tree, p, factors, candidate)
-        moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
-        # moved[0] holds, per trial, whether every basis has full rank.  B_v
-        # = B_u R_v has full rank exactly when R_v has, given B_u has, so all
+        full, *moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+        # full holds, per trial, whether every basis has full rank.  B_v =
+        # B_u R_v has full rank exactly when R_v has, given B_u has, so all
         # trials hold it exactly when every factor has full rank
-        if not moved[0].all():
+        if not full.all():
             _redraw_singular(tree, p, factors, candidate)
-            moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+            _, *moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
         ranks += _ranked(tree, p, *moved).tolist()
     certified = dim in ranks
     return CertifyReport(

@@ -25,6 +25,12 @@ from .helpers import full_system_rank, rand_gl, random_product, random_tree, roo
 
 HONEST_TREE = "a:1>m:3>r:5 | b:1>m | c:2>m | d:2>m"
 
+# the 124 products of the certificate ladder: F(k1,k2;n)^3 for 4 <= n <= 10
+# and five larger instances
+LADDER = [FlagProduct(((k1, k2),) * 3, n) for n in range(4, 11) for k1, k2 in combinations(range(1, n), 2)]
+LADDER += [FlagProduct((flag,) * 3, n)
+           for flag, n in [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)]]
+
 
 class TestRandomConfig:
     def test_deterministic(self):
@@ -656,11 +662,7 @@ class TestTangentRows:
     # ann(M_parent) only, the tangent space of its Grassmannian fibre
 
     def test_ladder_systems_have_the_tangent_rows(self, systems):
-        products = [FlagProduct(((k1, k2),) * 3, n)
-                    for n in range(4, 11) for k1, k2 in combinations(range(1, n), 2)]
-        products += [FlagProduct((flag,) * 3, n)
-                     for flag, n in [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)]]
-        for x in products:
+        for x in LADDER:
             systems.clear()
             certify_density(x)
             assert {rows for _, rows, _ in systems} == {tangent_rows(as_tree(x))}, x
@@ -730,28 +732,23 @@ class TestPointFlags:
         assert not all(flags)
 
     @pytest.mark.parametrize("text", ["F(1,2;4)^3", HONEST_TREE, "a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d"])
-    @pytest.mark.parametrize("p", [2, 3, 101])
-    def test_either_order_ranks_the_points_of_random_config(self, monkeypatch, text, p):
-        # the factor check before stage 1, or stage 1 first and the check
-        # only in a chunk that falls short
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_redrawn_chunks_rank_the_points_of_random_config(self, monkeypatch, text, p):
+        # over F_2 and F_3 some chunk of 19 trials falls short in stage 1, so
+        # its factors are checked and redrawn before it is ranked
         x = parse_instance(text)
-        reports, counts = [], []
+        checked = []
         check = oracle._redraw_singular
 
         def spy(*args):
-            counts[-1] += 1
+            checked.append(True)
             return check(*args)
 
         monkeypatch.setattr(oracle, "_redraw_singular", spy)
-        for risk in (0, float("inf")):
-            monkeypatch.setattr(oracle, "_STAGE_FIRST_RISK", risk)
-            counts.append(0)
-            reports.append(certify_density(x, p=p, trials=19, seed=3))
-        # three chunks, each checked first; then some short chunk checked after stage 1
-        assert counts[0] == 3 and (counts[1] > 0 or p > 5)
+        report = certify_density(x, p=p, trials=19, seed=3)
+        assert 0 < len(checked) <= 3
         drawn = [random_config(x, p=p, seed=3, trial=t) for t in range(19)]
-        assert reports[0] == reports[1]
-        assert list(reports[0].ranks) == [stabilizer_dim(c).system_rank for c in drawn]
+        assert list(report.ranks) == [stabilizer_dim(c).system_rank for c in drawn]
 
     def test_ladder_skips_the_factor_check(self, monkeypatch):
         # at p = 2^31 - 1 no first draw of the 124 ladder products is
@@ -762,12 +759,8 @@ class TestPointFlags:
                 calls[name] += 1
                 return f(*args)
             monkeypatch.setattr(oracle, name, spy)
-        products = [FlagProduct(((k1, k2),) * 3, n)
-                    for n in range(4, 11) for k1, k2 in combinations(range(1, n), 2)]
-        products += [FlagProduct((flag,) * 3, n)
-                     for flag, n in [((4, 7), 12), ((5, 7), 12), ((6, 7), 14), ((6, 8), 14), ((3, 6, 9), 16)]]
-        assert len(products) == 124
-        for x in products:
+        assert len(LADDER) == 124
+        for x in LADDER:
             assert len(certify_density(x).ranks) == 3 <= oracle._TRIAL_CHUNK
         assert calls == {"_moved": 124, "_ranked": 124}
 
@@ -824,13 +817,14 @@ class TestSizeGuard:
         config = random_config(parse_instance("G(1;100000)^3"))
         assert [b.shape for b in config.bases.values()] == [(100000, 1)] * 3
 
-    def test_certificate_refuses_before_the_arrow_draw(self, monkeypatch):
+    @pytest.mark.parametrize("text", ["G(1;100000)^3", "G(1;2000)^3", "F(1;300)^2"])
+    def test_certificate_refuses_before_the_arrow_draw(self, monkeypatch, text):
         def draw(*args):
             raise AssertionError("drawn")
 
         monkeypatch.setattr(oracle, "_arrows", draw)
         with pytest.raises(BoundsError, match="over the cap"):
-            certify_density(parse_instance("G(1;2000)^3"))
+            certify_density(parse_instance(text))
 
     def test_the_bound_holds_the_largest_arrays(self, monkeypatch):
         # the draw's stack, the annihilators' stack and the systems of one
