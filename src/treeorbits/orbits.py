@@ -6,9 +6,13 @@ fibres over two fixed flags, on numpy arrays, in five steps.
 
 * Reduction.  The vertices on a chain from a root child down to a leaf
   carry a flag.  Chain 1 is the chain whose flag variety X1 has the most
-  points (for a product, its largest factor); chain 2 is the same under
+  points, ties to the first child in name order; chain 2 is the same under
   the other root children, with flag variety X2 (a point when the root
-  has one child).  GL(n, q) is transitive on X1, and the orbits of the
+  has one child).  A product is read on its factors: a factor's point
+  count is the product of the Gaussian binomials of its consecutive
+  dimensions, and chains 1 and 2 are the two factors with the most points,
+  ties to the lower index (the counts do not depend on the tie).  GL(n, q)
+  is transitive on X1, and the orbits of the
   stabilizer P1 of the standard flag x1 = span(e_0..e_{d-1}) on X2 are
   the double cosets P1 w P2 (Bruhat), one per contingency matrix: a
   nonnegative integer matrix M whose row and column sums are the two
@@ -30,7 +34,8 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   class is redundant and left out.  With one chain the classes are P1's
   diagonal blocks.  Each fibre has |X| / (|X1| |X2|) points, and when no
   vertex is off both chains it is one point, so the orbits are the
-  double cosets and nothing is enumerated.
+  double cosets and nothing is enumerated: a product of two flag
+  varieties gets its answer with no tree built.
 * Field layer.  ``_Field`` holds the addition, negation, multiplication
   and inverse tables of F_q as uint8 arrays (so F_4, whose addition is
   xor, needs no special case past its tables), and they act elementwise
@@ -62,17 +67,19 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
 
-The checks run in this order on every call.  One table of per-edge
-Gaussian binomials gives the projected point count of X, checked against
-the cap before anything else is done, and the weights of the chains.  The
-fibre's size, the product over the edges off both chains, times |X1| |X2|
-must equal the projected count, and the orbit sizes |P1| / |H_w| must add
-up to |X2|.  Only then, and only when a vertex is off both chains, are
-the subspace tables built: their sizes must give the same fibre, each
-generator's entries off the identity must fix both flags before any
-matrix is built, every lookup must hit and every move must permute the
-points.  Every subspace table is an image of X, so it fits under the cap
-too.
+The checks run in this order on every call.  One table of point counts,
+a Gaussian binomial per edge of a tree or a product of them per factor of
+a product, gives the projected point count of X, checked against the cap
+before anything else is done, and the weights of the chains.  The fibre's
+size, the product over the edges (or factors) off both chains, times
+|X1| |X2| must equal the projected count, and the orbit sizes |P1| / |H_w|
+must add up to |X2|.  Only then, and only when a vertex is off both
+chains, is a product's tree built, with the two picked factors' vertices
+as its chains, and are the subspace tables built: their sizes must give
+the same fibre, each generator's entries off the identity must fix both
+flags before any matrix is built, every lookup must hit and every move
+must permute the points.  Every subspace table is an image of X, so it
+fits under the cap too.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import as_tree
+from .products import FlagProduct, as_tree, product_to_tree
 from .trees import heaviest_chains, top_down
 
 
@@ -353,9 +360,26 @@ def _edge_counts(tree, q: int) -> dict[str, int]:
     return {s: gaussian_binomial(tree.labels[t], tree.labels[s], q) for s, t in tree.parent.items()}
 
 
+def _factor_counts(p: FlagProduct, q: int) -> dict[int, int]:
+    """The F_q points of each factor's flag variety, keyed by the factor's index.
+
+    A factor's count is the product of the Gaussian binomials of its
+    consecutive dimensions, the last one under n: the edge counts of its
+    chain in ``product_to_tree(p)``.
+    """
+    _check_field(q)
+    n = p.ambient
+    return {i: prod(gaussian_binomial(b, a, q) for a, b in zip(f, (*f[1:], n)))
+            for i, f in enumerate(p.factors)}
+
+
 def projected_point_count(x, q: int) -> int:
-    """Exact number of F_q points: product of one Gaussian binomial per edge."""
-    return prod(_edge_counts(as_tree(x), q).values())
+    """Exact number of F_q points: product of one Gaussian binomial per edge.
+
+    A product is read on its factors, as the product of their point counts.
+    """
+    counts = _factor_counts(x, q) if isinstance(x, FlagProduct) else _edge_counts(as_tree(x), q)
+    return prod(counts.values())
 
 
 def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
@@ -365,25 +389,40 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     enumerated (see the module docstring); ``point_count`` is the
     variety's full count.  Raises CapExceeded (with the exact projected
     point count) when that count exceeds ``cap``, before any work is done.
+    A product is read on its factors: the cap, the two fixed chains (the
+    factors with the most points) and a two-flag answer need no tree, and
+    ``product_to_tree`` is called only when a factor is on neither chain.
     """
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
-    tree = as_tree(x)
-    n = tree.ambient
-    counts = _edge_counts(tree, q)
+    if isinstance(x, FlagProduct):
+        tree, counts = None, _factor_counts(x, q)
+    else:
+        tree = as_tree(x)
+        counts = _edge_counts(tree, q)
     projected = prod(counts.values())
     if projected > cap:
         raise CapExceeded(projected, cap)
-    # the chain whose flag variety has the most F_q points, then the same
-    # under the other root children
-    weight = {(tree.labels[tree.parent[s]], tree.labels[s]): c for s, c in counts.items()}
-    (chain, x1), (second, x2) = heaviest_chains(tree, lambda t, s: weight[t, s])
-    free = [v for v in tree.parent if v not in chain and v not in second]
+    n = x.ambient
+    if tree is None:
+        # the two factors with the most points, ties to the lower index; a
+        # missing one is an empty chain of one point
+        picked = sorted(counts, key=counts.get, reverse=True)[:2]
+        fixed = [(x.factors[i], counts[i]) for i in picked] + [((), 1)] * (2 - len(picked))
+        (dims1, x1), (dims2, x2) = fixed
+        free = [i for i in counts if i not in picked]
+    else:
+        # the chain whose flag variety has the most F_q points, then the same
+        # under the other root children
+        weight = {(tree.labels[tree.parent[s]], tree.labels[s]): c for s, c in counts.items()}
+        (chain, x1), (second, x2) = heaviest_chains(tree, lambda t, s: weight[t, s])
+        dims1, dims2 = (sorted(tree.labels[v] for v in c) for c in (chain, second))
+        free = [v for v in tree.parent if v not in chain and v not in second]
     count = prod(counts[v] for v in free)
     if count * x1 * x2 != projected:
         raise RuntimeError("the fibre over the fixed flags has the wrong number of points")
-    flags = {1: sorted(tree.labels[v] for v in chain), 2: sorted(tree.labels[v] for v in second)}
-    rows, cols = _blocks(flags[1], n), _blocks(flags[2], n)
+    flags = {1: dims1, 2: dims2}
+    rows, cols = _blocks(dims1, n), _blocks(dims2, n)
     cosets = _double_cosets(rows, cols)
     gl = [prod(q**m - q**i for i in range(m)) for m in range(n + 1)]
     p1 = _pattern_order(tuple((a, 0, m) for a, m in enumerate(rows)), q, gl)
@@ -391,6 +430,10 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
         raise RuntimeError("the double cosets do not cover the second flag variety")
     if not free:
         return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=len(cosets))
+    if tree is None:
+        # a factor is free: the tree takes the picked factors as its chains
+        tree = product_to_tree(x)
+        chain, second = ([f"f{i}.{j}" for j in range(len(x.factors[i]), 0, -1)] for i in picked)
 
     field = _field(q)
     order = top_down(tree)

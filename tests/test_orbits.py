@@ -28,6 +28,7 @@ from treeorbits.orbits import (
     projected_point_count,
 )
 from treeorbits.parsing import parse_tree_dsl
+from treeorbits.products import as_tree
 from treeorbits.trees import heaviest_chains, to_dsl
 
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
@@ -254,6 +255,40 @@ class TestChecksRun:
         monkeypatch.setattr(orbits, "_double_cosets", lambda rows, cols: listed(rows, cols)[1:])
         with pytest.raises(RuntimeError, match="do not cover"):
             enumerate_orbits(x, q=2)
+
+
+class TestProductsOnFactors:
+    def test_two_flags_build_no_tree(self, monkeypatch):
+        # the cap, the fibre and cover checks and a two-flag answer read the
+        # factors; the tree is built only for a factor on neither chain
+        def refuse(p):
+            raise AssertionError(f"built the tree of {p}")
+
+        monkeypatch.setattr(orbits, "product_to_tree", refuse)
+        monkeypatch.setattr("treeorbits.products.product_to_tree", refuse)
+        assert enumerate_orbits(parse_instance("F(1,2,3;4)^2"), q=2).orbit_count == 24
+        assert enumerate_orbits(parse_instance("F(1;4)*F(1,2;4)"), q=4).orbit_count == 3
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_orbits(parse_instance("F(1,2,3;4)^3"), q=2)
+        assert exc.value.projected == 31_255_875
+        with pytest.raises(AssertionError, match="built the tree"):
+            enumerate_orbits(parse_instance("F(1;3)*F(2;3)*F(1,2;3)"), q=2)
+
+    def test_argument_errors_keep_their_order(self):
+        # the cap first, then the instance, then the field
+        product = parse_instance("F(1;2)^2")
+        with pytest.raises(BadRange):
+            enumerate_orbits("F(1;2)^2", q=7, cap=0)
+        with pytest.raises(BadRange):
+            enumerate_orbits(product, q=7, cap=0)
+        with pytest.raises(TypeError):
+            enumerate_orbits("F(1;2)^2", q=7)
+        with pytest.raises(TypeError):
+            projected_point_count("F(1;2)^2", 7)
+        with pytest.raises(UnsupportedField):
+            enumerate_orbits(product, q=7)
+        with pytest.raises(UnsupportedField):
+            projected_point_count(product, 7)
 
 
 class TestHomogeneousCounts:
@@ -612,8 +647,32 @@ class TestCountInvariants:
             assert gaussian_binomial(tree.ambient, d, q) <= projected, v
 
     def test_product_and_tree_forms_agree(self):
-        product = FlagProduct(((1,), (2,)), 3)
-        tree = parse_tree_dsl("a:1>r:3 | b:2>r")
-        a = enumerate_orbits(product, q=2)
-        b = enumerate_orbits(tree, q=2)
-        assert (a.point_count, a.orbit_count) == (b.point_count, b.orbit_count)
+        # every product of at most three factors with n <= 4, over each
+        # field: the product is read on its factors, its tree on its chains
+        within = over = 0
+        for n in (2, 3, 4):
+            types = [c for r in range(1, n) for c in combinations(range(1, n), r)]
+            for k in range(4):
+                for factors in combinations_with_replacement(types, k):
+                    product = FlagProduct(factors, n)
+                    tree = as_tree(product)
+                    for q in (2, 3, 4, 5):
+                        projected = projected_point_count(tree, q)
+                        assert projected_point_count(product, q) == projected, (product, q)
+                        if projected > DEFAULT_CAP:
+                            with pytest.raises(CapExceeded) as exc:
+                                enumerate_orbits(product, q=q)
+                            assert exc.value.projected == projected
+                            over += 1
+                            continue
+                        a, b = enumerate_orbits(product, q=q), enumerate_orbits(tree, q=q)
+                        assert (a.point_count, a.orbit_count) == (b.point_count, b.orbit_count), (product, q)
+                        within += 1
+        assert (within, over) == (233, 343)
+        # eleven tied factors: the product picks factors 0 and 1 by index and
+        # hands the other nine to its tree, whose names sort f10 before f2
+        product = FlagProduct(((1,),) * 11, 2)
+        for x in (product, as_tree(product)):
+            report = enumerate_orbits(x, q=2)
+            assert (report.point_count, report.orbit_count) == (177_147, 29_525)
+        assert burnside_line_orbits(11, 2) == 29_525
