@@ -8,11 +8,16 @@ Every array is reduced mod p by ``_reduce``, in place: x -= (x // p) * p.
 For p > 0 floor division makes this x mod p in [0, p), the value of
 ``x % p``, negative x included, and (x // p) * p lies between x - p and
 x, so it fits int64 wherever x does: the bounds below do not depend on
-how a residue is computed.  With numpy 2.4 on one thread of a Xeon host,
-over 10^5 int64 entries in (-p^2, p^2), ``%`` takes 9.1-9.5 ns an entry
-and the reduction 1.8-2.2 ns, for p = 3 and 2^31 - 1; over 10^3 entries
-the reduction's three ufunc calls bring it to 3.6-4.9 ns, against
-4.5-4.8 ns.
+how a residue is computed.  Each array is reduced once: the public
+functions (``matmul_mod``, ``rank_mod``, ``ranks_mod``) copy and reduce
+what they are given, and the private kernels (``_matmul_residues``,
+``_eliminate``, ``_nested_annihilators`` and ``_left_annihilators``)
+take residues in [0, p) and read them as they are; a value outside
+[0, p) there can overflow int64 or give wrong pivots.  With numpy 2.4
+on one thread of a Xeon host, over 10^5 int64 entries in (-p^2, p^2),
+``%`` takes 9.1-9.5 ns an entry and the reduction 1.8-2.2 ns, for p = 3
+and 2^31 - 1; over 10^3 entries the reduction's three ufunc calls bring
+it to 3.6-4.9 ns, against 4.5-4.8 ns.
 
 ``rank_mod`` ranks one large matrix: forward elimination with the shorter
 side in the columns, in panels of ``_PANEL`` columns whose trailing update
@@ -225,7 +230,7 @@ def ranks_mod(stack, p: int) -> np.ndarray:
 
 
 def _left_annihilators(stack, p: int) -> np.ndarray:
-    """Rows spanning {c : c M = 0 mod p} for each M of a (count, n, k) stack.
+    """Rows spanning {c : c M = 0 mod p} for each M of a (count, n, k) stack of residues in [0, p).
 
     ``_eliminate`` runs on [M | I_n] over M's columns.  A row that never
     pivots ends with a zero M part, and its I_n part records the
@@ -242,7 +247,8 @@ def _left_annihilators(stack, p: int) -> np.ndarray:
 def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
     """For nested bases M_0 < M_1 < ... of each matrix of a stack, ann(M_i) modulo ann(M_i+1).
 
-    ``blocks`` holds the (count, n, k_i) stacks of the M_i.  ``_eliminate``
+    ``blocks`` holds the (count, n, k_i) stacks of the M_i, residues in
+    [0, p), which are read as they are and not changed.  ``_eliminate``
     runs on [M_0 | M_1 | ... | I_n] block by block, and the I_n part is
     copied after each block, when the rows that never pivoted span
     ann(M_i) (see ``_left_annihilators``).  The rows that then pivot in
@@ -264,7 +270,7 @@ def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
     blocks = [np.asarray(m, dtype=np.int64) for m in blocks]
     count, n, _ = blocks[0].shape
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))
-    a = _reduce(np.concatenate([*blocks, eye], axis=2), p)
+    a = np.concatenate([*blocks, eye], axis=2)
     kernels, start = [], 0
     pivots = np.zeros(count, dtype=np.intp)
     for i, m in enumerate(blocks):

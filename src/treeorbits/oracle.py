@@ -4,15 +4,20 @@
 F_p with a counter-based generator keyed by (seed, trial, vertex index),
 so results are reproducible and independent of evaluation order.  Each
 stream's Philox key is derived from (seed, trial, vertex index) once per
-process, in a small memo (``_stream_key``), and a draw re-keys one
-generator per stream: Philox is counter-based (Salmon et al., SC 2011),
-so a key with counter 0 starts its stream afresh.  A redrawn factor
+process, in a memo of whole trials (``_trial_keys``), and a draw re-keys
+one generator per stream: Philox is counter-based (Salmon et al., SC
+2011), so a key with counter 0 starts its stream afresh.  A redrawn factor
 replays its stream from the key.
 ``certify_density`` draws its trials together, a fixed number at a time,
 and ranks each chunk in two stages over the stacked bases.  The arrow
 draw (``_arrows``) gives the first candidate factor of every (trial,
-vertex) stream, unchecked, and the lift (``_lift``) multiplies them down
-the tree, on residues.  Stage 1 (``_moved``) picks both chains once,
+vertex) stream, unchecked, as one (trials, phi(parent), phi(v)) stack per
+vertex: it reads each stream's raw words and maps all of them at once
+with numpy's own bounded map (Lemire, ACM TOMACS 29(1), 2019), so its
+numpy calls per stream are one re-key and one read.  The lift (``_lift``)
+multiplies the stacks down the tree, on residues.  Every array of the
+pipeline is reduced mod p once, where it is made, and later steps read
+residues as they are.  Stage 1 (``_moved``) picks both chains once,
 moves them with one Python iteration per column for all trials, and finds
 the condition rows of every vertex on neither chain in one stacked
 elimination (``modp._nested_annihilators``).  The chain moves leave a
@@ -25,7 +30,8 @@ factor has full rank.  Only in a chunk where some trial falls short are
 the factors checked, in one zero-padded ``ranks_mod`` stack, and the
 singular ones redrawn from their own streams (``_redraw_singular``);
 stage 1 then runs again.  Stage 2 (``_ranked``) builds the systems of
-the points and ranks them, in one stack unless they are large.  Because
+the points, each held with its shorter side in the columns, and ranks
+them in place, in one stack unless they are large.  Because
 every stream is keyed, the chunk's points are those that ``random_config``
 draws one trial at a time (``_draw``: the arrow draw, the redraw, the
 lift).  ``stabilizer_dim`` is the two stages on a chunk of one
@@ -75,6 +81,7 @@ import numpy as np
 
 from .errors import BadRange, BoundsError, Degenerate, NotAPencil
 from .modp import (
+    _eliminate,
     _left_annihilators,
     _matmul_residues,
     _nested_annihilators,
@@ -101,14 +108,18 @@ class Configuration:
     bases: dict[str, np.ndarray]
 
 
-@lru_cache(maxsize=128)
-def _stream_key(seed: int, trial: int, vertex_index: int) -> bytes:
-    """The two-word Philox key of the stream (seed, trial, vertex index), as 16 bytes.
+@lru_cache(maxsize=2**10)
+def _trial_keys(seed: int, trial: int, vertices: int) -> bytes:
+    """The two-word Philox keys of the streams (seed, trial, i) for i < vertices, 16 bytes each.
 
-    It is the key that ``Philox(SeedSequence([seed, trial, vertex_index]))``
-    holds; bytes, so a cached key cannot be changed by a caller.
+    Stream i's key is the one that ``Philox(SeedSequence([seed, trial,
+    i]))`` holds; bytes, so a cached key cannot be changed by a caller.
+    The memo holds one entry per trial, so a call of up to 1,024 trials
+    derives each key once when it is repeated, however many vertices its
+    tree has.
     """
-    return np.random.SeedSequence([seed, trial, vertex_index]).generate_state(2, np.uint64).tobytes()
+    return b"".join(np.random.SeedSequence([seed, trial, i]).generate_state(2, np.uint64).tobytes()
+                    for i in range(vertices))
 
 
 def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> Configuration:
@@ -124,9 +135,8 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     trials together, and because every stream is keyed by (seed, trial,
     vertex) its configurations equal these, trial by trial.
 
-    Raises BoundsError, before any draw, when the draw's own largest
-    array, the stack of one trial's candidates (``_candidates``), is above
-    ``_MAX_ENTRIES``.
+    Raises BoundsError, before any draw, when the draw's own arrays, bound
+    for one trial by ``_candidates``, could be above ``_MAX_ENTRIES``.
     """
     tree = as_tree(x)
     _capped(_candidates(tree), f"drawing a point in ambient dimension {tree.ambient}")
@@ -148,14 +158,21 @@ def _padded(mats: list[np.ndarray], n: int) -> np.ndarray:
 def _arrows(tree: LabeledTree, p: int, seed: int, first: int, count: int):
     """The arrow draw of trials first, ..., first + count - 1: each stream's first candidate, unchecked.
 
-    Returns the factors, a dict from (trial, vertex) to a phi(parent) x
-    phi(v) matrix of residues, trials first and then vertices top-down,
-    and the stream draw ``candidate(trial, vertex, tries)``, which gives a
-    stream's tries-th candidate.
+    Returns the factors, a dict from each non-root vertex, top-down, to its
+    (count, phi(parent), phi(v)) stack of residues over the trials, and the
+    stream draw ``candidate(i, vertex, tries)``, which gives the tries-th
+    candidate of the stream of trial first + i.
 
-    One generator draws every candidate: before each, its Philox is
-    re-keyed to the stream's key (``_stream_key``, derived once per
-    process) at counter 0 by assigning its state.  A later candidate
+    One generator reads every stream: before each, its Philox is re-keyed
+    to the stream's key (``_trial_keys``, derived once per process) at
+    counter 0 by assigning its state, and the stream's ceil(entries / 2)
+    64-bit words are read raw.  Each word gives two 32-bit values, its low
+    half first, and every stream is mapped at once by the rule of numpy's
+    ``integers(0, p)`` (Lemire, ACM TOMACS 29(1), 2019): x becomes x * p >>
+    32, and is rejected when x * p mod 2^32 is below 2^32 mod p.  A stream
+    with a rejected value is drawn by ``candidate`` instead, so every
+    candidate is the one ``integers`` draws.  The values are laid out
+    vertex-major, so each vertex's stack is a reshape.  A later candidate
     replays its stream from the key, so the candidates are those of a
     generator held per stream.
     """
@@ -164,52 +181,81 @@ def _arrows(tree: LabeledTree, p: int, seed: int, first: int, count: int):
             raise BadRange(f"{name} must be a non-negative integer, got {value!r}")
     check_prime(p)
     index = {v: i for i, v in enumerate(sorted(tree.labels))}
-    order = top_down(tree)
     # the root's label is n
-    shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in order}
+    shape = {v: (tree.labels[tree.parent[v]], tree.labels[v]) for v in top_down(tree)}
     rng = np.random.Generator(np.random.Philox(key=0))
+    bits = rng.bit_generator
     # a fresh Philox stream: counter 0, empty buffer
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64)},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = [np.frombuffer(_trial_keys(seed, t, len(index)), dtype=np.uint64).reshape(-1, 2).tolist()
+            for t in range(first, first + count)]
 
-    def candidate(t: int, v: str, tries: int) -> np.ndarray:
+    def rekey(i: int, v: str) -> None:
+        state["state"]["key"] = keys[i][index[v]]
+        bits.state = state
+
+    def candidate(i: int, v: str, tries: int) -> np.ndarray:
         # the stream's first tries candidates in one draw; every entry, below
         # p < 2^32, is drawn from the stream's next 32-bit words, so these
         # are the values of drawing them one after another.  The last is kept
-        state["state"]["key"] = np.frombuffer(_stream_key(seed, t, index[v]), dtype=np.uint64)
-        rng.bit_generator.state = state
+        rekey(i, v)
         return rng.integers(0, p, size=(tries, *shape[v]), dtype=np.int64)[-1]
 
-    return {(t, v): candidate(t, v, 1) for t in range(first, first + count) for v in order}, candidate
+    # each stream's words, ceil(entries / 2) of them, vertex-major
+    words = {v: -(-a * b // 2) for v, (a, b) in shape.items()}
+    raw = [np.zeros(0, dtype=np.uint64)]
+    for v, w in words.items():
+        for i in range(count):
+            rekey(i, v)
+            raw.append(bits.random_raw(w))
+    drawn = np.concatenate(raw)
+    # both halves of every word, low first, times p: below 2^63
+    scaled = np.stack([drawn & 0xFFFFFFFF, drawn >> 32], axis=1)
+    scaled *= p
+    values = (scaled >> 32).view(np.int64)
+    rejected = (scaled & 0xFFFFFFFF) < (2**32 - p) % p
+    factors, at, any_rejected = {}, 0, rejected.any()
+    for v, w in words.items():
+        a, b = shape[v]
+        span = slice(at, at + count * w)
+        # a stream of odd length leaves its last word's high half unread
+        factors[v] = values[span].reshape(count, 2 * w)[:, : a * b].reshape(count, a, b)
+        if any_rejected:
+            for i in np.flatnonzero(rejected[span].reshape(count, 2 * w)[:, : a * b].any(axis=1)).tolist():
+                factors[v][i] = candidate(i, v, 1)
+        at = span.stop
+    return factors, candidate
 
 
 def _redraw_singular(tree: LabeledTree, p: int, factors: dict, candidate) -> None:
     """Replace, in place, each factor without full column rank by its stream's first one of full rank.
 
-    Every factor is checked in one zero-padded stack of ``ranks_mod``,
-    then only the failures are redrawn from their own streams and checked
-    again.
+    ``factors`` and ``candidate`` are what ``_arrows`` returns.  Every
+    factor is checked in one zero-padded stack of ``ranks_mod``, then only
+    the failures are redrawn from their own streams, written into their
+    stacks, and checked again.
     """
-    tries = dict.fromkeys(factors, 1)
-    pending = list(factors)
+    pending = [(v, i) for v, stack in factors.items() for i in range(len(stack))]
+    tries = dict.fromkeys(pending, 1)
     while pending:
-        ranks = ranks_mod(_padded([factors[key] for key in pending], tree.ambient), p)
-        pending = [key for key, r in zip(pending, ranks) if r < tree.labels[key[1]]]
-        for key in pending:
-            tries[key] += 1
-            factors[key] = candidate(*key, tries[key])
+        ranks = ranks_mod(_padded([factors[v][i] for v, i in pending], tree.ambient), p)
+        pending = [(v, i) for (v, i), r in zip(pending, ranks) if r < tree.labels[v]]
+        for v, i in pending:
+            tries[v, i] += 1
+            factors[v][i] = candidate(i, v, tries[v, i])
 
 
-def _lift(tree: LabeledTree, p: int, factors: dict, trials: range) -> dict[str, np.ndarray]:
-    """Each non-root vertex's bases stacked over the trials, a (len(trials), n, phi(v)) array.
+def _lift(tree: LabeledTree, p: int, factors: dict) -> dict[str, np.ndarray]:
+    """Each non-root vertex's bases stacked over the trials, a (count, n, phi(v)) array.
 
-    A root child's basis is its factor, and a deeper vertex's is its
-    parent's basis times its factor, for all trials in one product of
+    ``factors`` holds the vertices top-down, as ``_arrows`` returns them.
+    A root child's bases are its factors, and a deeper vertex's are its
+    parent's bases times its factors, for all trials in one product of
     residues (``_matmul_residues``).
     """
     bases: dict[str, np.ndarray] = {}
-    for v in top_down(tree):
-        stack = np.stack([factors[t, v] for t in trials])
+    for v, stack in factors.items():
         up = tree.parent[v]
         bases[v] = stack if up == tree.root else _matmul_residues(bases[up], stack, p)
     return bases
@@ -224,7 +270,7 @@ def _draw(tree: LabeledTree, p: int, seed: int, first: int, count: int) -> dict[
     """
     factors, candidate = _arrows(tree, p, seed, first, count)
     _redraw_singular(tree, p, factors, candidate)
-    return _lift(tree, p, factors, range(first, first + count))
+    return _lift(tree, p, factors)
 
 
 def _int64_matrix(a, what: str) -> np.ndarray:
@@ -259,7 +305,7 @@ def _flag_weight(big: int, d: int) -> int:
 
 def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np.ndarray,
                 p: int) -> np.ndarray:
-    """The stabilizer systems of a run of trials on their allowed entries.
+    """The stabilizer systems of a run of trials on their allowed entries, reduced mod p.
 
     ``blocks`` and ``kernels`` hold, per vertex on neither chain, its moved
     bases M, (T, n, k), and its condition rows C, (T, q, n).  The
@@ -267,6 +313,9 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
     of Y[i, j].  Each trial's allowed entries (``allowed``, (T, n, n)) are
     compressed into the first columns, in row-major order, and the columns
     are zero-padded to the run's largest count: a (T, rows, entries) stack.
+    Its memory holds it with the shorter side in the columns, the
+    orientation that ``modp._eliminate`` ranks, so a stack with fewer rows
+    than entries is the transpose of a C-contiguous array.
     """
     count, n, _ = allowed.shape
     flat = allowed.reshape(count, n * n)
@@ -275,18 +324,21 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
     keep = np.take_along_axis(flat, entries, axis=1)
     i, j = np.divmod(entries, n)
     sizes = [c.shape[1] * m.shape[2] for m, c in zip(blocks, kernels)]
-    system = np.empty((count, sum(sizes), width), dtype=np.int64)
+    rows = sum(sizes)
+    held = np.empty((count, rows, width) if rows >= width else (count, width, rows), dtype=np.int64)
+    system = held if rows >= width else held.transpose(0, 2, 1)
     top = 0
     for m, c, size in zip(blocks, kernels, sizes):
         ci = np.take_along_axis(c, i[:, None, :], axis=2) * keep[:, None, :]
         mj = np.take_along_axis(m.transpose(0, 2, 1), j[:, None, :], axis=2)
         system[:, top : top + size] = (ci[:, :, None, :] * mj[:, None, :, :]).reshape(count, size, width)
         top += size
-    return _reduce(system, p)
+    _reduce(held, p)
+    return system
 
 
 # the largest short side of a chunk's systems that are ranked in one
-# ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``'s panels.
+# stacked elimination, larger ones one at a time by ``rank_mod``'s panels.
 # Stacking is faster up to at least 96 x 80 and slower at 225 x 250 (see
 # ``modp``), but a stack holds a chunk's systems at once: a cut of 79
 # raises the certificate ladder's peak RSS by 0.5 MB, and one of 80 more
@@ -413,13 +465,18 @@ def _ranked(tree: LabeledTree, p: int, off: list, kernels: list, allowed: np.nda
     """The stabilizer system ranks of the trials that ``_moved`` returned, from its return after ``full``.
 
     Systems whose short side is at most ``_STACKED_SIDE`` are ranked in one
-    ``ranks_mod`` stack, larger ones one at a time by ``rank_mod``.
+    stacked elimination (``modp._eliminate``), in place and in the
+    orientation ``_conditions`` holds them in, so they are neither copied
+    nor reduced again; larger ones are ranked one at a time by ``rank_mod``.
     """
     n, count = tree.ambient, len(allowed)
     entries = allowed.sum(axis=(1, 2))
     rows = sum(c.shape[1] * m.shape[2] for m, c in zip(off, kernels))
     if min(rows, entries.max()) <= _STACKED_SIDE:
-        ranks = ranks_mod(_conditions(off, kernels, allowed, p), p)
+        system = _conditions(off, kernels, allowed, p)
+        # the orientation in which it is held, its shorter side in the columns
+        system = system if system.shape[1] >= system.shape[2] else system.transpose(0, 2, 1)
+        ranks = _eliminate(system, p, system.shape[2])
     else:
         ranks = np.array([
             rank_mod(_conditions([m[t : t + 1] for m in off], [c[t : t + 1] for c in kernels],
@@ -447,9 +504,15 @@ _MAX_ENTRIES = 2**26
 
 
 def _candidates(tree: LabeledTree) -> int:
-    """The entries of one trial's stack of candidate factors: V * n * phi_max for V non-root vertices."""
+    """A bound on the entries of one trial's draw arrays: V * (n * phi_max + 1) for V non-root vertices.
+
+    The arrow draw holds, for each of the V streams, one value per entry of
+    its factor, at most n * phi_max, and one more when that count is odd,
+    its last word's unread half; the factor check pads each factor to
+    n x phi_max.
+    """
     labels = [tree.labels[v] for v in tree.parent]
-    return tree.ambient * len(labels) * max(labels, default=0)
+    return len(labels) * (tree.ambient * max(labels, default=0) + 1)
 
 
 def _capped(entries: int, what: str) -> int:
@@ -465,7 +528,7 @@ def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
     BoundsError when it is above ``_MAX_ENTRIES``.  The bound is read off
     the labels, before any draw, from the three largest arrays.  The
     systems have at most dim rows, one per tangent direction of a vertex,
-    and at most n^2 allowed entries.  The draw's stack of candidates holds
+    and at most n^2 allowed entries.  The draw's arrays hold at most
     count * ``_candidates`` entries.  The annihilators' stack holds one
     n-row matrix per trial and path of vertices on neither chain, and a
     path starts at one of the tree's L leaves; its columns are at most the
@@ -517,7 +580,7 @@ def stabilizer_dim(config: Configuration) -> StabReport:
     it are not read again, so a chain vertex is read off its pivots.  The
     system rank is the conditions' rank on the allowed entries plus the
     number of entries left out.  Systems whose short side is at most
-    ``_STACKED_SIDE`` are ranked in one ``ranks_mod`` stack, larger ones
+    ``_STACKED_SIDE`` are ranked in one stacked elimination, larger ones
     one at a time by ``rank_mod``.
 
     The configuration must be a point of the variety of its tree, or of
@@ -608,15 +671,14 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     ranks: list[int] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - first)
-        chunk = range(first, first + count)
         factors, candidate = _arrows(tree, p, seed, first, count)
-        full, *moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+        full, *moved = _moved(tree, p, _lift(tree, p, factors), count)
         # full holds, per trial, whether every basis has full rank.  B_v =
         # B_u R_v has full rank exactly when R_v has, given B_u has, so all
         # trials hold it exactly when every factor has full rank
         if not full.all():
             _redraw_singular(tree, p, factors, candidate)
-            _, *moved = _moved(tree, p, _lift(tree, p, factors, chunk), count)
+            _, *moved = _moved(tree, p, _lift(tree, p, factors), count)
         ranks += _ranked(tree, p, *moved).tolist()
     certified = dim in ranks
     return CertifyReport(

@@ -19,7 +19,7 @@ from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_tree
-from treeorbits.trees import dimension, heaviest_chains
+from treeorbits.trees import dimension, heaviest_chains, top_down
 
 from .helpers import full_system_rank, rand_gl, random_product, random_tree, rooted_trees
 
@@ -88,7 +88,9 @@ def bases_digest(configs) -> str:
 
 class TestDraws:
     # read off the draw that checked one (trial, vertex) at a time; over F_2
-    # and F_3 many first candidates are singular, so the redraws are pinned too
+    # and F_3 many first candidates are singular, so the redraws are pinned
+    # too.  At 2^30 + 3 about a quarter of the 32-bit values are rejected by
+    # the bounded map, so many streams are drawn by ``candidate``
     @pytest.mark.parametrize(
         "text,p,digest",
         [
@@ -96,6 +98,8 @@ class TestDraws:
             ("F(1,2;4)^3", 3, "db41b9ae29a8e8112baa186dd0efe7e3ee0ce97f0fd6f5b56a11bf19b97d3a36"),
             (HONEST_TREE, 2, "8b312054ef97572e6f43f99b6f5334b4a835f337e691355387a6b28b0f93f24e"),
             (HONEST_TREE, 3, "b367625dcfc9d2a829251c36077caad401f462fadc44a14a1c5bec879cdee1fa"),
+            ("F(1,2;4)^3", 2**30 + 3, "5fbb9ae54c7468c8223d49630b0d4c64aa95f42567a1fff68dd1121bcf5980c1"),
+            (HONEST_TREE, 2**30 + 3, "feb703670bf0bb8be9833ffaeb3ed0854729119973f1642d0b04e7ebfd8e5664"),
         ],
     )
     def test_bases_pinned(self, text, p, digest):
@@ -107,11 +111,15 @@ class TestDraws:
     @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
     def test_certificate_ranks_the_draws_of_random_config(self, monkeypatch, text, p):
         x = parse_instance(text)
-        lifted, chunks = [], []
-        lift, rank = oracle._lift, oracle._ranked
+        firsts, lifted, chunks = [], [], []
+        arrows, lift, rank = oracle._arrows, oracle._lift, oracle._ranked
 
-        def lift_spy(tree, p, factors, trials):
-            lifted.append((trials.start, lift(tree, p, factors, trials)))
+        def arrows_spy(tree, p, seed, first, count):
+            firsts.append(first)
+            return arrows(tree, p, seed, first, count)
+
+        def lift_spy(tree, p, factors):
+            lifted.append((firsts[-1], lift(tree, p, factors)))
             return lifted[-1][1]
 
         def ranked_spy(tree, p, *moved):
@@ -119,6 +127,7 @@ class TestDraws:
             chunks.append(lifted[-1])
             return rank(tree, p, *moved)
 
+        monkeypatch.setattr(oracle, "_arrows", arrows_spy)
         monkeypatch.setattr(oracle, "_lift", lift_spy)
         monkeypatch.setattr(oracle, "_ranked", ranked_spy)
         trials = 2 * oracle._TRIAL_CHUNK + 3
@@ -152,8 +161,8 @@ class TestDraws:
     def test_stream_key_is_the_key_of_the_seeded_generator(self):
         for seed, trial, vertex in [(0, 0, 0), (5, 17, 3), (2**40, 1, 9)]:
             philox = np.random.Philox(np.random.SeedSequence([seed, trial, vertex]))
-            key = np.frombuffer(oracle._stream_key(seed, trial, vertex), dtype=np.uint64)
-            assert np.array_equal(key, philox.state["state"]["key"])
+            keys = np.frombuffer(oracle._trial_keys(seed, trial, vertex + 1), dtype=np.uint64)
+            assert np.array_equal(keys[-2:], philox.state["state"]["key"])
 
     def test_cold_and_warm_keys_give_the_same_draws(self):
         cases = [("F(1,2;4)^3", 2, 9), ("F(1,2;4)^3", 3, 9), (HONEST_TREE, 101, 3),
@@ -167,20 +176,71 @@ class TestDraws:
                 out.append(bases_digest([random_config(x, p=p, seed=4, trial=t) for t in range(trials)]))
             return out
 
-        oracle._stream_key.cache_clear()
+        oracle._trial_keys.cache_clear()
         cold = run()
-        misses = oracle._stream_key.cache_info().misses
+        misses = oracle._trial_keys.cache_info().misses
         warm = run()
         # every key of the second run was derived in the first
-        assert oracle._stream_key.cache_info().misses == misses
+        assert oracle._trial_keys.cache_info().misses == misses
         assert cold == warm
 
     def test_key_memo_stays_within_its_bound(self):
         x = parse_instance("F(1;2)^3")
         for seed in range(50):
             certify_density(x, trials=64, seed=seed)
-        info = oracle._stream_key.cache_info()
-        assert info.currsize <= info.maxsize == 128
+        info = oracle._trial_keys.cache_info()
+        assert info.currsize <= info.maxsize == 2**10
+
+    def test_a_repeated_call_derives_no_key(self):
+        # 19 trials of 7 non-root vertices are 133 streams; the memo holds
+        # whole trials, so a repeated call derives no key
+        x = parse_instance("a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d")
+        oracle._trial_keys.cache_clear()
+        first = certify_density(x, trials=19)
+        assert oracle._trial_keys.cache_info().misses == 19
+        assert certify_density(x, trials=19) == first
+        assert oracle._trial_keys.cache_info().misses == 19
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 65537, 2**30 + 3, 2**31 - 1])
+    @pytest.mark.parametrize(
+        "text,first,count",
+        [
+            # entries 8 and 2 per stream
+            ("F(1,2;4)^3", 0, 3),
+            # odd entry counts (15 and 3), a full chunk starting inside the
+            # first one and a partial chunk at a chunk boundary
+            (HONEST_TREE, 5, oracle._TRIAL_CHUNK),
+            (HONEST_TREE, 2 * oracle._TRIAL_CHUNK, 3),
+            ("a:1>b:3>r:6 | c:1>g:3>d:5>r | e:1>f:2>d", oracle._TRIAL_CHUNK, oracle._TRIAL_CHUNK),
+            # a root-only tree draws nothing
+            ("r:3", 0, 4),
+        ],
+    )
+    def test_arrow_draw_is_the_draw_of_one_generator_per_stream(self, text, first, count, p):
+        # the reference holds a generator per (trial, vertex) stream, seeded
+        # with SeedSequence([seed, trial, vertex index]), and draws the
+        # stream's factor with integers(0, p)
+        tree = as_tree(parse_instance(text))
+        factors, _ = oracle._arrows(tree, p, 9, first, count)
+        assert list(factors) == top_down(tree)
+        index = {v: i for i, v in enumerate(sorted(tree.labels))}
+        rejecting = 0
+        for v, stack in factors.items():
+            assert stack.dtype == np.int64
+            assert stack.shape == (count, tree.labels[tree.parent[v]], tree.labels[v])
+            for i, t in enumerate(range(first, first + count)):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([9, t, index[v]])))
+                drawn = rng.integers(0, p, size=stack.shape[1:], dtype=np.int64)
+                assert np.array_equal(stack[i], drawn), (v, t)
+                # the 32-bit values the reference read: more than its entries
+                # when one was rejected
+                state = rng.bit_generator.state
+                words = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+                rejecting += 2 * words - state["has_uint32"] > drawn.size
+        # at 2^30 + 3 about a quarter of the values are rejected, so streams
+        # are drawn by the fallback
+        if p == 2**30 + 3 and factors:
+            assert rejecting > 0
 
 
 class TestStabilizerDim:
@@ -689,10 +749,10 @@ class TestPointFlags:
     # the check of every drawn factor for full rank, which they replace
 
     @staticmethod
-    def factor_check(tree, p, factors, trials):
-        ranks = oracle.ranks_mod(oracle._padded(list(factors.values()), tree.ambient), p).tolist()
-        full = {key: r == tree.labels[key[1]] for key, r in zip(factors, ranks)}
-        return [all(full[t, v] for v in tree.parent) for t in trials]
+    def factor_check(tree, p, factors):
+        # per trial, whether each of its factors, one per stack, has full rank
+        return [all(oracle.rank_mod(stack[i], p) == tree.labels[v] for v, stack in factors.items())
+                for i in range(len(next(iter(factors.values()))))]
 
     @pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME])
     def test_hand_made_short_factors(self, p):
@@ -702,16 +762,15 @@ class TestPointFlags:
         (chain, _), (second, _) = heaviest_chains(tree, oracle._flag_weight)
         assert (chain, second) == (["m", "a"], [])
         short = [None, "m", "a", "b", "d"]
-        trials = range(len(short))
         factors, candidate = oracle._arrows(tree, p, 0, 0, len(short))
         oracle._redraw_singular(tree, p, factors, candidate)
         for t, v in enumerate(short):
             if v is not None:
-                factor = factors[t, v]
+                factor = factors[v][t]
                 # its last column a multiple of its first, or zero
                 factor[:, -1] = 2 * factor[:, 0] % p if factor.shape[1] > 1 else 0
-        full = oracle._moved(tree, p, oracle._lift(tree, p, factors, trials), len(short))[0]
-        assert full.tolist() == self.factor_check(tree, p, factors, trials)
+        full = oracle._moved(tree, p, oracle._lift(tree, p, factors), len(short))[0]
+        assert full.tolist() == self.factor_check(tree, p, factors)
         assert full.tolist() == [True, False, False, False, False]
 
     @pytest.mark.parametrize(
@@ -724,10 +783,10 @@ class TestPointFlags:
         tree = as_tree(parse_instance(text))
         flags = []
         for first in range(0, 64, oracle._TRIAL_CHUNK):
-            count, trials = oracle._TRIAL_CHUNK, range(first, first + oracle._TRIAL_CHUNK)
+            count = oracle._TRIAL_CHUNK
             factors, _ = oracle._arrows(tree, p, 1, first, count)
-            full = oracle._moved(tree, p, oracle._lift(tree, p, factors, trials), count)[0]
-            assert full.tolist() == self.factor_check(tree, p, factors, trials), first
+            full = oracle._moved(tree, p, oracle._lift(tree, p, factors), count)[0]
+            assert full.tolist() == self.factor_check(tree, p, factors), first
             flags += full.tolist()
         assert not all(flags)
 
@@ -830,7 +889,10 @@ class TestSizeGuard:
         # the draw's stack, the annihilators' stack and the systems of one
         # certificate, against the bound read off the labels
         sizes, bounds = [], []
-        for name, size in [("_padded", lambda out, *a: out.size),
+        # the draw's largest arrays hold two 32-bit values per word read
+        for name, size in [("_arrows", lambda out, *a: sum(len(f) * (f[0].size + f[0].size % 2)
+                                                           for f in out[0].values())),
+                           ("_padded", lambda out, *a: out.size),
                            ("_nested_annihilators", lambda out, blocks, *a: sum(b.size for b in blocks)
                             + blocks[0].shape[0] * blocks[0].shape[1] ** 2),
                            ("_conditions", lambda out, *a: out.size)]:
