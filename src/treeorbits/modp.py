@@ -43,7 +43,8 @@ block: the copies of the rows that pivot in block i + 1 span ann(M_i)
 modulo ann(M_i+1), and the rows that never pivot the last left kernel.
 A block stops once every matrix of the stack has its own target of
 pivots.  Its output also gives every block's rank: the rows of its
-entries i, i + 1, ... span ann(M_i), n - rank(M_i) of them.
+entries i, i + 1, ... span ann(M_i), n - rank(M_i) of them, and it
+returns each entry's row count per matrix with them.
 ``_left_annihilators`` is its case of one block.  They serve everything
 else: the certificate's condition rows, smaller systems, point check and
 factor check (run only in a chunk where some lifted basis falls short),
@@ -57,7 +58,7 @@ against 0.09 ms.
 The certificate ranks a chunk of trials (``oracle._TRIAL_CHUNK``) with
 the stacked kernel: the condition rows of every vertex on neither chain,
 and the stabilizer systems whose short side is at most
-``oracle._STACKED_SIDE``, 50.  Above that ``rank_mod``'s panels rank one
+``oracle._STACKED_SIDE``, 79.  Above that ``rank_mod``'s panels rank one
 system at a time.  Measured with numpy 2.4.6 on the same host, the system
 rank alone at p = 2^31 - 1 over a chunk of 3 draws (best of 10): a
 55 x 86 system (F(6,7;14)^3) takes 2.8 ms stacked against 3.5 ms one at
@@ -65,7 +66,9 @@ a time, 60 x 76 (F(6,8;14)^3) 2.6 against 3.8 ms, 90 x 76
 (F(3,6,9;16)^3) 4.5 against 6.6 ms, 96 x 80 (G(4;12)^5) 5.2 against
 7.3 ms, and 225 x 250 (G(5;20)^5, best of 3) 87 against 44 ms.  Over a
 chunk of 8 stacking gains more, 6.5 against 9.6 ms at 55 x 86 and 11.6
-against 18.9 ms at 96 x 80; the cut stays at 50 for memory, not time
+against 18.9 ms at 96 x 80.  The cut stays at 79 for memory, not time:
+it stacks every system of the certificate ladder, the largest 90 x 76,
+and leaves the 96 x 80 systems of G(4;12)^5 and larger to ``rank_mod``
 (see ``oracle._STACKED_SIDE``).
 """
 
@@ -241,10 +244,10 @@ def _left_annihilators(stack, p: int) -> np.ndarray:
     are moved to the top in row order, zero-padded to the stack's largest
     kernel dimension: a (count, q, n) stack.
     """
-    return _nested_annihilators([stack], p)[0]
+    return _nested_annihilators([stack], p)[0][0]
 
 
-def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
+def _nested_annihilators(blocks: list, p: int, ranks=None) -> tuple[list[np.ndarray], np.ndarray]:
     """For nested bases M_0 < M_1 < ... of each matrix of a stack, ann(M_i) modulo ann(M_i+1).
 
     ``blocks`` holds the (count, n, k_i) stacks of the M_i, residues in
@@ -255,35 +258,38 @@ def _nested_annihilators(blocks: list, p: int, ranks=None) -> list[np.ndarray]:
     block i + 1 are those whose I_n part goes to zero there; their copies
     span ann(M_i) modulo ann(M_i+1), because every row that never pivots
     takes on only multiples of them besides a nonzero multiple of itself.
-    Entry i of the result holds those rows and the last entry ann(M_last)
-    itself, each moved to the top in row order and zero-padded to the
-    stack's largest count: a (count, q_i, n) stack.  So for M_0 < M_1 the
-    first entry has rank(M_1) - rank(M_0) rows, not the n - rank(M_0) of
-    ann(M_0), and entries i, i + 1, ... hold n - rank(M_i) nonzero rows of
-    each matrix in all.
+    Entry i of the list returned holds those rows and the last entry
+    ann(M_last) itself, each moved to the top in row order and zero-padded
+    to the stack's largest count: a (count, q_i, n) stack.  So for M_0 <
+    M_1 the first entry has rank(M_1) - rank(M_0) rows, not the n -
+    rank(M_0) of ann(M_0), and entries i, i + 1, ... hold n - rank(M_i)
+    nonzero rows of each matrix in all.  With the list it returns the
+    counts, a (len(blocks), count) array: counts[i, s] is the number of
+    nonzero rows of matrix s in entry i, and q_i the largest of counts[i].
 
     With ``ranks``, a (count, len(blocks)) array, block i stops once every
     matrix s has ranks[s, i] pivots in all.  When that is the rank of
     M_i, which holds the earlier blocks, its remaining columns lie in the
     pivot columns' span and would find no pivot.
     """
-    blocks = [np.asarray(m, dtype=np.int64) for m in blocks]
-    count, n, _ = blocks[0].shape
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))
-    a = np.concatenate([*blocks, eye], axis=2)
-    kernels, start = [], 0
+    count, n, _ = np.shape(blocks[0])
+    stops = np.cumsum([0] + [np.shape(m)[2] for m in blocks]).tolist()
+    a = np.zeros((count, n, stops[-1] + n), dtype=np.int64)
+    for m, start, stop in zip(blocks, stops, stops[1:]):
+        a[:, :, start:stop] = m
+    idx = np.arange(n)
+    a[:, idx, stops[-1] + idx] = 1
+    kernels = []
     pivots = np.zeros(count, dtype=np.intp)
-    for i, m in enumerate(blocks):
-        stop = start + m.shape[2]
+    for i, (start, stop) in enumerate(zip(stops, stops[1:])):
         pivots += _eliminate(a, p, stop, start, None if ranks is None else ranks[:, i] - pivots)
         kernels.append(a[:, :, -n:].copy())
-        start = stop
     held = [k.any(axis=2) for k in kernels]
-    out = []
+    out, counts = [], np.zeros((len(blocks), count), dtype=np.intp)
     for i, kernel in enumerate(kernels):
         rows = held[i] & ~held[i + 1] if i + 1 < len(held) else held[i]
         kernel[~rows] = 0
-        q = int(rows.sum(axis=1).max(initial=0))
-        order = np.argsort(~rows, axis=1, kind="stable")[:, :q]
+        counts[i] = rows.sum(axis=1)
+        order = np.argsort(~rows, axis=1, kind="stable")[:, : int(counts[i].max(initial=0))]
         out.append(kernel[np.arange(count)[:, None], order])
-    return out
+    return out, counts

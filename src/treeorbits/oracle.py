@@ -321,7 +321,8 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
     flat = allowed.reshape(count, n * n)
     width = int(flat.sum(axis=1).max())
     entries = np.argsort(~flat, axis=1, kind="stable")[:, :width]
-    keep = np.take_along_axis(flat, entries, axis=1)
+    at = np.arange(count)[:, None]
+    keep = flat[at, entries]
     i, j = np.divmod(entries, n)
     sizes = [c.shape[1] * m.shape[2] for m, c in zip(blocks, kernels)]
     rows = sum(sizes)
@@ -329,8 +330,9 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
     system = held if rows >= width else held.transpose(0, 2, 1)
     top = 0
     for m, c, size in zip(blocks, kernels, sizes):
-        ci = np.take_along_axis(c, i[:, None, :], axis=2) * keep[:, None, :]
-        mj = np.take_along_axis(m.transpose(0, 2, 1), j[:, None, :], axis=2)
+        # (T, q, entries) and (T, k, entries)
+        ci = c[at, :, i].transpose(0, 2, 1) * keep[:, None, :]
+        mj = m[at, j].transpose(0, 2, 1)
         system[:, top : top + size] = (ci[:, :, None, :] * mj[:, None, :, :]).reshape(count, size, width)
         top += size
     _reduce(held, p)
@@ -340,11 +342,13 @@ def _conditions(blocks: list[np.ndarray], kernels: list[np.ndarray], allowed: np
 # the largest short side of a chunk's systems that are ranked in one
 # stacked elimination, larger ones one at a time by ``rank_mod``'s panels.
 # Stacking is faster up to at least 96 x 80 and slower at 225 x 250 (see
-# ``modp``), but a stack holds a chunk's systems at once: a cut of 79
-# raises the certificate ladder's peak RSS by 0.5 MB, and one of 80 more
-# than doubles the traced peak of G(4;12)^5, whose chunks then stack
-# eight 96 x 80 systems
-_STACKED_SIDE = 50
+# ``modp``), but a stack holds a chunk's systems at once.  79 stacks every
+# system of the certificate ladder, up to the 90 x 76 of F(3,6,9;16)^3,
+# and raises the ladder benchmark's peak RSS by about 0.5 MB (1.4%, from
+# 36.8 to 37.3 MB).  80 would stack eight 96 x 80 systems of G(4;12)^5 a
+# chunk, and its traced peak, which must not grow with the trials, would:
+# 0.28 MB for 3 trials and 0.34 MB for 64 at 79, 0.76 and 1.66 MB at 80
+_STACKED_SIDE = 79
 
 
 def _off_chain_paths(tree: LabeledTree, rest: list[str]) -> list[list[str]]:
@@ -381,7 +385,7 @@ def _moved(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) 
     ``_conditions``' arguments.  A chain vertex's count is its chain's
     pivots after its columns, and that of a vertex on neither chain is
     n minus the rows of its annihilator, the rows of its block and of the
-    blocks after it in ``_nested_annihilators``.
+    blocks after it, as ``_nested_annihilators`` counts them.
     """
     n = tree.ambient
     (chain, _), (second, _) = heaviest_chains(tree, _flag_weight)
@@ -446,16 +450,17 @@ def _moved(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count: int) 
                     block[j, :, :, : tree.labels[v]] = pivots_of[v][:, :, None] == np.arange(tree.labels[v])
                 targets[j, :, i] = tree.labels[v]
             blocks.append(block.reshape(len(paths) * count, n, -1))
-        steps = _nested_annihilators(blocks, p, targets.reshape(len(paths) * count, length))
-        held = np.stack([s.any(axis=2).sum(axis=1) for s in steps]).reshape(length, len(paths), count)
+        steps, held = _nested_annihilators(blocks, p, targets.reshape(len(paths) * count, length))
+        held = held.reshape(length, len(paths), count)
         # the rows of ann(M) for each block's M, n - rank(M)
         kernel_rows = held[::-1].cumsum(axis=0)[::-1]
+        widest = held.max(axis=2).tolist()
         rows_of = {}
         # only a path's own vertices: a parent block's rows are not its conditions
         for j, (path, stack) in enumerate(zip(paths, stacks)):
             for i, v in enumerate(path, length - len(stack)):
                 # each vertex keeps as many rows as its largest kernel
-                rows_of[v] = steps[i][j * count : (j + 1) * count, : held[i, j].max()]
+                rows_of[v] = steps[i][j * count : (j + 1) * count, : widest[i][j]]
                 full &= kernel_rows[i, j] <= n - tree.labels[v]
         kernels = [rows_of[v] for v in rest]
     return full, off, kernels, allowed

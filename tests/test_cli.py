@@ -664,9 +664,18 @@ class TestInputHandling:
             main(["frobnicate"])
 
 
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports this package; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treeorbits.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_rule_engine_verbs_load_no_numpy():
     # a fresh interpreter: this one has imported numpy already
-    src = os.path.dirname(os.path.dirname(os.path.abspath(treeorbits.__file__)))
     script = textwrap.dedent(
         """
         import sys
@@ -684,8 +693,27 @@ def test_rule_engine_verbs_load_no_numpy():
         assert "numpy" in sys.modules
         """
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(script)
+
+
+def test_decide_and_enumerate_orbits_load_no_certificate():
+    # the rule engine and the orbit enumerator, as the decide and census
+    # benchmarks run them, never import the certificate or its linear algebra
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import treeorbits
+
+        for text in ("F(1,2;5)*F(3;5)^2", "F(1;12)^9*F(10;12)^2", "G(1;6)^3*G(3;6)^2"):
+            treeorbits.decide(treeorbits.parse_instance(text))
+        treeorbits.decide(treeorbits.parse_instance("v1:1>v0:2>r:5 | v2:2>r | v3:3>r | v4:1>v0"), depth=3)
+        for text, q in (("F(1,2;4)*F(1;4)", 2), ("F(1;3)*F(2;3)*F(1,2;3)", 3), ("F(1;2)^5", 3),
+                        ("a:1>b:2>r:4 | c:1>b | d:2>r", 2)):
+            treeorbits.enumerate_orbits(treeorbits.parse_instance(text), q)
+        assert "treeorbits.orbits" in sys.modules
+        loaded = sorted({"treeorbits.oracle", "treeorbits.modp"} & set(sys.modules))
+        assert not loaded, loaded
+        """
+    )
+    run_fresh(script)

@@ -246,7 +246,8 @@ class TestNestedAnnihilators:
         pairs = [nested_pair(rng, n, k, d, p, 4, 7) for k, d in shapes]
         vs, us = np.stack([v for v, _ in pairs]), np.stack([u for _, u in pairs])
         ranks = np.array(shapes)
-        complement, kernel = _nested_annihilators([vs, us], p, ranks)
+        (complement, kernel), counts = _nested_annihilators([vs, us], p, ranks)
+        assert counts.tolist() == [[d - k for k, d in shapes], [n - d for _, d in shapes]]
         for (k, d), v, u, c, a in zip(shapes, vs, us, complement, kernel):
             c, a = c[c.any(axis=1)], a[a.any(axis=1)]
             assert c.shape[0] == d - k
@@ -266,9 +267,10 @@ class TestNestedAnnihilators:
         vs = np.stack([eye[:, [0]], eye[:, [0]]])
         us = np.stack([eye[:, [1, 0, 0]] * [1, 1, 0], eye[:, [0, 4, 2]]])
         ranks = np.array([[1, 2], [1, 3]])
-        complement, kernel = _nested_annihilators([vs, us], p, ranks)
+        (complement, kernel), counts = _nested_annihilators([vs, us], p, ranks)
         assert [int(c.any(axis=1).sum()) for c in complement] == [1, 2]
         assert [int(a.any(axis=1).sum()) for a in kernel] == [3, 2]
+        assert counts.tolist() == [[1, 2], [3, 2]]
         for v, u, c, a in zip(vs, us, complement, kernel):
             c, a = c[c.any(axis=1)], a[a.any(axis=1)]
             assert not matmul_mod(c, v, p).any()
@@ -290,8 +292,9 @@ class TestNestedAnnihilators:
             while reference_rank(matmul_mod(bases[0], r, p), p) < k:
                 r = rng.integers(0, p, (bases[0].shape[1], k), dtype=np.int64)
             bases.insert(0, matmul_mod(bases[0], r, p))
-        steps = _nested_annihilators([b[None] for b in bases], p, np.array([labels]))
+        steps, counts = _nested_annihilators([b[None] for b in bases], p, np.array([labels]))
         assert [s.shape[1] for s in steps] == [1, 3, 2]
+        assert counts.tolist() == [[1], [3], [2]]
         for i, (b, s) in enumerate(zip(bases, steps)):
             assert not matmul_mod(s[0], b, p).any()
             upper = np.vstack([t[0] for t in steps[i:]])

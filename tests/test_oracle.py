@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import FlagProduct, LabeledTree, certify_density, cross_ratio, oracle, parse_instance
+from treeorbits import FlagProduct, LabeledTree, certify_density, cli, cross_ratio, oracle, parse_instance
 from treeorbits.errors import BadRange, BoundsError, Degenerate, NotAPencil, NotPrime
 from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
@@ -600,6 +600,96 @@ class TestChunkRanking:
         assert chunk[1] == stabilizer_dim(configs[1]).system_rank
         assert chunk == [full_system_rank(c) for c in configs]
         assert [_left_annihilators(c.bases["e"][None], 101)[0].shape[0] for c in configs] == [3, 2]
+
+    @pytest.mark.parametrize("cut", [0, 10**6])
+    def test_stacked_and_one_at_a_time_ranks_agree(self, capsys, monkeypatch, cut):
+        # each system ranked one trial at a time by rank_mod (cut 0), then
+        # every system in one stack: the records are those at the module's cut
+        cases = [["F(6,7;14)^3"], ["F(6,8;14)^3"], ["F(3,6,9;16)^3"], ["G(4;12)^5"],
+                 ["F(2,5;8)^3", "--prime", "3", "--trials", "9", "--seed", "7"]]
+
+        def records():
+            out = []
+            for args in cases:
+                assert cli.main(["certify", *args, "--json"]) == 0
+                out.append(json.loads(capsys.readouterr().out))
+            return out
+
+        expected = records()
+        monkeypatch.setattr(oracle, "_STACKED_SIDE", cut)
+        assert records() == expected
+        assert [r["ranks"] for r in expected[2:4]] == [[255] * 3, [143] * 3]
+
+    def test_only_systems_above_the_cut_are_ranked_one_at_a_time(self, monkeypatch):
+        calls = []
+        rank = oracle.rank_mod
+
+        def spy(a, p):
+            calls.append(np.shape(a))
+            return rank(a, p)
+
+        monkeypatch.setattr(oracle, "rank_mod", spy)
+        # the ladder's largest systems, 90 x 76 for F(3,6,9;16)^3, are stacked
+        for x in LADDER:
+            certify_density(x)
+        assert calls == []
+        # G(4;12)^5's 96 x 80 systems are not: one rank_mod call per trial
+        certify_density(parse_instance("G(4;12)^5"), trials=oracle._TRIAL_CHUNK + 2)
+        assert calls == [(96, 80)] * (oracle._TRIAL_CHUNK + 2)
+
+
+def conditions_reference(blocks, kernels, allowed, p):
+    """Row (a, b) of each vertex's block holds C[a, i] M[j, b] on each allowed (i, j), row-major, padded."""
+    count, n, _ = allowed.shape
+    width = max(int(a.sum()) for a in allowed)
+    systems = []
+    for t in range(count):
+        entries = [(i, j) for i in range(n) for j in range(n) if allowed[t, i, j]]
+        rows = []
+        for m, c in zip(blocks, kernels):
+            for a in range(c.shape[1]):
+                for b in range(m.shape[2]):
+                    rows.append([int(c[t, a, i]) * int(m[t, j, b]) % p for i, j in entries]
+                                + [0] * (width - len(entries)))
+        systems.append(rows)
+    return systems
+
+
+class TestConditions:
+    # the stabilizer systems that _conditions builds, against explicit loops
+
+    @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+    @pytest.mark.parametrize(
+        "n,shapes,tall",
+        [
+            # (k, q) per vertex: bases n x k, condition rows q x n.  2 rows and
+            # at least 4 entries, so fewer rows than entries; then 12 rows and
+            # at most 9 entries
+            (4, [(2, 1)], False),
+            (3, [(2, 3), (1, 2), (2, 2)], True),
+        ],
+    )
+    def test_systems_against_explicit_loops(self, n, shapes, tall, p):
+        rng = np.random.default_rng(n * p % 1009)
+        count = 4
+        blocks = [rng.integers(0, p, (count, n, k), dtype=np.int64) for k, _ in shapes]
+        kernels = [rng.integers(0, p, (count, n, q), dtype=np.int64).transpose(0, 2, 1).copy()
+                   for _, q in shapes]
+        # a trial with a smaller kernel carries zero rows
+        for c in kernels:
+            c[1, c.shape[1] // 2 :] = 0
+        # every trial has its own number of allowed entries
+        allowed = np.zeros((count, n * n), dtype=bool)
+        for t, size in enumerate(rng.choice(np.arange(1, n * n + 1), count, replace=False)):
+            allowed[t, rng.permutation(n * n)[:size]] = True
+        allowed = allowed.reshape(count, n, n)
+        system = oracle._conditions(blocks, kernels, allowed, p)
+        rows, width = sum(k * q for k, q in shapes), allowed.sum(axis=(1, 2)).max()
+        assert system.shape == (count, rows, width)
+        assert system.tolist() == conditions_reference(blocks, kernels, allowed, p)
+        # held with the shorter side in the columns
+        assert (rows >= width) == tall
+        assert (system if tall else system.transpose(0, 2, 1)).flags.c_contiguous
 
 
 def child_first(config) -> Configuration:
