@@ -28,9 +28,10 @@ A product is matched on its factors from entry to verdict, R9 included
 tree are read as trees.
 
 Every verdict carries a trace of the rules and rewrites that produced it.
-The engine records it raw, as the instances themselves, and ``decide``
-renders text only for the one verdict it returns: R9 decides many images
-per call and reads all but a sparse one for its status alone.
+The engine records it raw, as the instances themselves and an R9 image as
+the pair (instance, vertex forgotten), and ``decide`` renders text only for
+the verdict it returns: R9 reads all its images but a sparse one for their
+status alone.  ``trees.to_dsl`` is the one writer of chain notation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import BadRange, IterationLimit
 from .products import (
     FlagProduct,
     as_flag_product,
+    as_tree,
     forget_entries,
     reduce_half,
     reduce_span,
@@ -154,7 +156,7 @@ class _Trace(list):
 
     The trace is a chain: each step starts where the one before ended, and
     ``after`` is None when the step keeps the instance.  An instance is held
-    as itself, or as the text ``forget_entries`` already made for it;
+    as itself, and an R9 image as the pair (instance, vertex forgotten);
     ``sub`` is the trace of the image behind an R9 step.  Nothing is
     rendered here: ``decide`` renders the trace it returns (``_render``).
     """
@@ -169,7 +171,8 @@ class _Trace(list):
 
 
 def _text(x) -> str:
-    return x if isinstance(x, str) else display(x)
+    """The text of an instance, or of the tree an (instance, vertex) pair leaves."""
+    return to_dsl(forget_vertex(as_tree(x[0]), x[1])[0]) if isinstance(x, tuple) else display(x)
 
 
 def _render(trace: _Trace, start: str | None = None) -> tuple[str, tuple[Step, ...]]:
@@ -182,7 +185,7 @@ def _render(trace: _Trace, start: str | None = None) -> tuple[str, tuple[Step, .
         before = shown
         if after is not None:
             shown = _text(after)
-        subtrace = () if sub is None else _render(sub, shown if sub.start == after else None)[1]
+        subtrace = () if sub is None else _render(sub, shown if sub.start is after else None)[1]
         steps.append(Step(rule_id, _RULES_BY_ID[rule_id].citation, before, shown, note, subtrace))
     return start, tuple(steps)
 
@@ -374,11 +377,8 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
         text = display(x)
         step = Step("R1", _RULES_BY_ID["R1"].citation, text, text, hit[1])
         return Verdict(TRIVIALLY_SPARSE, (step,), text, text)
-    if isinstance(x, FlagProduct):
-        status, trace, final = _decide(x, None, depth, {})
-    else:
-        p = as_flag_product(x)
-        status, trace, final = _decide(x if p is None else _sorted(p), x, depth, {})
+    p = None if isinstance(x, FlagProduct) else as_flag_product(x)
+    status, trace, final = _decide(x if p is None else _sorted(p), x, depth, {})
     start, steps = _render(trace)
     return Verdict(status, steps, start, steps[final - 1].after if final else start)
 
@@ -386,14 +386,14 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
 def _decide(inst: Instance, source, depth: int, memo: dict) -> tuple[str, _Trace, int]:
     """``decide`` within one memo, on an instance that passes R1 and has been
     read: a tree that is not a chain union, or a product, sorted when it was
-    read from a tree.  ``source`` is where the trace starts: the tree that
-    ``inst`` is or was read from, or the text ``forget_entries`` made for
-    it, with an as-product step when ``inst`` is a product; it is None for
-    a product given as a product.  Returns the raw ``(status, trace, final)``, where
-    the verdict was reached on the instance after the first ``final`` steps;
-    nothing is rendered, as an R9 image is read for its status alone."""
-    trace = _Trace(inst if source is None else source)
-    if source is not None and isinstance(inst, FlagProduct):
+    read from a tree.  ``source`` is where the trace starts: the instance
+    ``decide`` was given, or an R9 image's pair (instance, vertex
+    forgotten), with an as-product step when ``inst`` is a product read
+    from it.  Returns the raw ``(status, trace, final)``, where the verdict
+    was reached on the instance after the first ``final`` steps; nothing is
+    rendered, as an R9 image is read for its status alone."""
+    trace = _Trace(source)
+    if isinstance(inst, FlagProduct) and inst is not source:
         trace.add("as-product", inst)
     rewritten = False  # until a rewrite changes the dimension, R1 holds
     for _ in range(inst.ambient + 16):
@@ -429,9 +429,10 @@ def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
     every R9 above it, and ``decide`` renders its trace at the end.
     """
     images = forget_entries(inst) if isinstance(inst, FlagProduct) else _tree_images(inst)
-    for v, image, source in images:
+    for v, image in images:
         if isinstance(image, FlagProduct):
             image = _sorted(image)
+        source = (inst, v)
         key = (image, depth - 1)
         sub = memo.get(key)
         if sub is None:
@@ -444,12 +445,11 @@ def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:
 
 
 def _tree_images(tree: LabeledTree):
-    """(vertex, image, tree) for every surjective deletion, in vertex-name
-    order, as ``forget_entries`` gives them for a product but with the image
-    tree in place of its text.  A chain-union image is read as its product,
-    in factor order."""
+    """(vertex, image) for every surjective deletion, in vertex-name order,
+    as ``forget_entries`` gives them for a product.  A chain-union image is
+    read as its product, in factor order."""
     for v in sorted(tree.parent):  # the non-root vertices
         image, surjective = forget_vertex(tree, v)
         if surjective:
             p = as_flag_product(image)
-            yield v, image if p is None else p, image
+            yield v, image if p is None else p

@@ -55,11 +55,21 @@ class UnsupportedField(Error):
     """Raised when a finite-field order outside {2, 3, 4, 5} is requested."""
 
 
+def count_text(x: int) -> str:
+    """A count for a message: its digits up to 4,096 bits, above that the
+    power of 2 it is at least, as ``str`` refuses an int of over 4,300 digits."""
+    return str(x) if x.bit_length() <= 4096 else f"at least 2^{x.bit_length() - 1}"
+
+
 class CapExceeded(Error):
-    """Raised when an enumeration would exceed the configured point cap."""
+    """Raised when an enumeration would exceed the configured point cap.
+
+    ``projected`` is the point count, or a lower bound on it that already
+    exceeds ``cap`` (see ``enumerate_orbits``).
+    """
 
     def __init__(self, projected: int, cap: int):
-        super().__init__(f"enumeration needs {projected} points, cap is {cap}")
+        super().__init__(f"enumeration needs {count_text(projected)} points, cap is {count_text(cap)}")
         self.projected = projected
         self.cap = cap
 

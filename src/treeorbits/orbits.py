@@ -67,13 +67,14 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   moves, found by min-label propagation along every move and its inverse,
   with pointer jumping, until no label changes.
 
-The checks run in this order on every call.  One table of point counts,
-a Gaussian binomial per edge of a tree or a product of them per factor of
-a product, gives the projected point count of X, checked against the cap
-before anything else is done, and the weights of the chains.  The fibre's
-size, the product over the edges (or factors) off both chains, times
-|X1| |X2| must equal the projected count, and the orbit sizes |P1| / |H_w|
-must add up to |X2|.  Only then, and only when a vertex is off both
+The checks run in this order on every call.  X has at least 2^dim points,
+so past ``_EXACT_DIM`` its dimension alone refuses a variety over the cap.
+Then one table of point counts, a Gaussian binomial per edge of a tree or
+a product of them per factor of a product, gives the projected point count
+of X, checked against the cap before anything else is done, and the
+weights of the chains.  The fibre's size, the product over the edges (or
+factors) off both chains, times |X1| |X2| must equal the projected count,
+and the orbit sizes |P1| / |H_w| must add up to |X2|.  Only then, and only when a vertex is off both
 chains, is a product's tree built, with the two picked factors' vertices
 as its chains, and are the subspace tables built: their sizes must give
 the same fibre, each generator's entries off the identity must fix both
@@ -84,6 +85,7 @@ fits under the cap too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -92,11 +94,15 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import FlagProduct, as_tree, product_to_tree
-from .trees import heaviest_chains, top_down
+from .products import FlagProduct, as_tree, entry_vertex, product_to_tree
+from .trees import dimension, heaviest_chains, top_down
 
 
 DEFAULT_CAP = 200_000
+# the largest dimension for which a refusal computes the exact point count;
+# above it the refusal's bound 2^dim has more bits than errors.count_text
+# writes in digits, so a bound is never printed as a count
+_EXACT_DIM = 4096
 
 
 def _check_field(q: int) -> None:
@@ -117,6 +123,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise BadRange(f"q must be at least 2, got {q!r}")
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # [n k] = [n n-k]
     num = den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
@@ -356,30 +363,33 @@ class OrbitReport:
 
 def _edge_counts(tree, q: int) -> dict[str, int]:
     """The F_q points of each edge's Grassmannian, keyed by the edge's source."""
-    _check_field(q)
     return {s: gaussian_binomial(tree.labels[t], tree.labels[s], q) for s, t in tree.parent.items()}
 
 
-def _factor_counts(p: FlagProduct, q: int) -> dict[int, int]:
-    """The F_q points of each factor's flag variety, keyed by the factor's index.
+def _flag_count(f: tuple[int, ...], n: int, q: int) -> int:
+    """The F_q points of the flag variety F(f; n).
 
-    A factor's count is the product of the Gaussian binomials of its
-    consecutive dimensions, the last one under n: the edge counts of its
-    chain in ``product_to_tree(p)``.
+    It is the product of the Gaussian binomials of consecutive dimensions,
+    the last one under n: the edge counts of the factor's chain in
+    ``product_to_tree``.
     """
-    _check_field(q)
-    n = p.ambient
-    return {i: prod(gaussian_binomial(b, a, q) for a, b in zip(f, (*f[1:], n)))
-            for i, f in enumerate(p.factors)}
+    return prod(gaussian_binomial(b, a, q) for a, b in zip(f, (*f[1:], n)))
 
 
 def projected_point_count(x, q: int) -> int:
     """Exact number of F_q points: product of one Gaussian binomial per edge.
 
     A product is read on its factors, as the product of their point counts.
+    Equal factors and equal edge counts are multiplied as one power, so
+    ``G(1;2)^1000000`` costs one flag count and one exponentiation.
     """
-    counts = _factor_counts(x, q) if isinstance(x, FlagProduct) else _edge_counts(as_tree(x), q)
-    return prod(counts.values())
+    tree = None if isinstance(x, FlagProduct) else as_tree(x)
+    _check_field(q)
+    if tree is None:
+        powers = [(_flag_count(f, x.ambient, q), m) for f, m in Counter(x.factors).items()]
+    else:
+        powers = Counter(_edge_counts(tree, q).values()).items()
+    return prod(c**m for c, m in powers)
 
 
 def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
@@ -387,8 +397,13 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
 
     Only the fibres over two fixed flags, one per double coset, are
     enumerated (see the module docstring); ``point_count`` is the
-    variety's full count.  Raises CapExceeded (with the exact projected
-    point count) when that count exceeds ``cap``, before any work is done.
+    variety's full count.  Raises CapExceeded when that count exceeds
+    ``cap``, before any work is done.  The variety's dimension is read
+    first: each Gaussian binomial [n k]_q is at least 2^{k(n-k)}, so the
+    count is at least 2^dim, and a variety of dimension above
+    ``_EXACT_DIM`` with 2^dim > ``cap`` is refused with ``projected`` =
+    2^dim, as its exact count would cost time that grows with its digits.
+    Otherwise ``projected`` is the exact projected point count.
     A product is read on its factors: the cap, the two fixed chains (the
     factors with the most points) and a two-flag answer need no tree, and
     ``product_to_tree`` is called only when a factor is on neither chain.
@@ -396,14 +411,27 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
     if isinstance(x, FlagProduct):
-        tree, counts = None, _factor_counts(x, q)
+        n, tree, parts = x.ambient, None, len(x.factors)
     else:
         tree = as_tree(x)
+        n, parts = tree.ambient, len(tree.parent)
+    _check_field(q)
+    # a factor's flag variety and an edge's Grassmannian have dimension
+    # below n^2 / 2, so a variety this small has dim < _EXACT_DIM unread
+    if parts * n * n > 2 * _EXACT_DIM:
+        if tree is None:
+            dim = sum(a * (b - a) for f in x.factors for a, b in zip(f, (*f[1:], n)))
+        else:
+            dim = dimension(tree)
+        if dim > _EXACT_DIM and dim >= cap.bit_length():
+            raise CapExceeded(1 << dim, cap)
+    if tree is None:
+        counts = {i: _flag_count(f, n, q) for i, f in enumerate(x.factors)}
+    else:
         counts = _edge_counts(tree, q)
     projected = prod(counts.values())
     if projected > cap:
         raise CapExceeded(projected, cap)
-    n = x.ambient
     if tree is None:
         # the two factors with the most points, ties to the lower index; a
         # missing one is an empty chain of one point
@@ -433,7 +461,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if tree is None:
         # a factor is free: the tree takes the picked factors as its chains
         tree = product_to_tree(x)
-        chain, second = ([f"f{i}.{j}" for j in range(len(x.factors[i]), 0, -1)] for i in picked)
+        chain, second = ([entry_vertex(i, j) for j in range(len(x.factors[i]), 0, -1)] for i in picked)
 
     field = _field(q)
     order = top_down(tree)

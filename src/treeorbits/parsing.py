@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError
+from .errors import BoundsError, EmptyInput, LabelViolation, NotATree, ParseError, count_text
 from .products import FlagProduct
 from .trees import MAX_LABEL, LabeledTree
 
@@ -198,7 +198,7 @@ def parse_product(text: str) -> FlagProduct:
             if count < 1:
                 raise BoundsError(f"exponent must be at least 1, got {count}")
         if len(factors) + count > MAX_LABEL:  # refused before the list grows
-            raise BoundsError(f"{len(factors) + count} factors exceed the cap {MAX_LABEL}")
+            raise BoundsError(f"{count_text(len(factors) + count)} factors exceed the cap {MAX_LABEL}")
         factors.extend([ks] * count)
         if peek() == "*":
             take("*")

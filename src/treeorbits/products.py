@@ -15,9 +15,9 @@ orbit, in both directions:
 
 The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
 between product instances and the trees that index the same varieties;
-``as_tree`` is the one place an instance of either kind is read as its tree.
-``forget_entries`` lists the vertex deletions of a product's tree on the
-factors themselves, so the rule engine never builds that tree.
+``as_tree`` is the one place an instance of either kind is read as its tree,
+and ``entry_vertex`` names a product tree's vertices.  ``forget_entries`` lists the vertex deletions of a
+product's tree on the factors themselves, building no tree.
 """
 
 from __future__ import annotations
@@ -166,15 +166,20 @@ def as_flag_product(tree: LabeledTree) -> FlagProduct | None:
     return FlagProduct(tuple(factors), tree.ambient)
 
 
+def entry_vertex(i: int, j: int) -> str:
+    """The vertex of ``product_to_tree`` with entry j (from 1) of factor i: ``fi.j``."""
+    return f"f{i}.{j}"
+
+
 def product_to_tree(p: FlagProduct) -> LabeledTree:
-    """Chain-union tree indexing the same variety, factor i on vertices fi.j."""
+    """Chain-union tree indexing the same variety, under the root ``r``."""
     labels = {"r": p.ambient}
     edges = []
     for i, f in enumerate(p.factors):
         prev = "r"
-        for j, k in enumerate(reversed(f)):
-            name = f"f{i}.{len(f) - j}"
-            labels[name] = k
+        for j in range(len(f), 0, -1):
+            name = entry_vertex(i, j)
+            labels[name] = f[j - 1]
             edges.append((name, prev))
             prev = name
     return LabeledTree(labels, edges)
@@ -183,27 +188,19 @@ def product_to_tree(p: FlagProduct) -> LabeledTree:
 def forget_entries(p: FlagProduct):
     """Every vertex deletion of ``product_to_tree(p)``, read on the factors.
 
-    Yields ``(vertex, image, text)`` in vertex-name order, where names sort
-    as strings, so ``f10.1`` comes before ``f2.1``.  Deleting ``fi.j`` drops
+    Yields ``(vertex, image)`` in vertex-name order, where names sort as
+    strings, so ``f10.1`` comes before ``f2.1``.  Deleting ``fi.j`` drops
     entry j of factor i; the factors keep their order and one left empty is
     dropped.  Every such deletion is surjective, as a chain vertex has at
-    most one source and it has a smaller label.  ``text`` is ``to_dsl`` of
-    the image tree, vertex names kept.
+    most one source and it has a smaller label.  The image's tree, names
+    kept, is ``forget_vertex(product_to_tree(p), vertex)``.
     """
     n = p.ambient
-    tokens = [[f"f{i}.{j + 1}:{k}" for j, k in enumerate(f)] for i, f in enumerate(p.factors)]
-    root = [f"r:{n}"]
-    chains = [">".join(t + root) for t in tokens]
-    # a leaf fi.j sorts by its factor index i alone, whichever entry j it keeps
-    order = sorted(range(len(tokens)), key=str)
-    for name, i, j in sorted((f"f{i}.{j + 1}", i, j)
-                             for i, t in enumerate(tokens) for j in range(len(t))):
+    for name, i, j in sorted((entry_vertex(i, j), i, j)
+                             for i, f in enumerate(p.factors) for j in range(1, len(f) + 1)):
         f = p.factors[i]
-        kept = f[:j] + f[j + 1 :]
-        rest = tokens[i][:j] + tokens[i][j + 1 :]
-        image = FlagProduct(p.factors[:i] + ((kept,) if kept else ()) + p.factors[i + 1 :], n)
-        parts = [chains[c] if c != i else ">".join(rest + root) for c in order if c != i or rest]
-        yield name, image, " | ".join(parts) if parts else root[0]
+        kept = f[:j - 1] + f[j:]
+        yield name, FlagProduct(p.factors[:i] + ((kept,) if kept else ()) + p.factors[i + 1 :], n)
 
 
 def as_tree(x: LabeledTree | FlagProduct) -> LabeledTree:

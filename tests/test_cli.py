@@ -245,8 +245,10 @@ class TestDecide:
             ("a:" + "9" * 5000, "integer of 5000 digits is too long (at position 2)"),
             ('{"labels": {"a": ' + "9" * 5000 + '}, "edges": []}',
              "bad JSON: an integer has too many digits"),
+            # each literal converts, but the factor total has 4,301 digits
+            ("F(1;3)*F(1;3)^" + "9" * 4300, f"at least 2^14284 factors exceed the cap {MAX_LABEL}"),
         ],
-        ids=["product", "chains", "json-tree"],
+        ids=["product", "chains", "json-tree", "factor-total"],
     )
     def test_long_integer_exits_2(self, capsys, text, err):
         code, out, got = run(capsys, "decide", text)
@@ -467,6 +469,14 @@ class TestOrbits:
         code, _, err = run(capsys, "orbits", "--tree", "1>2>4", "--cap", "100")
         assert code == 3
         assert "cap exceeded" in err
+
+    @pytest.mark.parametrize("text,bits", [("G(1;2)^10000", 10_000), ("a:4000>r:8000", 16_000_000)])
+    def test_counts_past_the_digit_limit_exit_3(self, capsys, text, bits):
+        # 3^10000 has 4,772 digits, more than str() gives an int; the count of
+        # a:4000>r:8000 is refused from the dimension, before it is computed
+        code, _, err = run(capsys, "orbits", text)
+        assert code == 3
+        assert err == f"cap exceeded: enumeration needs at least 2^{bits} points, cap is 200000\n"
 
     # caps up to 20,000 points keep each enumeration in milliseconds
     @given(instance_texts(), st.integers(-1, 7), st.integers(-2, 20_000))

@@ -560,6 +560,37 @@ class TestCaps:
                 enumerate_orbits(tree, q=q)
             assert exc.value.projected == projected
 
+    def test_large_dimension_refused_before_any_count(self, monkeypatch):
+        # every [n k]_q is at least 2^{k(n-k)}: past _EXACT_DIM a variety of
+        # dimension at least the cap's bit length is refused with 2^dim
+        def count(*args):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(orbits, "gaussian_binomial", count)
+        for text, dim in (("a:4000>r:8000", 16_000_000), ("G(1;2)^10000", 10_000),
+                          (f"G(1;{orbits._EXACT_DIM + 2})", orbits._EXACT_DIM + 1)):
+            with pytest.raises(CapExceeded) as exc:
+                enumerate_orbits(parse_instance(text), q=2)
+            assert exc.value.projected == 1 << dim, text
+
+    def test_exact_count_up_to_the_exact_dimension(self):
+        # G(1;n) has dimension n - 1 and (q^n - 1)/(q - 1) points over F_q
+        n = orbits._EXACT_DIM + 1
+        for x in (parse_instance(f"G(1;{n})"), parse_instance(f"G({n - 1};{n})")):
+            with pytest.raises(CapExceeded) as exc:
+                enumerate_orbits(x, q=3)
+            assert exc.value.projected == (3**n - 1) // 2 == projected_point_count(x, 3)
+        # past _EXACT_DIM with a cap of more bits than the dimension, the
+        # exact count decides
+        x = parse_instance(f"G(1;{n + 1})")
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_orbits(x, q=2, cap=1 << n)
+        assert exc.value.projected == (1 << n + 1) - 1
+
+    def test_equal_factors_are_counted_as_one_power(self):
+        # one flag count and one exponentiation, not a million products
+        assert projected_point_count(FlagProduct(((1,),) * 10**6, 2), 2) == 3 ** 10**6
+
     def test_wide_fixture_projection(self):
         tree = parse_tree_dsl(
             "t:2>r:6 | s1:1>s2:2>r | c1:1>c2:2>c3:3>c4:4>c5:5>r"

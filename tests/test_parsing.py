@@ -145,6 +145,11 @@ class TestProductGrammar:
         with pytest.raises(BoundsError, match=f"^{MAX_LABEL + 1} factors exceed the cap {MAX_LABEL}$"):
             parse_product(text)
 
+    def test_factor_count_past_the_digit_limit(self):
+        # the total has 4,301 digits, more than str() gives an int
+        with pytest.raises(BoundsError, match=f"^at least 2\\^14284 factors exceed the cap {MAX_LABEL}$"):
+            parse_product("F(1;3)*F(1;3)^" + "9" * 4300)
+
     @pytest.mark.parametrize(
         "text",
         ["G(1,2;3)", "F(1,2;4) junk", "F(;3)", "F(1;3)^", "G(2;4", "", "*"],
