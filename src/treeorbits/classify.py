@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .products import FlagProduct, not_an_instance
+from .products import FlagProduct, not_an_instance, product_dimension
 from .trees import LabeledTree
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
@@ -147,7 +147,7 @@ def trivially_sparse(x: LabeledTree | FlagProduct) -> SparsenessCheck:
     """
     if isinstance(x, FlagProduct):
         n = x.ambient
-        dim = sum(a * (b - a) for f in x.factors for a, b in zip(f, f[1:] + (n,)))
+        dim = product_dimension(x)
         if dim > n * n - 1:
             return SparsenessCheck(True, "r", dim, n * n - 1)
         return SparsenessCheck(False)

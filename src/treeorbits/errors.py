@@ -55,23 +55,33 @@ class UnsupportedField(Error):
     """Raised when a finite-field order outside {2, 3, 4, 5} is requested."""
 
 
+# the most bits a count is written with in digits: 4,096 bits is at most
+# 1,234 digits, well inside the 4,300 digits str() gives an int
+COUNT_BITS = 4096
+
+
 def count_text(x: int) -> str:
-    """A count for a message: its digits up to 4,096 bits, above that the
-    power of 2 it is at least, as ``str`` refuses an int of over 4,300 digits."""
-    return str(x) if x.bit_length() <= 4096 else f"at least 2^{x.bit_length() - 1}"
+    """A count for a message: its digits up to ``COUNT_BITS`` bits, above
+    that the power of 2 it is at least, as ``str`` refuses an int of over
+    4,300 digits."""
+    return str(x) if x.bit_length() <= COUNT_BITS else f"at least 2^{x.bit_length() - 1}"
 
 
 class CapExceeded(Error):
     """Raised when an enumeration would exceed the configured point cap.
 
-    ``projected`` is the point count, or a lower bound on it that already
-    exceeds ``cap`` (see ``enumerate_orbits``).
+    ``projected`` is the point count, or None where the variety is refused
+    from its dimension alone; ``log2_bound`` is then an exponent d with the
+    count at least 2^d > ``cap`` (see ``enumerate_orbits``), and None
+    otherwise.  The bound is kept as its exponent, which may run to 10^17.
     """
 
-    def __init__(self, projected: int, cap: int):
-        super().__init__(f"enumeration needs {count_text(projected)} points, cap is {count_text(cap)}")
+    def __init__(self, projected: int | None, cap: int, log2_bound: int | None = None):
+        need = count_text(projected) if projected is not None else f"at least 2^{log2_bound}"
+        super().__init__(f"enumeration needs {need} points, cap is {count_text(cap)}")
         self.projected = projected
         self.cap = cap
+        self.log2_bound = log2_bound
 
 
 class NotAPencil(Error):

@@ -94,14 +94,13 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import FlagProduct, as_tree, entry_vertex, product_to_tree
+from .products import FlagProduct, as_tree, entry_vertex, product_dimension, product_to_tree
 from .trees import dimension, heaviest_chains, top_down
 
 
 DEFAULT_CAP = 200_000
-# the largest dimension for which a refusal computes the exact point count;
-# above it the refusal's bound 2^dim has more bits than errors.count_text
-# writes in digits, so a bound is never printed as a count
+# the largest dimension for which a refusal computes the exact point count,
+# whose cost grows with its digits; above it 2^dim bounds the count
 _EXACT_DIM = 4096
 
 
@@ -401,9 +400,10 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     ``cap``, before any work is done.  The variety's dimension is read
     first: each Gaussian binomial [n k]_q is at least 2^{k(n-k)}, so the
     count is at least 2^dim, and a variety of dimension above
-    ``_EXACT_DIM`` with 2^dim > ``cap`` is refused with ``projected`` =
-    2^dim, as its exact count would cost time that grows with its digits.
-    Otherwise ``projected`` is the exact projected point count.
+    ``_EXACT_DIM`` with 2^dim > ``cap`` is refused with ``projected`` None
+    and ``log2_bound`` = dim, as its exact count would cost time that
+    grows with its digits.  Otherwise ``projected`` is the exact projected
+    point count.
     A product is read on its factors: the cap, the two fixed chains (the
     factors with the most points) and a two-flag answer need no tree, and
     ``product_to_tree`` is called only when a factor is on neither chain.
@@ -411,20 +411,14 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
     if isinstance(x, FlagProduct):
-        n, tree, parts = x.ambient, None, len(x.factors)
+        n, tree = x.ambient, None
     else:
         tree = as_tree(x)
-        n, parts = tree.ambient, len(tree.parent)
+        n = tree.ambient
     _check_field(q)
-    # a factor's flag variety and an edge's Grassmannian have dimension
-    # below n^2 / 2, so a variety this small has dim < _EXACT_DIM unread
-    if parts * n * n > 2 * _EXACT_DIM:
-        if tree is None:
-            dim = sum(a * (b - a) for f in x.factors for a, b in zip(f, (*f[1:], n)))
-        else:
-            dim = dimension(tree)
-        if dim > _EXACT_DIM and dim >= cap.bit_length():
-            raise CapExceeded(1 << dim, cap)
+    dim = product_dimension(x) if tree is None else dimension(tree)
+    if dim > _EXACT_DIM and dim >= cap.bit_length():
+        raise CapExceeded(None, cap, log2_bound=dim)
     if tree is None:
         counts = {i: _flag_count(f, n, q) for i, f in enumerate(x.factors)}
     else:

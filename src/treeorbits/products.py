@@ -16,7 +16,8 @@ orbit, in both directions:
 The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
 between product instances and the trees that index the same varieties;
 ``as_tree`` is the one place an instance of either kind is read as its tree,
-and ``entry_vertex`` names a product tree's vertices.  ``forget_entries`` lists the vertex deletions of a
+and ``entry_vertex`` names a product tree's vertices; ``product_dimension``
+is the dimension of a product's variety.  ``forget_entries`` lists the vertex deletions of a
 product's tree on the factors themselves, building no tree.
 """
 
@@ -164,6 +165,14 @@ def as_flag_product(tree: LabeledTree) -> FlagProduct | None:
             chain.append(tree.children[chain[-1]][0])
         factors.append(tuple(tree.labels[v] for v in reversed(chain)))
     return FlagProduct(tuple(factors), tree.ambient)
+
+
+def product_dimension(p: FlagProduct) -> int:
+    """Dimension of the variety, ``trees.dimension`` of ``product_to_tree(p)``:
+    sum of a(b - a) over consecutive entries a, b of each factor, the last
+    entry under the ambient n."""
+    n = p.ambient
+    return sum(a * (b - a) for f in p.factors for a, b in zip(f, (*f[1:], n)))
 
 
 def entry_vertex(i: int, j: int) -> str:

@@ -470,10 +470,11 @@ class TestOrbits:
         assert code == 3
         assert "cap exceeded" in err
 
-    @pytest.mark.parametrize("text,bits", [("G(1;2)^10000", 10_000), ("a:4000>r:8000", 16_000_000)])
+    @pytest.mark.parametrize("text,bits", [("G(1;2)^10000", 10_000), ("a:4000>r:8000", 16_000_000),
+                                           ("a:500000>r:1000000", 250_000_000_000)])
     def test_counts_past_the_digit_limit_exit_3(self, capsys, text, bits):
-        # 3^10000 has 4,772 digits, more than str() gives an int; the count of
-        # a:4000>r:8000 is refused from the dimension, before it is computed
+        # 3^10000 has 4,772 digits, more than str() gives an int; the others
+        # are refused from the dimension, before the count is computed
         code, _, err = run(capsys, "orbits", text)
         assert code == 3
         assert err == f"cap exceeded: enumeration needs at least 2^{bits} points, cap is 200000\n"

@@ -29,7 +29,7 @@ from treeorbits.orbits import (
 )
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_tree
-from treeorbits.trees import heaviest_chains, to_dsl
+from treeorbits.trees import MAX_LABEL, heaviest_chains, to_dsl
 
 from .helpers import burnside_line_orbits, composition, contingency_count, random_tree
 
@@ -568,10 +568,16 @@ class TestCaps:
 
         monkeypatch.setattr(orbits, "gaussian_binomial", count)
         for text, dim in (("a:4000>r:8000", 16_000_000), ("G(1;2)^10000", 10_000),
-                          (f"G(1;{orbits._EXACT_DIM + 2})", orbits._EXACT_DIM + 1)):
+                          (f"G(1;{orbits._EXACT_DIM + 2})", orbits._EXACT_DIM + 1),
+                          # labels and the factor count at their limit: the
+                          # bound is kept as its exponent, 2^dim is never built
+                          (f"a:{MAX_LABEL // 2}>r:{MAX_LABEL}", MAX_LABEL**2 // 4),
+                          (f"G({MAX_LABEL // 2};{MAX_LABEL})^{MAX_LABEL}", MAX_LABEL**3 // 4)):
             with pytest.raises(CapExceeded) as exc:
                 enumerate_orbits(parse_instance(text), q=2)
-            assert exc.value.projected == 1 << dim, text
+            assert exc.value.projected is None, text
+            assert exc.value.log2_bound == dim, text
+            assert str(exc.value) == f"enumeration needs at least 2^{dim} points, cap is 200000"
 
     def test_exact_count_up_to_the_exact_dimension(self):
         # G(1;n) has dimension n - 1 and (q^n - 1)/(q - 1) points over F_q
