@@ -23,8 +23,8 @@ from . import engine
 from .classify import orbit_class, trivially_sparse
 from .errors import CapExceeded, Error, IterationLimit, ParseError
 from .parsing import load_json, parse_instance, parse_product, parse_tree_spec
-from .products import FlagProduct, as_tree
-from .trees import LabeledTree, dimension
+from .products import FlagProduct, instance_dimension
+from .trees import LabeledTree
 
 
 def _dump(record: dict) -> str:
@@ -68,11 +68,10 @@ def _instance(args) -> LabeledTree | FlagProduct:
 
 def _cmd_dim(args):
     inst = _instance(args)
-    tree = as_tree(inst)
     record = {
         "input": engine.display(inst),
-        "ambient": tree.ambient,
-        "dimension": dimension(tree),
+        "ambient": inst.ambient,
+        "dimension": instance_dimension(inst),
     }
     human = f"dimension {record['dimension']} (ambient {record['ambient']})"
     return record, human

@@ -44,6 +44,7 @@ from .products import (
     FlagProduct,
     as_flag_product,
     as_tree,
+    dual_factor,
     forget_entries,
     reduce_half,
     reduce_span,
@@ -334,7 +335,7 @@ def _canonical(p: FlagProduct, trace: _Trace) -> FlagProduct:
     """
     n = p.ambient
     own = tuple(sorted(p.factors))
-    other = tuple(sorted([tuple([n - k for k in reversed(f)]) for f in p.factors]))
+    other = tuple(sorted([dual_factor(f, n) for f in p.factors]))
     if other < own:
         low, note = FlagProduct(other, n), "the dual is smaller once both sides are sorted"
     elif own == p.factors:

@@ -91,7 +91,7 @@ from .modp import (
     rank_mod,
     ranks_mod,
 )
-from .products import as_tree
+from .products import FlagProduct, as_tree, instance_dimension
 from .trees import LabeledTree, dimension, heaviest_chains, top_down
 
 DEFAULT_PRIME = 2**31 - 1
@@ -135,11 +135,13 @@ def random_config(x, p: int = DEFAULT_PRIME, seed: int = 0, trial: int = 0) -> C
     trials together, and because every stream is keyed by (seed, trial,
     vertex) its configurations equal these, trial by trial.
 
-    Raises BoundsError, before any draw, when the draw's own arrays, bound
-    for one trial by ``_candidates``, could be above ``_MAX_ENTRIES``.
+    Raises BoundsError, before the tree is built, when the draw's own
+    arrays, bound for one trial by ``_candidates``, could be above
+    ``_MAX_ENTRIES``.
     """
+    n, labels, _ = _sizes(x)
+    _capped(_candidates(n, labels), f"drawing a point in ambient dimension {n}")
     tree = as_tree(x)
-    _capped(_candidates(tree), f"drawing a point in ambient dimension {tree.ambient}")
     bases = _draw(tree, p, seed, trial, 1)
     return Configuration(tree, p, seed, trial, {v: b[0] for v, b in bases.items()})
 
@@ -508,16 +510,27 @@ def _system_ranks(tree: LabeledTree, p: int, bases: dict[str, np.ndarray], count
 _MAX_ENTRIES = 2**26
 
 
-def _candidates(tree: LabeledTree) -> int:
-    """A bound on the entries of one trial's draw arrays: V * (n * phi_max + 1) for V non-root vertices.
+def _sizes(x) -> tuple[int, list[int], int]:
+    """The ambient n, the non-root labels and the leaf count of an instance's tree.
+
+    A product's are read on its factors, building no tree: its entries are
+    the labels, and each factor is one chain with one leaf.
+    """
+    if isinstance(x, FlagProduct):
+        return x.ambient, [k for f in x.factors for k in f], len(x.factors)
+    tree = as_tree(x)
+    return tree.ambient, [tree.labels[v] for v in tree.parent], sum(not tree.children[v] for v in tree.parent)
+
+
+def _candidates(n: int, labels: list[int]) -> int:
+    """A bound on the entries of one trial's draw arrays: V * (n * phi_max + 1) for V non-root labels.
 
     The arrow draw holds, for each of the V streams, one value per entry of
     its factor, at most n * phi_max, and one more when that count is odd,
     its last word's unread half; the factor check pads each factor to
     n x phi_max.
     """
-    labels = [tree.labels[v] for v in tree.parent]
-    return len(labels) * (tree.ambient * max(labels, default=0) + 1)
+    return len(labels) * (n * max(labels, default=0) + 1)
 
 
 def _capped(entries: int, what: str) -> int:
@@ -527,11 +540,12 @@ def _capped(entries: int, what: str) -> int:
     return entries
 
 
-def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
-    """A bound on the entries of any one array when ``count`` trials are ranked at once.
+def _check_size(x, dim: int, count: int) -> int:
+    """A bound on the entries of any one array when ``count`` trials of ``x`` are ranked at once.
 
     BoundsError when it is above ``_MAX_ENTRIES``.  The bound is read off
-    the labels, before any draw, from the three largest arrays.  The
+    the labels of the tree or product ``x`` (``_sizes``, so a product's
+    tree is not built), before any draw, from the three largest arrays.  The
     systems have at most dim rows, one per tangent direction of a vertex,
     and at most n^2 allowed entries.  The draw's arrays hold at most
     count * ``_candidates`` entries.  The annihilators' stack holds one
@@ -540,10 +554,8 @@ def _check_size(tree: LabeledTree, dim: int, count: int) -> int:
     labels, one parent's label per path, and n.  The allowed mask and the
     moved bases are smaller than the systems.
     """
-    n = tree.ambient
-    labels = [tree.labels[v] for v in tree.parent]
-    leaves = sum(not tree.children[v] for v in tree.parent)
-    entries = count * max(n * dim * n, _candidates(tree), n * leaves * (sum(labels) + (leaves + 1) * n))
+    n, labels, leaves = _sizes(x)
+    entries = count * max(n * dim * n, _candidates(n, labels), n * leaves * (sum(labels) + (leaves + 1) * n))
     return _capped(entries, f"ranking {count} trials in ambient dimension {n}")
 
 
@@ -666,13 +678,14 @@ def certify_density(x, p: int = DEFAULT_PRIME, trials: int = 3, seed: int = 0) -
     """Try ``trials`` random configurations; any rank = dim witness certifies density.
 
     A failure to certify is reported as Inconclusive: a low rank at random
-    points never proves sparseness.
+    points never proves sparseness.  The size guard reads a product on its
+    factors, so one too large is refused before its tree is built.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise BadRange(f"trials must be a positive integer, got {trials!r}")
+    dim = instance_dimension(x)
+    _check_size(x, dim, min(trials, _TRIAL_CHUNK))
     tree = as_tree(x)
-    dim = dimension(tree)
-    _check_size(tree, dim, min(trials, _TRIAL_CHUNK))
     ranks: list[int] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - first)

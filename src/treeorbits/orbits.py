@@ -94,8 +94,8 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import FlagProduct, as_tree, entry_vertex, product_dimension, product_to_tree
-from .trees import dimension, heaviest_chains, top_down
+from .products import FlagProduct, as_tree, entry_vertex, instance_dimension, product_to_tree
+from .trees import heaviest_chains, top_down
 
 
 DEFAULT_CAP = 200_000
@@ -416,7 +416,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
         tree = as_tree(x)
         n = tree.ambient
     _check_field(q)
-    dim = product_dimension(x) if tree is None else dimension(tree)
+    dim = instance_dimension(x)
     if dim > _EXACT_DIM and dim >= cap.bit_length():
         raise CapExceeded(None, cap, log2_bound=dim)
     if tree is None:

@@ -7,8 +7,23 @@ Repeated names merge into one vertex (labels must agree).
 JSON trees: ``{"labels": {...}, "edges": [[src, dst], ...]}`` with an
 optional ``"root"`` that must match the inferred root.
 
-Products: ``F(k1,...,kr;n)``, Grassmannian sugar ``G(k;n)``, joined with
-``*`` and powered with ``^m``, at most ``trees.MAX_LABEL`` factors in all.
+Products: terms joined by ``*``.  A term is an atom ``F(k1,...,kr;n)`` or
+Grassmannian sugar ``G(k;n)``, with an optional power ``^m``; at most
+``trees.MAX_LABEL`` factors in all.  Whitespace may stand between any two
+tokens, ``F (`` too, and an integer is a run of any decimal digits, read by
+``int``.  ``parse_product`` raises, in this order:
+
+* ParseError at the first character outside the grammar's alphabet or
+  integer literal past Python's digit limit, over the whole text first;
+* then, term by term from the left: ParseError for a malformed term or
+  separator, naming where the term starts or where ``*`` or the end was
+  expected; BoundsError for an ambient dimension unlike the first term's
+  or an exponent below 1, as soon as the term is read; and BoundsError for
+  a factor total above the cap, before the factor list grows;
+* last, the errors of ``FlagProduct``'s own checks.
+
+``parse_instance`` reads text as a product when it starts, after
+whitespace, the way a term does (``F (`` or ``G(``).
 """
 
 from __future__ import annotations
@@ -130,82 +145,53 @@ def parse_tree_spec(text: str) -> LabeledTree:
     return parse_tree_dsl(text)
 
 
-_PRODUCT_TOKEN = re.compile(r"\s*(?:(\d+)|([FG*^();,])|(.))")
-
-
-def _tokenize_product(text: str):
-    text = text.rstrip()
-    out = []
-    i = 0
-    while i < len(text):
-        m = _PRODUCT_TOKEN.match(text, i)
-        if m.group(3) is not None:
-            raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
-        if m.group(1) is not None:
-            out.append(("int", _integer(m.group(1), m.start(1)), m.start(1)))
-        elif m.group(2) is not None:
-            out.append((m.group(2), None, m.start(2)))
-        i = m.end()
-    out.append(("end", None, len(text)))
-    return out
+# how a term starts; parse_instance reads text that starts with one as a product
+_ATOM_HEAD = r"[FG]\s*\("
+_PRODUCT_HEAD = re.compile(_ATOM_HEAD)
+# a term, F(k1,...,kr;n) or G(k;n) with an optional power ^m; then a separator,
+# "*" with the whitespace around it, or the whitespace before the end
+_TERM = re.compile(_ATOM_HEAD + r"\s*(\d+(?:\s*,\s*\d+)*)\s*;\s*(\d+)\s*\)(?:\s*\^\s*(\d+))?")
+_SEPARATOR = re.compile(r"\s*(\*\s*)?")
+_DIGITS = re.compile(r"\d+")
+# a character outside the grammar, or a literal long enough that int() may
+# refuse it: Python lets no int_max_str_digits below 640 be set
+_UNREADABLE = re.compile(r"([^\s\dFG*^();,])|\d{640,}")
 
 
 def parse_product(text: str) -> FlagProduct:
     """Parse the product grammar; all atoms must share one ambient dimension."""
-    tokens = _tokenize_product(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx][0]
-
-    def take(kind):
-        nonlocal idx
-        tok, val, pos = tokens[idx]
-        if tok != kind:
-            raise ParseError(f"expected {kind!r}, found {tok!r}", pos)
-        idx += 1
-        return val, pos
-
-    def atom():
-        tok = peek()
-        if tok not in ("F", "G"):
-            raise ParseError(f"expected F(...) or G(...), found {tok!r}", tokens[idx][2])
-        _, pos = take(tok)
-        take("(")
-        ks = [take("int")[0]]
-        while peek() == ",":
-            take(",")
-            ks.append(take("int")[0])
-        if tok == "G" and len(ks) != 1:
-            raise ParseError("G takes a single dimension, like G(2;5)", pos)
-        take(";")
-        n, _ = take("int")
-        take(")")
-        return tuple(ks), n
-
+    for m in _UNREADABLE.finditer(text):
+        if m.group(1):
+            raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
+        _integer(m.group(), m.start())
     factors: list[tuple[int, ...]] = []
     ambient = None
+    pos = len(text) - len(text.lstrip())
     while True:
-        ks, n = atom()
+        term = _TERM.match(text, pos)
+        if term is None:
+            raise ParseError("expected a term F(k1,...,kr;n) or G(k;n), with an optional ^m", pos)
+        ks, n, power = term.groups()
+        ks = tuple(map(int, _DIGITS.findall(ks)))
+        if text[pos] == "G" and len(ks) != 1:
+            raise ParseError("G takes a single dimension, like G(2;5)", pos)
+        n = int(n)
         if ambient is None:
             ambient = n
         elif n != ambient:
             raise BoundsError(f"factors disagree on the ambient dimension: {ambient} vs {n}")
-        count = 1
-        if peek() == "^":
-            take("^")
-            count, pos = take("int")
-            if count < 1:
-                raise BoundsError(f"exponent must be at least 1, got {count}")
+        count = 1 if power is None else int(power)
+        if count < 1:
+            raise BoundsError(f"exponent must be at least 1, got {count}")
         if len(factors) + count > MAX_LABEL:  # refused before the list grows
             raise BoundsError(f"{count_text(len(factors) + count)} factors exceed the cap {MAX_LABEL}")
         factors.extend([ks] * count)
-        if peek() == "*":
-            take("*")
-            continue
-        take("end")
-        break
-    return FlagProduct(tuple(factors), ambient)
+        sep = _SEPARATOR.match(text, term.end())
+        pos = sep.end()
+        if sep.group(1) is None:
+            if pos < len(text):
+                raise ParseError("expected '*' or the end", pos)
+            return FlagProduct(tuple(factors), ambient)
 
 
 def parse_instance(text: str):
@@ -213,6 +199,6 @@ def parse_instance(text: str):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_tree_json(text)
-    if re.match(r"[FG]\(", stripped):
+    if _PRODUCT_HEAD.match(stripped):
         return parse_product(text)
     return parse_tree_dsl(text)

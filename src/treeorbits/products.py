@@ -5,7 +5,8 @@ A product instance is a list of strictly increasing dimension vectors
 each preserve whether the diagonal action on the product has a dense
 orbit, in both directions:
 
-* ``dualize``          every k becomes n - k, each factor reversed;
+* ``dualize``          every k becomes n - k, each factor reversed
+                       (``dual_factor``);
 * ``reduce_span``      cut one factor to the generic span of the others'
                        top subspaces, passing to its derived sequence;
 * ``reduce_half``      a triple self-product with n = 2 k_r descends to
@@ -17,7 +18,8 @@ The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
 between product instances and the trees that index the same varieties;
 ``as_tree`` is the one place an instance of either kind is read as its tree,
 and ``entry_vertex`` names a product tree's vertices; ``product_dimension``
-is the dimension of a product's variety.  ``forget_entries`` lists the vertex deletions of a
+is the dimension of a product's variety, and ``instance_dimension`` that of
+either kind, building no tree for a product.  ``forget_entries`` lists the vertex deletions of a
 product's tree on the factors themselves, building no tree.
 """
 
@@ -28,7 +30,7 @@ from itertools import groupby
 from operator import lt
 
 from .errors import BadRange, BoundsError
-from .trees import LabeledTree
+from .trees import LabeledTree, dimension
 
 @dataclass(frozen=True, slots=True)
 class FlagProduct:
@@ -104,10 +106,15 @@ def derived_sequence(k: tuple[int, ...], d: int, n: int) -> tuple[int, ...]:
     return tuple(v - d for v in k[j - 1 :])
 
 
+def dual_factor(f: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """A factor's dual inside ambient n: every k becomes n - k, the factor reversed."""
+    return tuple([n - k for k in reversed(f)])
+
+
 def dualize(p: FlagProduct) -> FlagProduct:
     """Replace every subspace dimension k by n - k, reversing each factor."""
     n = p.ambient
-    return FlagProduct(tuple(tuple(n - k for k in reversed(f)) for f in p.factors), n)
+    return FlagProduct(tuple(dual_factor(f, n) for f in p.factors), n)
 
 
 def reduce_span(p: FlagProduct) -> FlagProduct | None:
@@ -173,6 +180,11 @@ def product_dimension(p: FlagProduct) -> int:
     entry under the ambient n."""
     n = p.ambient
     return sum(a * (b - a) for f in p.factors for a, b in zip(f, (*f[1:], n)))
+
+
+def instance_dimension(x: LabeledTree | FlagProduct) -> int:
+    """Dimension of the variety of a tree or product, a product's read on its factors."""
+    return product_dimension(x) if isinstance(x, FlagProduct) else dimension(as_tree(x))
 
 
 def entry_vertex(i: int, j: int) -> str:

@@ -120,6 +120,16 @@ class TestDim:
         assert code == 0
         assert out == "dimension 8 (ambient 4)\n"
 
+    def test_product_read_on_its_factors(self, capsys, monkeypatch):
+        # the tree of G(1;2)^1000000 has 1,000,001 vertices, and none is built
+        def build(*args):
+            raise AssertionError("tree built")
+
+        monkeypatch.setattr(treeorbits.products, "product_to_tree", build)
+        code, out, _ = run(capsys, "dim", "G(1;2)^1000000", "--json")
+        assert code == 0
+        assert out == '{"ambient":2,"dimension":1000000,"input":"F(1;2)^1000000"}\n'
+
     @given(instance_texts(), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_fuzzed_arguments_exit_0_or_2(self, text, as_json):
@@ -614,6 +624,11 @@ class TestCrossRatio:
 
 
 class TestInputHandling:
+    @pytest.mark.parametrize("text", ["F (1;3)", "G\t(1;3)"])
+    def test_positional_product_with_space_before_the_parenthesis(self, capsys, text):
+        assert run(capsys, "decide", text, "--json") == run(capsys, "decide", "--product", text, "--json")
+        assert run(capsys, "decide", text)[0] == 0
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "dim", "--tree", "2>2")
         assert code == 2

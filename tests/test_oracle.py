@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import FlagProduct, LabeledTree, certify_density, cli, cross_ratio, oracle, parse_instance
+from treeorbits import FlagProduct, LabeledTree, certify_density, cli, cross_ratio, oracle, parse_instance, products
 from treeorbits.errors import BadRange, BoundsError, Degenerate, NotAPencil, NotPrime
 from treeorbits.modp import _left_annihilators, matmul_mod, rank_mod
 from treeorbits.oracle import DEFAULT_PRIME, Configuration, random_config, stabilizer_dim
@@ -1005,6 +1005,25 @@ class TestSizeGuard:
             bounds.clear()
             certify_density(parse_instance(text), trials=8)
             assert max(sizes) <= bounds[0] <= oracle._MAX_ENTRIES, text
+
+    def test_a_product_is_refused_before_its_tree_is_built(self, monkeypatch):
+        # the tree of G(1;2)^1000000 has 1,000,001 vertices; the guard reads the factors
+        def build(*args):
+            raise AssertionError("tree built")
+
+        x = parse_instance("G(1;2)^1000000")
+        for module in (oracle, products):
+            monkeypatch.setattr(module, "as_tree", build)
+        monkeypatch.setattr(products, "product_to_tree", build)
+        with pytest.raises(BoundsError, match="over the cap"):
+            certify_density(x)
+
+    @given(st.integers(0, 10**6), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_a_product_has_the_bound_of_its_tree(self, seed, count):
+        p = random_product(random.Random(seed), max_ambient=30, max_factors=6)
+        tree, dim = as_tree(p), products.product_dimension(p)
+        assert oracle._check_size(p, dim, count) == oracle._check_size(tree, dim, count)
 
 
 class TestCertifyDensity:

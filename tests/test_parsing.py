@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,45 @@ class TestProductGrammar:
             parse_product(text)
 
 
+class TestProductTerms:
+    @pytest.mark.parametrize("text, error", [
+        ("F(1;4)*F(1;3)^", BoundsError),
+        ("F(1;3)*F(1;4)*", BoundsError),
+        ("F(1;3)^0^", BoundsError),
+        ("F(1;3)*F(1;4) junk", ParseError),
+        ("F(1;3)*F(1;4)*F(1;" + "9" * 5000 + ")", ParseError),
+    ], ids=["ambient-before-power", "ambient-before-separator", "exponent-before-separator",
+            "character-before-terms", "digit-limit-before-terms"])
+    def test_which_error_comes_first(self, text, error):
+        # the whole text's characters and literals are read before any term,
+        # and a term's bounds as soon as it is read, before the text after it
+        with pytest.raises(error):
+            parse_product(text)
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\n", " \t\n "])
+    def test_whitespace_between_every_pair_of_tokens(self, space):
+        tokens = ["G", "(", "2", ";", "5", ")", "^", "2", "*", "F", "(", "1", ",", "3", ";", "5", ")"]
+        text = space + space.join(tokens) + space
+        assert parse_product(text) == FlagProduct(((2,), (2,), (1, 3)), 5)
+
+    def test_non_ascii_digits(self):
+        # int reads any decimal digit, as \d matches it
+        assert parse_product("F(\u0661,\u0663;\u0665)^\u0662") == FlagProduct(((1, 3), (1, 3)), 5)
+
+    @pytest.mark.parametrize("text, pos", [("F(1;3) * G(1,2;3)", 9), ("F(1;3) F(1;3)", 7),
+                                           ("F(1;3)^2^3", 8), ("F(1;3) *  ", 10), ("  F(;3)", 2)])
+    def test_error_names_where_the_term_or_separator_starts(self, text, pos):
+        with pytest.raises(ParseError, match=f"at position {pos}\\)$"):
+            parse_product(text)
+
+    def test_long_malformed_factor_is_refused_in_linear_time(self):
+        text = "F(" + "1," * 200_000 + ";3)"
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_product(text)
+        assert time.perf_counter() - start < 2
+
+
 class TestParseInstance:
     def test_dispatch(self):
         assert isinstance(parse_instance('{"labels": {"a": 1}, "edges": []}'), LabeledTree)
@@ -168,6 +208,10 @@ class TestParseInstance:
 
     def test_grassmannian_alias(self):
         assert parse_instance("G(2;4)") == parse_instance("F(2;4)")
+
+    @pytest.mark.parametrize("text", ["F (1;3)", "G\t(1;3)", " \nF\n(1;3)"])
+    def test_product_detected_as_the_grammar_reads_it(self, text):
+        assert parse_instance(text) == parse_product(text) == FlagProduct(((1,),), 3)
 
     @given(st.text(max_size=40))
     @settings(max_examples=200, deadline=None)
