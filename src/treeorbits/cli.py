@@ -1,8 +1,11 @@
 """Command line front end.
 
 Verbs: ``dim``, ``classify``, ``decide``, ``certify``, ``orbits``,
-``crossratio``.  Instances come from a positional argument (auto
-detected) or one of ``--tree``, ``--tree-file``, ``--product``.
+``crossratio``.  An instance is text, given as the positional argument or
+as the contents of ``--tree-file``, and either is read by
+``parsing.parse_instance``: a JSON tree, a product or chain notation.  A
+pencil file is read as JSON, and ``oracle.cross_ratio`` checks its entries.
+Options are matched by their full names only.
 
 Exit codes: 0 for any computed answer (including Unknown verdicts and
 Inconclusive certificates), 2 for parse or validation problems, 3 when a
@@ -18,11 +21,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from . import engine
 from .classify import orbit_class, trivially_sparse
 from .errors import CapExceeded, Error, IterationLimit, ParseError
-from .parsing import load_json, parse_instance, parse_product, parse_tree_spec
+from .parsing import load_json, parse_instance
 from .products import FlagProduct, instance_dimension
 from .trees import LabeledTree
 
@@ -40,30 +44,15 @@ def _read(path: str) -> str:
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", nargs="?", help="tree (chains or JSON) or product text")
-    sub.add_argument("--tree", help="tree text, chain notation or JSON")
-    sub.add_argument("--tree-file", help="file containing tree text")
-    sub.add_argument("--product", help="product text, like F(1,2;4)^3")
+    sub.add_argument("input", nargs="?",
+                     help="tree (chain notation or JSON) or product text, like F(1,2;4)^3")
+    sub.add_argument("--tree-file", help="file holding the instance text instead")
 
 
 def _instance(args) -> LabeledTree | FlagProduct:
-    given = []
-    if args.input is not None:
-        given.append(("input", args.input))
-    if args.tree is not None:
-        given.append(("tree", args.tree))
-    if getattr(args, "tree_file", None) is not None:
-        given.append(("tree", _read(args.tree_file)))
-    if args.product is not None:
-        given.append(("product", args.product))
-    if len(given) != 1:
-        raise ParseError("provide exactly one of: positional input, --tree, --tree-file, --product")
-    kind, text = given[0]
-    if kind == "tree":
-        return parse_tree_spec(text)
-    if kind == "product":
-        return parse_product(text)
-    return parse_instance(text)
+    if (args.input is None) == (args.tree_file is None):
+        raise ParseError("provide exactly one of: positional input, --tree-file")
+    return parse_instance(_read(args.tree_file) if args.input is None else args.input)
 
 
 def _cmd_dim(args):
@@ -166,22 +155,15 @@ def _cmd_crossratio(args):
     from .oracle import cross_ratio
 
     data = load_json(_read(args.pencil_file), f"JSON in {args.pencil_file}")
-
-    def matrix(rows) -> np.ndarray:
-        entries = np.array(rows, dtype=object)
-        if entries.ndim > 2:
-            raise ValueError("a matrix must be a list of rows")
-        if not all(type(x) is int for x in entries.flat):
-            raise ValueError("entries must be integers")
-        return entries.astype(np.int64)
-
     try:
+        # the file lists basis vectors as rows; cross_ratio reads columns and
+        # checks every entry
         p = data["p"]
-        subspaces = [matrix(m).T for m in data["subspaces"]]
+        subspaces = [np.array(m, dtype=object).T for m in data["subspaces"]]
         n = subspaces[0].shape[0]
-        lower = matrix(data["lower"]).reshape(-1, n).T
-        upper = matrix(data["upper"]).reshape(-1, n).T
-    except (KeyError, ValueError, IndexError, TypeError, OverflowError) as e:
+        lower = np.array(data["lower"], dtype=object).reshape(-1, n).T
+        upper = np.array(data["upper"], dtype=object).reshape(-1, n).T
+    except (KeyError, ValueError, IndexError, TypeError) as e:
         raise ParseError(f"pencil file needs p, subspaces, lower, upper: {e}") from None
     value = cross_ratio(subspaces, lower, upper, p)
     record = {"p": p, "value": value}
@@ -189,11 +171,14 @@ def _cmd_crossratio(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviations: argparse would otherwise read a prefix of an option
+    # as that option
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="treeorbits",
         description="dense-orbit decision procedures for subspace configuration varieties",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=strict)
 
     p_dim = sub.add_parser("dim", help="dimension of the configuration variety")
     _add_instance_args(p_dim)

@@ -1,8 +1,19 @@
 """Text input formats: chain notation for trees, JSON trees, product grammar.
 
+``parse_instance`` is the one reader of instance text, and it tells the
+formats apart by their first characters: ``{`` starts a JSON tree, a term's
+start (``F(`` or ``G(``, whitespace allowed before the parenthesis) a
+product, and anything else is chain notation.  No tree can start like a
+product, as ``(`` is no name character.
+
 Chain notation: ``a:1>b:2>r:4 | c:2>r`` lists leaf-to-root chains joined
-with ``|``; a token is ``name:label`` or a bare integer serving as both.
-Repeated names merge into one vertex (labels must agree).
+with ``|``; a token is ``name:label``, a bare name labeled elsewhere, or a
+bare integer serving as both.  Repeated names merge into one vertex (labels
+must agree).  ``parse_tree_dsl`` reads the text one token and separator at
+a time, raising ParseError for an empty or malformed token, an integer
+past Python's digit limit or a relabel, where it stands; then for a name
+never labeled; then LabelViolation for the first chain step whose label
+does not increase.
 
 JSON trees: ``{"labels": {...}, "edges": [[src, dst], ...]}`` with an
 optional ``"root"`` that must match the inferred root.
@@ -20,10 +31,8 @@ tokens, ``F (`` too, and an integer is a run of any decimal digits, read by
   expected; BoundsError for an ambient dimension unlike the first term's
   or an exponent below 1, as soon as the term is read; and BoundsError for
   a factor total above the cap, before the factor list grows;
-* last, the errors of ``FlagProduct``'s own checks.
-
-``parse_instance`` reads text as a product when it starts, after
-whitespace, the way a term does (``F (`` or ``G(``).
+* last, the errors of ``FlagProduct``'s own checks, an ambient dimension
+  above ``trees.MAX_LABEL`` first.
 """
 
 from __future__ import annotations
@@ -37,8 +46,15 @@ from .trees import MAX_LABEL, LabeledTree
 
 # a vertex name, the only characters chain notation can carry in one
 _NAME = r"[A-Za-z0-9_.\-]+"
-_TOKEN_RE = re.compile(rf"^({_NAME}?)(?::(\d+))?$")
 _NAME_RE = re.compile(_NAME)
+# one step of chain notation: a token (group 1) and the separator after it
+# (group 4: ">", "|", or "" at the end), whitespace around the token
+# dropped; in a well-formed token, name:label or name, group 2 is the name
+# and group 3 the label, and in any other text group 2 is None.  That text
+# is matched as runs of non-space characters joined by whitespace, which
+# can split only one way, so a long run of spaces inside a bad token is
+# read in linear time
+_STEP = re.compile(rf"\s*(({_NAME})(?::(\d+))?|[^>|\s]*(?:\s+[^>|\s]+)*)\s*([>|]|\Z)")
 
 
 def _integer(digits: str, pos: int) -> int:
@@ -53,49 +69,41 @@ def parse_tree_dsl(text: str) -> LabeledTree:
     """Parse chain notation; raises ParseError with a character position."""
     if not text.strip():
         raise EmptyInput("empty tree text")
-    chains: list[list[tuple[str, int]]] = []
     labels: dict[str, int] = {}
     first_seen: dict[str, int] = {}
-    offset = 0
-    for chain_text in text.split("|"):
-        chain: list[tuple[str, int]] = []
-        token_pos = offset
-        for raw in chain_text.split(">"):
-            tok = raw.strip()
-            pos = token_pos + len(raw) - len(raw.lstrip())
-            token_pos += len(raw) + 1
-            if not tok:
-                raise ParseError("empty vertex token", pos)
-            m = _TOKEN_RE.match(tok)
-            if not m:
-                raise ParseError(f"bad vertex token {tok!r}", pos)
-            name, lab_text = m.groups()
-            if lab_text is None and name.isdigit():
-                lab_text = name
-            if lab_text is not None:
-                lab = _integer(lab_text, pos + len(tok) - len(lab_text))
-                if name in labels and labels[name] != lab:
-                    raise ParseError(
-                        f"vertex {name!r} relabeled from {labels[name]} to {lab}", pos
-                    )
-                labels[name] = lab
-            first_seen.setdefault(name, pos)
-            chain.append((name, pos))
-        offset += len(chain_text) + 1
-        chains.append(chain)
+    edges: list[tuple[str, str, int]] = []  # source, target, the target's position
+    end, prev = 0, None
+    while True:
+        step = _STEP.match(text, end)
+        tok, name, lab_text, sep = step.groups()
+        pos, end = step.start(1), step.end()
+        if not tok:
+            raise ParseError("empty vertex token", pos)
+        if name is None:
+            raise ParseError(f"bad vertex token {tok!r}", pos)
+        if lab_text is None and name.isdigit():
+            lab_text = name
+        if lab_text is not None:
+            lab = _integer(lab_text, step.end(1) - len(lab_text))
+            if name in labels and labels[name] != lab:
+                raise ParseError(f"vertex {name!r} relabeled from {labels[name]} to {lab}", pos)
+            labels[name] = lab
+        first_seen.setdefault(name, pos)
+        if prev is not None:
+            edges.append((prev, name, pos))
+        if not sep:
+            break
+        prev = name if sep == ">" else None
     for name, pos in first_seen.items():
         if name not in labels:
             raise ParseError(f"vertex {name!r} never gets a label, like {name}:3", pos)
-    edges: list[tuple[str, str]] = []
-    for chain in chains:
-        for (prev, _), (name, pos) in zip(chain, chain[1:]):
-            if labels[prev] >= labels[name]:
-                raise LabelViolation(
-                    f"label must increase along {prev!r}>{name!r} "
-                    f"({labels[prev]} >= {labels[name]}, at position {pos})"
-                )
-            edges.append((prev, name))
-    return LabeledTree(labels, edges)
+    for prev, name, pos in edges:
+        if labels[prev] >= labels[name]:
+            raise LabelViolation(
+                f"label must increase along {prev!r}>{name!r} "
+                f"({labels[prev]} >= {labels[name]}, at position {pos})"
+            )
+    return LabeledTree(labels, [edge[:2] for edge in edges])
 
 
 def load_json(text: str, what: str = "JSON") -> object:
@@ -136,13 +144,6 @@ def parse_tree_json(text: str) -> LabeledTree:
     if declared is not None and str(declared) != tree.root:
         raise NotATree(f"declared root {declared!r} but the edges lead to {tree.root!r}")
     return tree
-
-
-def parse_tree_spec(text: str) -> LabeledTree:
-    """Tree text in either format: JSON when it starts with '{', else chains."""
-    if text.lstrip().startswith("{"):
-        return parse_tree_json(text)
-    return parse_tree_dsl(text)
 
 
 # how a term starts; parse_instance reads text that starts with one as a product

@@ -29,16 +29,18 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import lt
 
-from .errors import BadRange, BoundsError
-from .trees import LabeledTree, dimension
+from .errors import BadRange, BoundsError, count_text
+from .trees import MAX_LABEL, LabeledTree, dimension
 
 @dataclass(frozen=True, slots=True)
 class FlagProduct:
     """Product of partial flag varieties in a common ambient dimension.
 
     ``factors`` holds one strictly increasing tuple of subspace dimensions
-    per factor; every entry lies strictly between 0 and ``ambient``.  An
-    empty factor list is the trivial instance (a point).
+    per factor; every entry lies strictly between 0 and ``ambient``, which
+    is at most ``trees.MAX_LABEL``, the cap on a tree's labels, so that
+    every product has a tree.  An empty factor list is the trivial instance
+    (a point).
     """
 
     factors: tuple[tuple[int, ...], ...]
@@ -48,11 +50,19 @@ class FlagProduct:
         n = self.ambient
         if n.__class__ is bool or not isinstance(n, int) or n < 1:
             raise BoundsError(f"ambient dimension must be a positive integer, got {n!r}")
+        if n > MAX_LABEL:
+            raise BoundsError(f"ambient dimension {count_text(n)} exceeds the cap {MAX_LABEL}")
         factors = tuple(map(tuple, self.factors))
         object.__setattr__(self, "factors", factors)
         # plain loops and map: a product is built for every instance the
-        # engine visits, and generator expressions cost more than the checks
+        # engine visits, and generator expressions cost more than the checks;
+        # a factor that is the very tuple before it, as a power's run is,
+        # was checked there (an equal one may hold 1.0 or True for 1)
+        checked = None
         for f in factors:
+            if f is checked:
+                continue
+            checked = f
             if not f:
                 raise BoundsError("empty factor; drop it instead")
             for k in f:

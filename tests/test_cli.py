@@ -101,13 +101,13 @@ def fuzzed_exit(argv) -> int:
 
 class TestDim:
     def test_human(self, capsys):
-        code, out, err = run(capsys, "dim", "--tree", "1>2>4")
+        code, out, err = run(capsys, "dim", "1>2>4")
         assert code == 0
         assert out == "dimension 5 (ambient 4)\n"
         assert err == ""
 
     def test_json(self, capsys):
-        code, out, _ = run(capsys, "dim", "--product", "F(1,2;4)", "--json")
+        code, out, _ = run(capsys, "dim", "F(1,2;4)", "--json")
         assert code == 0
         assert json.loads(out) == {
             "ambient": 4,
@@ -158,25 +158,25 @@ def tree_files(draw):
 
 class TestClassify:
     def test_finite_type_case(self, capsys):
-        code, out, _ = run(capsys, "classify", "--tree", "a:1>r:3 | b:1>r | c1:1>c2:2>r")
+        code, out, _ = run(capsys, "classify", "a:1>r:3 | b:1>r | c1:1>c2:2>r")
         assert code == 0
         assert "orbit class: FiniteType (case 2a)" in out
         assert "trivially sparse: no" in out
 
     def test_homogeneous_has_no_case(self, capsys):
-        code, out, _ = run(capsys, "classify", "--tree", "1>2>4")
+        code, out, _ = run(capsys, "classify", "1>2>4")
         assert code == 0
         assert "orbit class: Homogeneous" in out
         assert "(case" not in out
 
     def test_sparseness_report(self, capsys):
         tree = "a1:2>a2:4>r:6 | b1:2>b2:4>r | c1:2>c2:4>r"
-        code, out, _ = run(capsys, "classify", "--tree", tree)
+        code, out, _ = run(capsys, "classify", tree)
         assert code == 0
         assert "subtree at r has dimension 36 > 35" in out
 
     def test_product_input(self, capsys):
-        code, out, _ = run(capsys, "classify", "--product", "G(1;2)^4", "--json")
+        code, out, _ = run(capsys, "classify", "G(1;2)^4", "--json")
         assert code == 0
         record = json.loads(out)
         assert record["orbit_class"]["kind"] == "InfiniteType"
@@ -220,15 +220,15 @@ class TestClassify:
 
 class TestDecide:
     def test_trace_lines(self, capsys):
-        code, out, _ = run(capsys, "decide", "--product", "F(2,3;5)^3")
+        code, out, _ = run(capsys, "decide", "F(2,3;5)^3")
         assert code == 0
         assert out.startswith("Sparse: F(2,3;5)^3")
         assert "R2" in out
         assert "[" in out  # every step cites its justification
 
     def test_json_is_deterministic(self, capsys):
-        code1, out1, _ = run(capsys, "decide", "--product", "F(1,2,3;7)^3", "--json")
-        code2, out2, _ = run(capsys, "decide", "--product", "F(1,2,3;7)^3", "--json")
+        code1, out1, _ = run(capsys, "decide", "F(1,2,3;7)^3", "--json")
+        code2, out2, _ = run(capsys, "decide", "F(1,2,3;7)^3", "--json")
         assert code1 == code2 == 0
         assert out1 == out2
         record = json.loads(out1)
@@ -284,7 +284,7 @@ class TestDecide:
         ])
 
     def test_unknown_still_exits_zero(self, capsys):
-        code, out, _ = run(capsys, "decide", "--tree", HONEST_TREE)
+        code, out, _ = run(capsys, "decide", HONEST_TREE)
         assert code == 0
         assert out.startswith("Unknown:")
         assert "no rule applies" in out
@@ -394,7 +394,7 @@ class TestDecide:
 
 class TestCertify:
     def test_json_record(self, capsys):
-        code, out, _ = run(capsys, "certify", "--product", "G(2;4)", "--json")
+        code, out, _ = run(capsys, "certify", "G(2;4)", "--json")
         assert code == 0
         record = json.loads(out)
         assert record["status"] == "DenseCertified"
@@ -403,13 +403,13 @@ class TestCertify:
         assert record["certified_dense"] is True
 
     def test_inconclusive_human(self, capsys):
-        code, out, _ = run(capsys, "certify", "--tree", HONEST_TREE, "--trials", "2")
+        code, out, _ = run(capsys, "certify", HONEST_TREE, "--trials", "2")
         assert code == 0
         assert out.startswith("Inconclusive:")
 
     def test_prime_and_seed_flags(self, capsys):
         code, out, _ = run(
-            capsys, "certify", "--product", "G(1;3)", "--prime", "10007",
+            capsys, "certify", "G(1;3)", "--prime", "10007",
             "--seed", "7", "--json",
         )
         assert code == 0
@@ -417,10 +417,11 @@ class TestCertify:
         assert record["prime"] == 10007
         assert record["seed"] == 7
 
-    def test_bad_prime_exits_2(self, capsys):
-        code, _, err = run(capsys, "certify", "--product", "G(1;3)", "--prime", "10")
-        assert code == 2
-        assert "error:" in err
+    @pytest.mark.parametrize("prime", ["10", "1763"])
+    def test_bad_prime_exits_2(self, capsys, prime):
+        # 1763 = 41 * 43 passes trial division and fails Miller-Rabin
+        code, out, err = run(capsys, "certify", "G(1;3)", "--prime", prime)
+        assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
 
     def test_instance_too_large_to_rank_exits_2(self, capsys):
         # its allowed mask alone would take 27.9 GiB
@@ -443,12 +444,12 @@ class TestCertify:
 
 class TestOrbits:
     def test_human(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--tree", "a:2>r:4 | b:2>r", "--q", "3")
+        code, out, _ = run(capsys, "orbits", "a:2>r:4 | b:2>r", "--q", "3")
         assert code == 0
         assert out == "3 orbits on 16900 points over F_3\n"
 
     def test_quartic_field(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--product", "G(1;2)^2", "--q", "4")
+        code, out, _ = run(capsys, "orbits", "G(1;2)^2", "--q", "4")
         assert code == 0
         assert out == "2 orbits on 25 points over F_4\n"
 
@@ -456,16 +457,16 @@ class TestOrbits:
     @pytest.mark.parametrize(
         "argv,out",
         [
-            (("--tree", "1>2>4", "--q", "3"),
+            (("1>2>4", "--q", "3"),
              '{"cap":200000,"input":"1>2>4",'
              '"orbit_count":1,"point_count":520,"q":3}\n'),
-            (("--tree", "a:2>r:4 | b:2>r", "--q", "3"),
+            (("a:2>r:4 | b:2>r", "--q", "3"),
              '{"cap":200000,"input":"a:2>r:4 | b:2>r:4",'
              '"orbit_count":3,"point_count":16900,"q":3}\n'),
-            (("--product", "G(1;2)^4", "--q", "5"),
+            (("G(1;2)^4", "--q", "5"),
              '{"cap":200000,"input":"F(1;2)^4",'
              '"orbit_count":17,"point_count":1296,"q":5}\n'),
-            (("--product", "F(1,2;4)*F(2;4)", "--q", "3"),
+            (("F(1,2;4)*F(2;4)", "--q", "3"),
              '{"cap":200000,"input":"F(1,2;4)*F(2;4)",'
              '"orbit_count":4,"point_count":67600,"q":3}\n'),
         ],
@@ -476,15 +477,17 @@ class TestOrbits:
         assert got == out
 
     def test_cap_exceeded_exits_3(self, capsys):
-        code, _, err = run(capsys, "orbits", "--tree", "1>2>4", "--cap", "100")
+        code, _, err = run(capsys, "orbits", "1>2>4", "--cap", "100")
         assert code == 3
         assert "cap exceeded" in err
 
     @pytest.mark.parametrize("text,bits", [("G(1;2)^10000", 10_000), ("a:4000>r:8000", 16_000_000),
-                                           ("a:500000>r:1000000", 250_000_000_000)])
+                                           ("a:500000>r:1000000", 250_000_000_000),
+                                           ("G(500000;1000000)^1000000", 250_000_000_000_000_000)])
     def test_counts_past_the_digit_limit_exit_3(self, capsys, text, bits):
         # 3^10000 has 4,772 digits, more than str() gives an int; the others
-        # are refused from the dimension, before the count is computed
+        # are refused from the dimension, before the count is computed; the
+        # last has the largest ambient a product may have, the label cap
         code, _, err = run(capsys, "orbits", text)
         assert code == 3
         assert err == f"cap exceeded: enumeration needs at least 2^{bits} points, cap is 200000\n"
@@ -496,7 +499,7 @@ class TestOrbits:
         fuzzed_exit(["orbits", "--q", str(q), "--cap", str(cap), "--json", "--", text])
 
     def test_unsupported_field_exits_2(self, capsys):
-        code, _, err = run(capsys, "orbits", "--tree", "1>2", "--q", "7")
+        code, _, err = run(capsys, "orbits", "1>2", "--q", "7")
         assert code == 2
         assert "error:" in err
 
@@ -584,30 +587,42 @@ class TestCrossRatio:
         assert (code, out) == (2, "")
         assert err == f"error: bad JSON in {path}: an integer has too many digits\n"
 
+    # the start of each error; cross_ratio checks the entries and shapes,
+    # and its whole message is pinned
     @pytest.mark.parametrize(
-        "content",
+        "content,start",
         [
-            b"[1, 2]",
-            b'"x"',
-            {"subspaces": 5},
-            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[10**26, 1]]]},
-            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[3.5, 1]]]},
-            b'{"p": 101, "lower": [], "upper": [[1, 0], [0, 1]], "subspaces": "\xff"}',
-            {"subspaces": [[[[1]]]] * 4},
-            {"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], json.loads("[" * 60 + "1" + "]" * 60)]},
+            (b"[1, 2]", "error: pencil file needs p, subspaces, lower, upper: "),
+            (b'"x"', "error: pencil file needs p, subspaces, lower, upper: "),
+            ({"subspaces": 5}, "error: pencil file needs p, subspaces, lower, upper: "),
+            ({"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[10**26, 1]]]},
+             "error: subspace 4 has an entry that overflows int64\n"),
+            ({"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], [[3.5, 1]]]},
+             "error: subspace 4 must have integer entries\n"),
+            (b'{"p": 101, "lower": [], "upper": [[1, 0], [0, 1]], "subspaces": "\xff"}',
+             "error: cannot read "),
+            ({"subspaces": [[[[1]]]] * 4}, "error: the subspaces and the flag pair must be matrices\n"),
+            ({"subspaces": [[[0, 1]], [[1, 0]], [[1, 1]], json.loads("[" * 60 + "1" + "]" * 60)]},
+             "error: the subspaces and the flag pair must be matrices\n"),
+            ({"subspaces": [[[0, 1]], [[1, 0], [0, 1]], [[1, 1]], [[3, 1]]]},
+             "error: the four subspaces must share the shape n x d\n"),
+            ({"upper": [[1, 0], [0, True]]}, "error: the upper flag must have integer entries\n"),
+            # 41 * 43: trial division passes it, Miller-Rabin refuses it
+            ({"p": 1763}, "error: 1763 is not prime\n"),
         ],
         ids=["list", "string", "subspaces-not-a-list", "int64-overflow", "float-entry",
-             "not-utf8", "three-axes", "many-axes"],
+             "not-utf8", "three-axes", "many-axes", "shapes-differ", "bool-entry",
+             "composite-without-small-factor"],
     )
-    def test_malformed_pencil_exits_2(self, capsys, tmp_path, content):
+    def test_malformed_pencil_exits_2(self, capsys, tmp_path, content, start):
         if isinstance(content, dict):
             path = self.pencil(tmp_path, **content)
         else:
             path = tmp_path / "pencil.json"
             path.write_bytes(content)
-        code, _, err = run(capsys, "crossratio", "--pencil-file", str(path))
-        assert code == 2
-        assert err.startswith("error:")
+        code, out, err = run(capsys, "crossratio", "--pencil-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(start)
 
     @given(st.one_of(pencils(), json_values.map(json.dumps), st.binary(max_size=40)),
            st.booleans())
@@ -626,18 +641,20 @@ class TestCrossRatio:
 class TestInputHandling:
     @pytest.mark.parametrize("text", ["F (1;3)", "G\t(1;3)"])
     def test_positional_product_with_space_before_the_parenthesis(self, capsys, text):
-        assert run(capsys, "decide", text, "--json") == run(capsys, "decide", "--product", text, "--json")
+        assert run(capsys, "decide", text, "--json") == run(capsys, "decide", "F(1;3)", "--json")
         assert run(capsys, "decide", text)[0] == 0
 
     def test_parse_error_exits_2(self, capsys):
-        code, _, err = run(capsys, "dim", "--tree", "2>2")
+        code, _, err = run(capsys, "dim", "2>2")
         assert code == 2
         assert "error:" in err
 
-    def test_two_sources_rejected(self, capsys):
-        code, _, err = run(capsys, "dim", "--tree", "1>2", "--product", "G(1;2)")
+    def test_two_sources_rejected(self, capsys, tmp_path):
+        path = tmp_path / "product.txt"
+        path.write_text("G(1;2)")
+        code, _, err = run(capsys, "dim", "1>2", "--tree-file", str(path))
         assert code == 2
-        assert "exactly one" in err
+        assert err == "error: provide exactly one of: positional input, --tree-file\n"
 
     def test_no_source_rejected(self, capsys):
         code, _, err = run(capsys, "dim")
@@ -688,6 +705,68 @@ class TestInputHandling:
     def test_unknown_verb_raises_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    VERBS = ("dim", "classify", "decide", "certify", "orbits")
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("option,text", [("--tree", "1>2>4"), ("--product", "F(1;3)")])
+    def test_removed_source_options_are_usage_errors(self, capsys, verb, option, text):
+        # every instance text is read by parse_instance, from the positional
+        # argument or --tree-file; options match by full name only, so
+        # --tree is not read as --tree-file
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, option, text])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: treeorbits")
+        assert f"error: unrecognized arguments: {option}\n" in captured.err
+
+    @pytest.mark.parametrize("argv", [("decide", "F(1;3)", "--dep", "2"),
+                                      ("orbits", "F(1;3)", "--ca", "100")])
+    def test_abbreviated_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[2]} {argv[3]}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("dim",), ("classify",), ("decide", "--depth", "2"), ("certify", "--trials", "1"),
+         ("orbits", "--q", "5")],
+        ids=VERBS,
+    )
+    @pytest.mark.parametrize("text", ["G(1;2)^4", "a:1>r:3 | b:1>r",
+                                      '{"labels": {"a": 1, "r": 3}, "edges": [["a", "r"]]}'],
+                             ids=["product", "chains", "json-tree"])
+    def test_tree_file_reads_what_the_positional_argument_reads(self, capsys, tmp_path,
+                                                                argv, text):
+        path = tmp_path / "instance.txt"
+        path.write_text(f" {text}\n")
+        positional = run(capsys, *argv, text, "--json")
+        assert positional[0] == 0
+        assert run(capsys, *argv, "--tree-file", str(path), "--json") == positional
+
+    @pytest.mark.parametrize(
+        "content,err",
+        [('{"labels": {"a": 1, "b": 2}, "edges": [["a", "b"]], "root": "a"}',
+          "declared root 'a' but the edges lead to 'b'"),
+         ('{"labels": {"a": 1, "b": 2}, "edges": [["a", "b", "c"]]}',
+          '"edges" must be a list of [source, target] pairs'),
+         ('{"labels": {"a": 1, "b": 2}, "edges": [["x", "b"]]}',
+          "edge ('x', 'b') references unknown vertex 'x'")],
+        ids=["declared-root", "edge-shape", "unknown-source"],
+    )
+    def test_json_tree_file_checks_exit_2(self, capsys, tmp_path, content, err):
+        path = tmp_path / "tree.json"
+        path.write_text(content)
+        assert run(capsys, "dim", "--tree-file", str(path)) == (2, "", f"error: {err}\n")
+
+    def test_ambient_above_the_label_cap_exits_2(self, capsys):
+        # no tree can carry the ambient, so no product may have it
+        code, out, err = run(capsys, "decide", f"F(1;{MAX_LABEL + 1})")
+        assert (code, out) == (2, "")
+        assert err == f"error: ambient dimension {MAX_LABEL + 1} exceeds the cap {MAX_LABEL}\n"
 
 
 def run_fresh(script: str) -> None:

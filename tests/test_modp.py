@@ -47,7 +47,9 @@ class TestPrimality:
     @pytest.mark.parametrize(
         "p,error",
         [(10008, NotPrime), (561, NotPrime), (True, NotPrime), (False, NotPrime), (7.0, NotPrime),
-         ("7", NotPrime), (None, NotPrime), (2**31 + 11, BadRange)],
+         ("7", NotPrime), (None, NotPrime), (2**31 + 11, BadRange),
+         # no factor up to 37: trial division passes them, Miller-Rabin refuses them
+         (41 * 43, NotPrime), (41 * 41, NotPrime), (2_147_483_647 * 2_147_483_629, NotPrime)],
     )
     def test_check_prime_refuses_on_every_call(self, p, error):
         # is_prime keeps its answers between calls; the refusals must not

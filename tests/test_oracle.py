@@ -1207,6 +1207,10 @@ class TestCrossRatio:
         # a flag pair whose size is no multiple of n
         with pytest.raises(NotAPencil):
             cross_ratio(zs, np.zeros((3, 1), dtype=np.int64), np.eye(2, dtype=np.int64), p)
+        with pytest.raises(BadRange, match="^subspaces must have dimension at least 1$"):
+            cross_ratio([np.zeros((2, 0), dtype=np.int64)] * 4, np.zeros((2, 0)), np.eye(2)[:, :1], p)
+        with pytest.raises(NotAPencil, match="^the four subspaces must share the shape n x d$"):
+            cross_ratio([*zs[:3], np.eye(2, dtype=np.int64)], np.zeros((2, 0)), np.eye(2), p)
 
     @pytest.mark.parametrize("entry", [3.7, True, 2**64, "3"])
     def test_entry_that_is_no_int64_integer_is_refused(self, entry):

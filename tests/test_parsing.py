@@ -70,6 +70,42 @@ class TestTreeDsl:
         with pytest.raises(ParseError, match=r"position 4"):
             parse_tree_dsl("1>2>")
 
+    # each error and the position it names, read one token and separator
+    # at a time
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [("|a:1>r:2", ParseError, "empty vertex token (at position 0)"),
+         ("a:1>r:3 || b:1>r", ParseError, "empty vertex token (at position 9)"),
+         ("a:1>r:3 |", ParseError, "empty vertex token (at position 9)"),
+         ("a:1\t>\nb:1", LabelViolation, "label must increase along 'a'>'b' (1 >= 1, at position 6)"),
+         ("a:1\n> x y >r:3", ParseError, "bad vertex token 'x y' (at position 6)"),
+         ("a:1>r:3 | b:1>r | a:2>r", ParseError, "vertex 'a' relabeled from 1 to 2 (at position 18)"),
+         ("b:1>r:3 | a:1>b:2 | c:1>b:3", ParseError,
+          "vertex 'b' relabeled from 1 to 2 (at position 14)"),
+         ("a:1>r:" + "9" * 5000, ParseError, "integer of 5000 digits is too long (at position 6)"),
+         ("a:1>m:2>r:" + "1" * 640, LabelViolation, f"label of 'r' exceeds the cap {MAX_LABEL}"),
+         ("a:\u0663>r:2", LabelViolation, "label must increase along 'a'>'r' (3 >= 2, at position 4)"),
+         ("b>a:1 | b:2>r:3", LabelViolation, "label must increase along 'b'>'a' (2 >= 1, at position 2)")],
+        ids=["leading-bar", "doubled-bar", "trailing-bar", "tab-and-newline", "spaced-token",
+             "relabel-third-chain", "relabel-later-chain", "long-label", "label-past-cap",
+             "non-ascii-digit", "label-given-later"],
+    )
+    def test_error_positions(self, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_tree_dsl(text)
+
+    def test_long_bad_token_is_refused_in_linear_time(self):
+        # spaces inside a token split it one way only; a pattern that could
+        # split them many ways took 15 s on 30,000 spaces
+        text = "a:1>x" + " " * 50_000 + "y>r:2"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"^bad vertex token 'x {50000}y' \(at position 4\)$"):
+            parse_tree_dsl(text)
+        assert time.perf_counter() - start < 2
+
+    def test_tabs_and_newlines_between_tokens(self):
+        assert parse_tree_dsl("a:1\t>\nr:3 |\n\tb:1>r\n") == parse_tree_dsl("a:1>r:3 | b:1>r")
+
     def test_two_components_rejected(self):
         with pytest.raises(NotATree):
             parse_tree_dsl("a:1>b:2 | c:1>d:3")

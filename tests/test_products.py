@@ -11,7 +11,7 @@ from treeorbits import FlagProduct, dualize, reduce_half, reduce_span, tree_to_p
 from treeorbits.errors import BadRange, BoundsError
 from treeorbits.parsing import parse_tree_dsl
 from treeorbits.products import as_flag_product, as_tree, derived_sequence, product_to_tree
-from treeorbits.trees import dimension
+from treeorbits.trees import MAX_LABEL, dimension
 
 from .helpers import random_product, random_tree
 
@@ -67,6 +67,34 @@ class TestFlagProduct:
         with pytest.raises(BoundsError, match=f"^{re.escape(self.BOOLEANS[factors, n])}$"):
             FlagProduct(factors, n)
 
+    def test_ambient_capped_like_a_tree_label(self):
+        # every product has a tree, whose root carries the ambient as its label
+        assert FlagProduct(((1,),), MAX_LABEL).ambient == MAX_LABEL
+        for n, shown in ((MAX_LABEL + 1, MAX_LABEL + 1), (10**5000, "at least 2^16609")):
+            message = f"ambient dimension {shown} exceeds the cap {MAX_LABEL}"
+            with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
+                # refused before any factor is read
+                FlagProduct(((0,),), n)
+
+    # a power's run repeats one tuple, checked once; the first bad factor is
+    # still the one named, and an equal factor that is another tuple is
+    # checked again, as 1.0 == 1 and True == 1
+    @pytest.mark.parametrize(
+        "factors,message",
+        [(((1,),) * 100_000 + ((0,),), "flag dimension 0 out of range (0, 3)"),
+         (((1,),) * 100_000 + ((2, 2),), "factor (2, 2) is not strictly increasing"),
+         (((1, 1),) * 5, "factor (1, 1) is not strictly increasing"),
+         (((3,),) * 100_000, "flag dimension 3 out of range (0, 3)"),
+         (((1,), (1.0,)), "flag dimension 1.0 out of range (0, 3)"),
+         (((1,), (True,)), "flag dimension True out of range (0, 3)"),
+         (((1, 2), (1, 2), (2, 1)), "factor (2, 1) is not strictly increasing")],
+        ids=["bad-after-run", "unordered-after-run", "repeated-unordered", "repeated-out-of-range",
+             "float-equal", "bool-equal", "equal-tuples"],
+    )
+    def test_repeated_factors(self, factors, message):
+        with pytest.raises(BoundsError, match=f"^{re.escape(message)}$"):
+            FlagProduct(factors, 3)
+
     def test_slotted_and_frozen(self):
         # a product keeps no per-instance dict; validation still normalizes
         p = FlagProduct([[1, 2]], 4)
@@ -95,6 +123,12 @@ class TestDerivedSequence:
             derived_sequence((1, 2), -1, 5)
         with pytest.raises(BadRange):
             derived_sequence((1, 2), 5, 5)
+
+    @pytest.mark.parametrize("k", [(2, 2), (3, 1), (1, 5)])
+    def test_flag_not_strictly_increasing_inside_n(self, k):
+        with pytest.raises(BoundsError, match=f"^flag dimensions {re.escape(str(k))} not strictly "
+                                              "increasing inside 5$"):
+            derived_sequence(k, 1, 5)
 
     @given(st.integers(0, 10**6))
     def test_stays_strictly_increasing(self, seed):

@@ -70,6 +70,9 @@ class TestValidation:
     def test_unknown_endpoint(self):
         with pytest.raises(NotATree):
             LabeledTree({"a": 1, "b": 2}, [("a", "c")])
+        # an unknown source is named before an unknown target
+        with pytest.raises(NotATree, match=r"^edge \('x', 'c'\) references unknown vertex 'x'$"):
+            LabeledTree({"a": 1, "b": 2}, [("x", "c")])
 
     def test_two_outgoing_edges(self):
         with pytest.raises(NotATree):
