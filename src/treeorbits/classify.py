@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .products import FlagProduct, not_an_instance, product_dimension
+from .products import FlagProduct, instance_dimension, not_an_instance
 from .trees import LabeledTree
 
 FINITE_KINDS = ("Homogeneous", "TwoOrbits", "FiniteType")
@@ -147,7 +147,7 @@ def trivially_sparse(x: LabeledTree | FlagProduct) -> SparsenessCheck:
     """
     if isinstance(x, FlagProduct):
         n = x.ambient
-        dim = product_dimension(x)
+        dim = instance_dimension(x)
         if dim > n * n - 1:
             return SparsenessCheck(True, "r", dim, n * n - 1)
         return SparsenessCheck(False)

@@ -9,7 +9,7 @@ Options are matched by their full names only.
 
 Exit codes: 0 for any computed answer (including Unknown verdicts and
 Inconclusive certificates), 2 for parse or validation problems, 3 when a
-point cap stops an enumeration, 4 for internal errors.
+point cap stops an enumeration, 4 for any other exception (a package fault).
 
 numpy, the certificate and the enumerator are imported only by the verbs
 that use them, so ``dim``, ``classify`` and ``decide`` start without numpy.
@@ -25,7 +25,7 @@ from functools import partial
 
 from . import engine
 from .classify import orbit_class, trivially_sparse
-from .errors import CapExceeded, Error, IterationLimit, ParseError
+from .errors import CapExceeded, Error, ParseError
 from .parsing import load_json, parse_instance
 from .products import FlagProduct, instance_dimension
 from .trees import LabeledTree
@@ -233,13 +233,10 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
-    except IterationLimit as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 4
     except Error as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # a fault of the package: a failed self-check or a bug
         print(f"internal error: {e}", file=sys.stderr)
         return 4
     print(_dump(record) if args.json else human)

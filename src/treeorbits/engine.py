@@ -7,6 +7,10 @@
 2. failing that, applies one density-preserving rewrite (``reduce_span``,
    ``reduce_half``, ``tree_to_product``) and loops.
 
+R3 and R7 leave out what R2 and R5 answer before them (``_SCAN``).  Every
+rewrite lowers the ambient dimension, so the loop ends; past its bound it
+raises RuntimeError, a fault of the engine.
+
 At entry and after every rewrite a product is put in one canonical form,
 the smaller of its sorted factors and its dual's (k -> n - k), so no
 verdict depends on factor order or dualizing; only the side kept is built.
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import orbit_class, trivially_sparse
-from .errors import BadRange, IterationLimit
+from .errors import BadRange
 from .products import (
     FlagProduct,
     as_flag_product,
@@ -206,8 +210,6 @@ def _match_r3(p: FlagProduct):
     if p.num_factors != 3 or len(set(p.factors)) != 1 or len(p.factors[0]) != 2:
         return None
     k1, k2 = p.factors[0]
-    if k1 + k2 == p.ambient:
-        return SPARSE, f"k1 + k2 = {k1} + {k2} = n"
     return DENSE, f"k1 + k2 = {k1 + k2} != {p.ambient} = n"
 
 
@@ -240,11 +242,9 @@ def _match_r6(p: FlagProduct):
 
 
 def _match_r7(p: FlagProduct):
-    if not p.factors or not all(len(f) == 1 for f in p.factors):
+    if p.num_factors < 2 or not all(len(f) == 1 for f in p.factors):
         return None
     ks = [f[0] for f in p.factors]
-    if len(ks) == 1:
-        return DENSE, "a single Grassmannian is homogeneous"
     rest, kmax = ks[:-1], ks[-1]
     if sum(rest) <= p.ambient and kmax <= p.ambient - sum(rest) + rest[0]:
         return DENSE, f"sum of the small Grassmannians is {sum(rest)} <= n and k_m = {kmax} fits"
@@ -281,20 +281,22 @@ def _match_r1(x: Instance):
     return None
 
 
-# (rule id, matcher) in scan order; the order only shapes the trace.  R1, R5
-# and R0 take either kind of instance, the others read factors, so a tree
-# is scanned with the first three alone.  R1 comes first so that a scan can
-# skip it: an instance reaches _decide having passed R1 (see the module
-# docstring), and the first scan sees the same variety (read as a product,
-# sorted, maybe dualized), so only a scan after a rewrite tries R1 again.  A
-# product is scanned on its canonical side L only.  On the other side H, R1
-# fails only at the root, as on L; and as L's least first entry
-# a_1 <= n - (largest last entry), R5 on H
-# (sum n - a_j <= n) leaves one factor or L = G(a)*G(n-a), where R5 holds on L;
-# R6 on H needs L's k_1 >= n/2, so L = H; R7 on H forces m <= 3, holds on L
-# for m = 2 and for m = 3 forces L = (k, n-k, n-k), so H < L unless L = H; R8
-# on H at i needs sum_{j != i} k_j >= 3n, which k_1 + k_5 <= n leaves only for
-# i = 1 and L = (k_1, (n-k_1)^4), so H < L.
+# (rule id, matcher) in scan order; the order shapes the trace, and R3 and R7
+# rely on it: R2 answers every F(k1,k2;n)^3 with k1 + k2 = n, so R3 meets only
+# dense ones, and R5 every product of at most one factor (its last entry is
+# below n), so R7 reads two or more.  R1, R5 and R0 take either kind of
+# instance, the others read factors, so a tree is scanned with the first three
+# alone.  R1 comes first so that a scan can skip it: an instance reaches _decide
+# having passed R1 (see the module docstring), and the first scan sees the same
+# variety (read as a product, sorted, maybe dualized), so only a scan after a
+# rewrite tries R1 again.  A product is scanned on its canonical side L only.  On
+# the other side H, R1 fails only at the root, as on L; and as L's least first
+# entry a_1 <= n - (largest last entry), R5 on H (sum n - a_j <= n) leaves one
+# factor or L = G(a)*G(n-a), where R5 holds on L; R6 on H needs L's k_1 >= n/2,
+# so L = H; R7 on H forces m <= 3, holds on L for m = 2 and for m = 3 forces L
+# = (k, n-k, n-k), so H < L unless L = H; R8 on H at i needs sum_{j != i} k_j
+# >= 3n, which k_1 + k_5 <= n leaves only for i = 1 and L = (k_1, (n-k_1)^4),
+# so H < L.
 _SCAN = (
     ("R1", _match_r1),
     ("R2", _match_r2),
@@ -379,20 +381,22 @@ def decide(x: Instance, depth: int = 1) -> Verdict:
         step = Step("R1", _RULES_BY_ID["R1"].citation, text, text, hit[1])
         return Verdict(TRIVIALLY_SPARSE, (step,), text, text)
     p = None if isinstance(x, FlagProduct) else as_flag_product(x)
-    status, trace, final = _decide(x if p is None else _sorted(p), x, depth, {})
+    status, trace = _decide(x if p is None else _sorted(p), x, depth, {})
     start, steps = _render(trace)
-    return Verdict(status, steps, start, steps[final - 1].after if final else start)
+    # a verdict is reached where its last step starts (a terminal step keeps
+    # the instance, and R9 moves on to its image), Unknown where the trace ends
+    final = start if not steps else steps[-1].after if status == UNKNOWN else steps[-1].before
+    return Verdict(status, steps, start, final)
 
 
-def _decide(inst: Instance, source, depth: int, memo: dict) -> tuple[str, _Trace, int]:
+def _decide(inst: Instance, source, depth: int, memo: dict) -> tuple[str, _Trace]:
     """``decide`` within one memo, on an instance that passes R1 and has been
     read: a tree that is not a chain union, or a product, sorted when it was
     read from a tree.  ``source`` is where the trace starts: the instance
     ``decide`` was given, or an R9 image's pair (instance, vertex
     forgotten), with an as-product step when ``inst`` is a product read
-    from it.  Returns the raw ``(status, trace, final)``, where the verdict
-    was reached on the instance after the first ``final`` steps; nothing is
-    rendered, as an R9 image is read for its status alone."""
+    from it.  Returns the raw ``(status, trace)``; nothing is rendered, as
+    an R9 image is read for its status alone."""
     trace = _Trace(source)
     if isinstance(inst, FlagProduct) and inst is not source:
         trace.add("as-product", inst)
@@ -400,21 +404,17 @@ def _decide(inst: Instance, source, depth: int, memo: dict) -> tuple[str, _Trace
     for _ in range(inst.ambient + 16):
         if isinstance(inst, FlagProduct):
             inst = _canonical(inst, trace)
-        final = len(trace)  # R9 moves the chain on to its image
         status = _terminal(inst, trace, rewritten)
         if status is not None:
-            break
+            return status, trace
         nxt = _rewrite_once(inst)
         if nxt is None:
-            status = SPARSE if depth >= 1 and _r9(inst, depth, trace, memo) else UNKNOWN
-            break
+            return SPARSE if depth >= 1 and _r9(inst, depth, trace, memo) else UNKNOWN, trace
         rule_id, new_inst = nxt
         inst = _sorted(new_inst)  # every rewrite yields a product
         trace.add(rule_id, inst)
         rewritten = True
-    else:
-        raise IterationLimit(f"rewriting did not reach a fixpoint from {_text(trace.start)}")
-    return status, trace, final
+    raise RuntimeError(f"rewriting did not reach a fixpoint from {_text(trace.start)}")
 
 
 def _r9(inst: Instance, depth: int, trace: _Trace, memo: dict) -> bool:

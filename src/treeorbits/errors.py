@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An ``Error`` is a fault of the input (exit code 2, or 3 for ``CapExceeded``);
+a fault of the package, such as a failed self-check, raises RuntimeError.
+"""
 
 
 class Error(Exception):
@@ -41,10 +45,6 @@ class ParseError(Error):
             message = f"{message} (at position {pos})"
         super().__init__(message)
         self.pos = pos
-
-
-class IterationLimit(Error):
-    """Raised when the rewrite loop fails to reach a fixpoint (catalog bug)."""
 
 
 class NotPrime(Error):

@@ -475,6 +475,7 @@ def _ranked(tree: LabeledTree, p: int, off: list, kernels: list, allowed: np.nda
     stacked elimination (``modp._eliminate``), in place and in the
     orientation ``_conditions`` holds them in, so they are neither copied
     nor reduced again; larger ones are ranked one at a time by ``rank_mod``.
+    A rank above the variety's dimension, a fault, raises RuntimeError.
     """
     n, count = tree.ambient, len(allowed)
     entries = allowed.sum(axis=(1, 2))
@@ -491,7 +492,8 @@ def _ranked(tree: LabeledTree, p: int, off: list, kernels: list, allowed: np.nda
             for t in range(count)
         ])
     ranks = ranks + n * n - entries
-    assert (ranks <= dimension(tree)).all(), "orbit tangent space cannot exceed the variety dimension"
+    if (ranks > dimension(tree)).any():
+        raise RuntimeError("an orbit's tangent space exceeds the variety's dimension")
     return ranks
 
 

@@ -8,10 +8,10 @@ fibres over two fixed flags, on numpy arrays, in five steps.
   carry a flag.  Chain 1 is the chain whose flag variety X1 has the most
   points, ties to the first child in name order; chain 2 is the same under
   the other root children, with flag variety X2 (a point when the root
-  has one child).  A product is read on its factors: a factor's point
-  count is the product of the Gaussian binomials of its consecutive
-  dimensions, and chains 1 and 2 are the two factors with the most points,
-  ties to the lower index (the counts do not depend on the tie).  GL(n, q)
+  has one child).  A product of at most two factors is read on its
+  factors, the one with more points as chain 1, a tie to the lower index
+  (the counts do not depend on the tie); a product of three or more has a
+  factor on neither chain and is read as its tree.  GL(n, q)
   is transitive on X1, and the orbits of the
   stabilizer P1 of the standard flag x1 = span(e_0..e_{d-1}) on X2 are
   the double cosets P1 w P2 (Bruhat), one per contingency matrix: a
@@ -72,15 +72,16 @@ so past ``_EXACT_DIM`` its dimension alone refuses a variety over the cap.
 Then one table of point counts, a Gaussian binomial per edge of a tree or
 a product of them per factor of a product, gives the projected point count
 of X, checked against the cap before anything else is done, and the
-weights of the chains.  The fibre's size, the product over the edges (or
-factors) off both chains, times |X1| |X2| must equal the projected count,
-and the orbit sizes |P1| / |H_w| must add up to |X2|.  Only then, and only when a vertex is off both
-chains, is a product's tree built, with the two picked factors' vertices
-as its chains, and are the subspace tables built: their sizes must give
-the same fibre, each generator's entries off the identity must fix both
-flags before any matrix is built, every lookup must hit and every move
-must permute the points.  Every subspace table is an image of X, so it
-fits under the cap too.
+weights of the chains; a product of three or more factors builds its tree
+only now, and weighs its chains on the tree's edges.  The fibre's size,
+the product over the edges off both chains, times |X1| |X2| must equal the
+projected count, and the orbit sizes |P1| / |H_w| must add up to |X2|.
+Only then, and only when a vertex is off both chains, are the subspace
+tables built: their sizes must give the same fibre, each generator's
+entries off the identity must fix both flags before any matrix is built,
+every lookup must hit and every move must permute the points.  Every
+subspace table is an image of X, so it fits under the cap too.  A failed
+check is a fault of the enumerator and raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from math import prod
 import numpy as np
 
 from .errors import BadRange, CapExceeded, UnsupportedField
-from .products import FlagProduct, as_tree, entry_vertex, instance_dimension, product_to_tree
+from .products import FlagProduct, as_tree, instance_dimension, product_to_tree
 from .trees import heaviest_chains, top_down
 
 
@@ -404,17 +405,15 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     and ``log2_bound`` = dim, as its exact count would cost time that
     grows with its digits.  Otherwise ``projected`` is the exact projected
     point count.
-    A product is read on its factors: the cap, the two fixed chains (the
-    factors with the most points) and a two-flag answer need no tree, and
-    ``product_to_tree`` is called only when a factor is on neither chain.
+    A product's cap is read on its factors, and so is the answer for at
+    most two factors, the two fixed flags, with no tree built; a product of
+    three or more factors is then read as its tree, as a factor is on
+    neither fixed chain.
     """
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise BadRange(f"cap must be a positive integer, got {cap!r}")
-    if isinstance(x, FlagProduct):
-        n, tree = x.ambient, None
-    else:
-        tree = as_tree(x)
-        n = tree.ambient
+    tree = None if isinstance(x, FlagProduct) else as_tree(x)
+    n = x.ambient
     _check_field(q)
     dim = instance_dimension(x)
     if dim > _EXACT_DIM and dim >= cap.bit_length():
@@ -426,14 +425,16 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     projected = prod(counts.values())
     if projected > cap:
         raise CapExceeded(projected, cap)
-    if tree is None:
-        # the two factors with the most points, ties to the lower index; a
-        # missing one is an empty chain of one point
-        picked = sorted(counts, key=counts.get, reverse=True)[:2]
-        fixed = [(x.factors[i], counts[i]) for i in picked] + [((), 1)] * (2 - len(picked))
-        (dims1, x1), (dims2, x2) = fixed
-        free = [i for i in counts if i not in picked]
+    if tree is None and len(counts) <= 2:
+        # the factors are the two flags, the one with more points first (a
+        # tie to the lower index); a missing one is an empty chain of one point
+        fixed = sorted(zip(x.factors, counts.values()), key=lambda c: c[1], reverse=True)
+        (dims1, x1), (dims2, x2) = fixed + [((), 1)] * (2 - len(fixed))
+        free = []
     else:
+        if tree is None:  # a third factor is on neither chain
+            tree = product_to_tree(x)
+            counts = _edge_counts(tree, q)
         # the chain whose flag variety has the most F_q points, then the same
         # under the other root children
         weight = {(tree.labels[tree.parent[s]], tree.labels[s]): c for s, c in counts.items()}
@@ -452,10 +453,6 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
         raise RuntimeError("the double cosets do not cover the second flag variety")
     if not free:
         return OrbitReport(q=q, cap=cap, point_count=projected, orbit_count=len(cosets))
-    if tree is None:
-        # a factor is free: the tree takes the picked factors as its chains
-        tree = product_to_tree(x)
-        chain, second = ([entry_vertex(i, j) for j in range(len(x.factors[i]), 0, -1)] for i in picked)
 
     field = _field(q)
     order = top_down(tree)
@@ -485,7 +482,7 @@ def enumerate_orbits(x, q: int = 2, cap: int = DEFAULT_CAP) -> OrbitReport:
     radix = [1 if f else len(spaces[d]) if t is None else children[t].shape[1]
              for d, f, t in zip(vdim, on, pair)]
     if prod(radix) != count:
-        raise RuntimeError("the fibre over the fixed flags has the wrong number of points")
+        raise RuntimeError("the subspace tables give the fibre the wrong number of points")
     distinct, which = _stabilizer_stack(cosets, field)
     moves = _moves(field, distinct, which, spaces, children, up, vdim, on, pair, radix)
     return OrbitReport(q=q, cap=cap, point_count=projected,

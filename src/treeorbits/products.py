@@ -17,10 +17,10 @@ orbit, in both directions:
 The bridge functions ``as_flag_product`` / ``product_to_tree`` convert
 between product instances and the trees that index the same varieties;
 ``as_tree`` is the one place an instance of either kind is read as its tree,
-and ``entry_vertex`` names a product tree's vertices; ``product_dimension``
-is the dimension of a product's variety, and ``instance_dimension`` that of
-either kind, building no tree for a product.  ``forget_entries`` lists the vertex deletions of a
-product's tree on the factors themselves, building no tree.
+and ``entry_vertex`` names a product tree's vertices.  Two functions read a
+product on its factors and build no tree: ``instance_dimension``, the
+dimension of either kind's variety, and ``forget_entries``, the vertex
+deletions of a product's tree.
 """
 
 from __future__ import annotations
@@ -184,17 +184,14 @@ def as_flag_product(tree: LabeledTree) -> FlagProduct | None:
     return FlagProduct(tuple(factors), tree.ambient)
 
 
-def product_dimension(p: FlagProduct) -> int:
-    """Dimension of the variety, ``trees.dimension`` of ``product_to_tree(p)``:
-    sum of a(b - a) over consecutive entries a, b of each factor, the last
-    entry under the ambient n."""
-    n = p.ambient
-    return sum(a * (b - a) for f in p.factors for a, b in zip(f, (*f[1:], n)))
-
-
 def instance_dimension(x: LabeledTree | FlagProduct) -> int:
-    """Dimension of the variety of a tree or product, a product's read on its factors."""
-    return product_dimension(x) if isinstance(x, FlagProduct) else dimension(as_tree(x))
+    """Dimension of the variety of a tree or product.  A product's is read on
+    its factors, as the sum of a(b - a) over consecutive entries a, b of each
+    factor, the last entry under the ambient n."""
+    if isinstance(x, FlagProduct):
+        n = x.ambient
+        return sum(a * (b - a) for f in x.factors for a, b in zip(f, (*f[1:], n)))
+    return dimension(as_tree(x))
 
 
 def entry_vertex(i: int, j: int) -> str:

@@ -42,6 +42,11 @@ def test_every_public_name_resolves():
         assert getattr(treeorbits, name) is not None, name
 
 
+def test_dir_lists_the_lazily_loaded_names():
+    # certify_density, cross_ratio and enumerate_orbits load numpy on first use
+    assert set(PUBLIC) <= set(dir(treeorbits))
+
+
 def test_star_import():
     namespace = {}
     exec("from treeorbits import *", namespace)

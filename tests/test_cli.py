@@ -644,6 +644,14 @@ class TestInputHandling:
         assert run(capsys, "decide", text, "--json") == run(capsys, "decide", "F(1;3)", "--json")
         assert run(capsys, "decide", text)[0] == 0
 
+    def test_internal_fault_exits_4(self, capsys, monkeypatch):
+        # an exception that is not an errors.Error is a fault of the package,
+        # here the rewrite loop's bound
+        monkeypatch.setattr(treeorbits.engine, "_rewrite_once", lambda inst: ("reduce_span", inst))
+        code, out, err = run(capsys, "decide", "G(1;6)^3*G(3;6)^2", "--depth", "0")
+        assert (code, out) == (4, "")
+        assert err == "internal error: rewriting did not reach a fixpoint from F(1;6)^3*F(3;6)^2\n"
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "dim", "2>2")
         assert code == 2

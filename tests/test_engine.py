@@ -194,14 +194,37 @@ class TestTraceBytes:
 
 
 class TestTwoStepTriples:
-    def test_exhaustive_up_to_twelve(self):
-        for n in range(3, 13):
+    def test_exhaustive_up_to_fifteen(self):
+        # R2 precedes R3 in the scan and answers every k1 + k2 = n that R1
+        # has not, so R3 only ever answers Dense
+        ends = collections.Counter()
+        for n in range(3, 16):
             for k1, k2 in combinations(range(1, n), 2):
                 v = decide(triple((k1, k2), n))
+                end = (v.trace[-1].rule_id, v.status)
                 if k1 + k2 == n:
-                    assert v.status in SPARSE_CLASS, (k1, k2, n)
+                    assert end in {("R2", SPARSE), ("R1", TRIVIALLY_SPARSE)}, (k1, k2, n)
                 else:
-                    assert v.status == DENSE, (k1, k2, n)
+                    assert end == ("R3", DENSE), (k1, k2, n)
+                ends[end] += 1
+        assert ends == {("R2", SPARSE): 44, ("R1", TRIVIALLY_SPARSE): 5, ("R3", DENSE): 406}
+
+
+class TestOneFactorProducts:
+    def test_r5_answers_every_one_factor_product(self):
+        # a factor's last entry is below n, so R5 answers before R7 is tried;
+        # every factor of at most two entries up to n = 30, every factor up
+        # to n = 12, and the trivial product
+        products = [FlagProduct((), 2)]
+        products += [FlagProduct((f,), n) for n in range(2, 31)
+                     for r in (1, 2) for f in combinations(range(1, n), r)]
+        products += [FlagProduct((f,), n) for n in range(4, 13)
+                     for r in range(3, n) for f in combinations(range(1, n), r)]
+        assert len(products) == 1 + 4_495 + 3_797
+        for p in products:
+            v = decide(p)
+            assert v.status == DENSE, p
+            assert [s for s in rule_ids(v) if s != "dualize-normalize"] == ["R5"], p
 
 
 class TestVerdictShape:
@@ -396,6 +419,16 @@ class TestProductsOnFactors:
             for (v, image), (_, image_tree, surjective) in zip(entries, deletions):
                 assert surjective, (p, v)
                 assert engine._sorted(image) == engine._sorted(as_flag_product(image_tree)), (p, v)
+
+
+class TestFaultPaths:
+    def test_a_rewrite_loop_with_no_fixpoint_raises_runtime_error(self, monkeypatch):
+        # every rewrite of the catalog lowers the ambient dimension; one that
+        # keeps it runs into the loop's bound, a fault of the engine
+        monkeypatch.setattr(engine, "_rewrite_once", lambda inst: ("reduce_span", inst))
+        x = parse_product("G(1;6)^3*G(3;6)^2")
+        with pytest.raises(RuntimeError, match=r"did not reach a fixpoint from F\(1;6\)\^3\*F\(3;6\)\^2"):
+            decide(x, depth=0)
 
 
 class TestRuleCatalog:

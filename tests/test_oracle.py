@@ -581,6 +581,13 @@ class TestChunkRanking:
         if p < 5:
             assert any(len(set(e)) > 1 for e in entries)
 
+    def test_a_rank_above_the_dimension_raises_runtime_error(self, monkeypatch):
+        # a self-check, kept under python -O: no orbit's tangent space is
+        # larger than the variety
+        monkeypatch.setattr(oracle, "_eliminate", lambda system, p, stop: np.full(len(system), 10**6))
+        with pytest.raises(RuntimeError, match="exceeds the variety's dimension"):
+            certify_density(parse_instance("F(1,2;4)^3"), trials=1)
+
     def test_root_only_tree_has_rank_zero(self):
         tree = parse_tree_dsl("r:3")
         assert certify_density(tree).ranks == (0, 0, 0)
@@ -1022,7 +1029,7 @@ class TestSizeGuard:
     @settings(max_examples=60, deadline=None)
     def test_a_product_has_the_bound_of_its_tree(self, seed, count):
         p = random_product(random.Random(seed), max_ambient=30, max_factors=6)
-        tree, dim = as_tree(p), products.product_dimension(p)
+        tree, dim = as_tree(p), products.instance_dimension(p)
         assert oracle._check_size(p, dim, count) == oracle._check_size(tree, dim, count)
 
 

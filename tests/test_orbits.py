@@ -256,6 +256,57 @@ class TestChecksRun:
         with pytest.raises(RuntimeError, match="do not cover"):
             enumerate_orbits(x, q=2)
 
+    # F(2;3) is on neither fixed chain, so every check runs
+    FREE = "F(1;3)*F(2;3)*F(1,2;3)"
+
+    def test_a_miscounted_chain_is_caught(self, monkeypatch):
+        heaviest = orbits.heaviest_chains
+
+        def heavier(tree, weight):
+            (chain, points), second = heaviest(tree, weight)
+            return (chain, points + 1), second
+
+        monkeypatch.setattr(orbits, "heaviest_chains", heavier)
+        with pytest.raises(RuntimeError, match="fibre over the fixed flags has the wrong number"):
+            enumerate_orbits(parse_instance(self.FREE), q=2)
+
+    def test_a_miscounted_subspace_table_is_caught(self, monkeypatch):
+        class Longer(orbits._Subspaces):
+            def __len__(self):
+                return super().__len__() + 1
+
+        monkeypatch.setattr(orbits, "_Subspaces", Longer)
+        with pytest.raises(RuntimeError, match="subspace tables give the fibre the wrong number"):
+            enumerate_orbits(parse_instance(self.FREE), q=2)
+
+    def test_a_generator_that_moves_a_flag_is_caught(self, monkeypatch):
+        # g[0, n - 1] = 1 sends e_0 to e_0 + e_{n-1}, out of the first
+        # flag's smallest subspace
+        made = orbits._stabilizer_generators
+
+        def moving(coset, field):
+            return made(coset, field) + [((0, sum(m for _, _, m in coset) - 1, 1),)]
+
+        monkeypatch.setattr(orbits, "_stabilizer_generators", moving)
+        with pytest.raises(RuntimeError, match="moves a fixed flag"):
+            enumerate_orbits(parse_instance(self.FREE), q=2)
+
+    def test_a_span_that_is_not_fixed_is_caught(self, monkeypatch):
+        # c hangs off the chain vertex b; a span of the last basis vectors in
+        # place of b's fixed span is moved by the stabilizer, so the images of
+        # its children are not among its children
+        spans = orbits._spans
+        monkeypatch.setattr(orbits, "_spans", lambda levels, k, d: spans(levels, k, d)[:, :, ::-1])
+        with pytest.raises(RuntimeError, match="image child is missing"):
+            enumerate_orbits(parse_tree_dsl("a:1>b:2>r:4 | c:1>b"), q=2)
+
+    def test_a_singular_generator_is_caught(self, monkeypatch):
+        # diag(0, 1, ..) fixes both flags but sends two points to one
+        made = orbits._stabilizer_generators
+        monkeypatch.setattr(orbits, "_stabilizer_generators", lambda coset, field: made(coset, field) + [((0, 0, 0),)])
+        with pytest.raises(RuntimeError, match="does not permute the points"):
+            enumerate_orbits(parse_instance("G(1;2)^3"), q=2)
+
 
 class TestProductsOnFactors:
     def test_two_flags_build_no_tree(self, monkeypatch):
@@ -706,8 +757,8 @@ class TestCountInvariants:
                         assert (a.point_count, a.orbit_count) == (b.point_count, b.orbit_count), (product, q)
                         within += 1
         assert (within, over) == (233, 343)
-        # eleven tied factors: the product picks factors 0 and 1 by index and
-        # hands the other nine to its tree, whose names sort f10 before f2
+        # eleven tied factors: the fixed chains are picked on the tree, whose
+        # names sort f10 before f2, and the counts do not depend on the tie
         product = FlagProduct(((1,),) * 11, 2)
         for x in (product, as_tree(product)):
             report = enumerate_orbits(x, q=2)

@@ -1,12 +1,13 @@
 """Tree validation, dimension, vertex order, subtrees, deletion, truncation."""
 
+import ast
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeorbits import LabeledTree
+from treeorbits import LabeledTree, parse_instance
 from treeorbits.errors import (
     BadRange,
     EmptyInput,
@@ -266,6 +267,13 @@ class TestSerialization:
     def test_dsl_round_trip(self, seed):
         t = random_tree(random.Random(seed))
         assert parse_tree_dsl(to_dsl(t)) == t
+
+    @given(st.integers(0, 10**6))
+    def test_repr_reads_back(self, seed):
+        t = random_tree(random.Random(seed))
+        head, text = repr(t).split("(", 1)
+        assert head == "LabeledTree"
+        assert parse_instance(ast.literal_eval(text[:-1])) == t
 
     def test_equality_ignores_construction_order(self):
         a = LabeledTree({"a": 1, "b": 2}, [("a", "b")])
